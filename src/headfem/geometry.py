@@ -10,16 +10,29 @@ Containment is decided by ray-casting parity with a fixed ray direction;
 rays that graze an edge, vertex or coplanar triangle are detected and
 retried with the next direction from a fixed list, so the result does not
 depend on luck.  Points lying exactly on a surface count as inside by
-convention.
+convention.  ``Segmentation.locate`` applies this test point by point and
+is the reference labeling.
+
+``locate_on_lines`` gives the same labels faster for points that share
+x-lines (bit-identical y and z), such as grid nodes and Kuhn centroids: one
++x ray per line and surface finds every crossing, and a point's parity is
+the number of crossings to its right (parity voxelization, Nooruddin &
+Turk, IEEE TVCG 9(2), 2003).  Points this cannot decide for certain go
+through ``SurfaceMesh.contains``: those on a line within a band (1e-6 of the
+surface diameter) of a triangle edge, vertex or x-parallel triangle, and
+those within the band of a crossed triangle's plane.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 
 import numpy as np
 
 from .errors import FormatError, TopologyError
+
+logger = logging.getLogger(__name__)
 
 # Fixed, reproducible ray directions for the parity test.  The first is an
 # arbitrary irrational-looking direction so axis-aligned geometry never
@@ -32,6 +45,9 @@ _RAY_DIRECTIONS = np.vstack([
 _RAY_DIRECTIONS /= np.linalg.norm(_RAY_DIRECTIONS, axis=1, keepdims=True)
 
 _MAX_COMPARTMENTS = 27
+
+# Uncertainty band of ``locate_on_lines``, relative to the surface diameter.
+_LINE_BAND = 1e-6
 
 # Default tissue conductivities (S/m).  White matter, grey matter, skull and
 # scalp follow the values commonly quoted for head modeling; published
@@ -191,6 +207,10 @@ class SurfaceMesh:
             if undecided.size == 0:
                 break
         # Pathological leftovers (every direction grazed): accept last parity.
+        if undecided.size:
+            logger.warning("%d point(s) grazed every ray direction on surface "
+                           "'%s'; keeping the last parity", undecided.size,
+                           self.name)
         inside[undecided] = last_parity[undecided]
         return inside
 
@@ -252,6 +272,74 @@ class SurfaceMesh:
             onsurf[sl] = np.any(on, axis=1)
             suspect[sl] = np.any(graze | copl, axis=1)
         return parity.astype(bool), suspect, onsurf
+
+    def _line_parity(self, yz, line, x):
+        """Per-point (inside, unsure, rays cast) for points ``(x, yz[line])``
+        from one +x ray per line; ``inside`` is False where ``unsure``."""
+        band = _LINE_BAND * (self._diameter or 1.0)
+        lo, hi = self.bbox[0, 1:] - band, self.bbox[1, 1:] + band
+        cand = np.flatnonzero(np.all((yz >= lo) & (yz <= hi), axis=1))
+
+        v0, e1, e2, n = self._v0, self._e1, self._e2, self._raw_normals
+        nx = n[:, 0]
+        scale2 = np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1)
+        par = np.abs(nx) <= 1e-12 * scale2
+        # Signed (y, z)-plane distance of a line from each edge of the
+        # triangle's projection, positive inside: edge v0v2 (cu), v0v1 (cv),
+        # v1v2 (nx - cu - cv).  x-parallel triangles get zero weights; a
+        # line grazes one within the band of its plane (widened by the tilt
+        # of a nearly parallel one) and of its (y, z) box.
+        edges = np.stack([e2, e1, e2 - e1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = np.where(par, 0.0, np.sign(nx)) / np.hypot(edges[..., 1],
+                                                          edges[..., 2])
+            reach = band * np.linalg.norm(n, axis=1) / np.abs(nx)
+        corners = self.nodes[self.triangles[par]]
+        par_lo = corners[:, :, 1:].min(axis=1) - band
+        par_hi = corners[:, :, 1:].max(axis=1) + band
+        par_n = n[par, 1:]
+        par_slack = (band * np.linalg.norm(par_n, axis=1)
+                     + np.abs(nx[par]) * np.ptp(corners[:, :, 0], axis=1))
+
+        unsure_line = np.zeros(len(yz), dtype=bool)
+        # Crossings (line, x, reach), in line order: ascending ``cand`` and
+        # row-major ``nonzero``.
+        cl, cx, cr = [np.zeros(0, dtype=np.int64)], [np.zeros(0)], [np.zeros(0)]
+        chunk = max(1, 100_000 // len(v0))
+        for start in range(0, cand.size, chunk):
+            li = cand[start:start + chunk]
+            q = yz[li]
+            dy = q[:, :1] - v0[:, 1]
+            dz = q[:, 1:] - v0[:, 2]
+            cu = dy * e2[:, 2] - dz * e2[:, 1]
+            cv = dz * e1[:, 1] - dy * e1[:, 2]
+            m = np.minimum(np.minimum(cu * g[0], cv * g[1]), (nx - cu - cv) * g[2])
+            cross = m > band
+            near_plane = np.abs(dy[:, par] * par_n[:, 0]
+                                + dz[:, par] * par_n[:, 1]) <= par_slack
+            in_box = np.all((q[:, None] >= par_lo) & (q[:, None] <= par_hi),
+                            axis=2)
+            unsure_line[li] = (np.any(~par & (m >= -band) & ~cross, axis=1)
+                               | np.any(near_plane & in_box, axis=1))
+            r, t = np.nonzero(cross)
+            cl.append(li[r])
+            cx.append(v0[t, 0] - (n[t, 1] * dy[r, t] + n[t, 2] * dz[r, t]) / nx[t])
+            cr.append(reach[t])
+
+        # Point p lies left of crossing c if x_c - x_p > reach_c, and within
+        # the band if |x_c - x_p| <= reach_c.
+        cl, cx, cr = (np.concatenate(a) for a in (cl, cx, cr))
+        first = np.searchsorted(cl, line)
+        count = np.searchsorted(cl, line, side="right") - first
+        right = np.zeros(len(x), dtype=np.int64)
+        unsure = unsure_line[line]
+        for k in range(int(count.max(initial=0))):
+            on = np.flatnonzero(count > k)
+            j = first[on] + k
+            d = cx[j] - x[on]
+            right[on] += d > cr[j]
+            unsure[on] |= np.abs(d) <= cr[j]
+        return (right & 1).astype(bool) & ~unsure, unsure, cand.size
 
     def nearest_triangle(self, point):
         """Index of the triangle closest to ``point`` and its distance."""
@@ -395,6 +483,33 @@ class Segmentation:
             labels[open_[hit]] = k
             open_ = open_[~hit]
         return labels
+
+
+def locate_on_lines(seg, points):
+    """``seg.locate(points)`` from one +x ray per x-line of the points.
+
+    Returns the labels, the rays cast (lines within a surface's bounding box,
+    summed over surfaces) and the points passed to ``SurfaceMesh.contains``.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    # (y, z) read as one complex number: exact, and sorted lexicographically.
+    yz, line = np.unique(np.ascontiguousarray(pts[:, 1:]).view(complex)[:, 0],
+                         return_inverse=True)
+    yz = yz.view(float).reshape(-1, 2)
+    labels = np.full(len(pts), -1, dtype=np.int64)
+    n_rays = n_fallback = 0
+    for k, comp in enumerate(seg.compartments):
+        hit = np.zeros(len(pts), dtype=bool)
+        for surf in comp.surfaces:
+            inside, unsure, rays = surf._line_parity(yz, line, pts[:, 0])
+            ask = np.flatnonzero(unsure & ~hit & (labels < 0))
+            if ask.size:
+                inside[ask] = surf.contains(pts[ask])
+            hit |= inside
+            n_rays += rays
+            n_fallback += ask.size
+        labels[hit & (labels < 0)] = k
+    return labels, n_rays, n_fallback
 
 
 def point_in_compartment(seg, point):

@@ -95,8 +95,11 @@ def build_dof_map(mesh, compartments, n_dofs, seed=0):
     chosen = rng.choice(cand, size=n_dofs, replace=False, p=vols / vols.sum())
     centroids = mesh.centroids()
     centers = centroids[chosen]
-    d = np.linalg.norm(centroids[cand][:, None, :] - centers[None, :, :], axis=2)
-    owner = np.argmin(d, axis=1)
+    chunk = max(1, 1_000_000 // n_dofs)    # rows per (rows, n_dofs, 3) block
+    owner = np.concatenate([
+        np.argmin(np.linalg.norm(centroids[cand[lo:lo + chunk], None, :]
+                                 - centers[None, :, :], axis=2), axis=1)
+        for lo in range(0, cand.size, chunk)])
     sets = tuple(cand[owner == k] for k in range(n_dofs))
     return EitDofMap(element_sets=sets, centers=centers)
 
@@ -142,10 +145,8 @@ def check_current_patterns(currents, n_electrodes):
     if I.shape[0] != n_electrodes:
         raise CurrentPatternError(
             f"pattern length {I.shape[0]} != electrode count {n_electrodes}")
-    norms = np.linalg.norm(I, axis=0)
-    if np.any(norms == 0):
-        return I
-    bad = np.abs(I.sum(axis=0)) > 1e-12 * np.maximum(norms, 1e-300)
+    # An all-zero pattern passes (0 > 0 is False); every other is checked.
+    bad = np.abs(I.sum(axis=0)) > 1e-12 * np.linalg.norm(I, axis=0)
     if np.any(bad):
         raise CurrentPatternError(
             f"current pattern(s) {np.flatnonzero(bad).tolist()} do not sum to zero")

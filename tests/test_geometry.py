@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from headfem import geometry
 from headfem.errors import FormatError, TopologyError
 from headfem.geometry import (
     Compartment,
@@ -149,6 +150,15 @@ class TestContainment:
         pts = np.array([[0.5, 0.5, 0.5], [1.5, 0.5, 0.5], [-0.1, 0.2, 0.3]])
         np.testing.assert_array_equal(cube_surface.contains(pts),
                                       [True, False, False])
+
+    def test_every_direction_grazing_is_logged(self, cube_surface, caplog,
+                                               monkeypatch):
+        # With +x as the only direction, a ray through the diagonal of the
+        # x = 1 face grazes and cannot be retried.
+        monkeypatch.setattr(geometry, "_RAY_DIRECTIONS", np.array([[1.0, 0, 0]]))
+        with caplog.at_level("WARNING", logger="headfem.geometry"):
+            cube_surface.contains(np.array([[0.25, 0.5, 0.5], [0.5, 0.2, 0.7]]))
+        assert "1 point(s) grazed every ray direction" in caplog.text
 
     def test_batch_matches_single(self, nested_sphere_segmentation):
         rng = np.random.default_rng(3)

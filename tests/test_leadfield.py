@@ -10,6 +10,7 @@ from headfem.leadfield import (
     EitDofMap,
     adjacent_pair_patterns,
     build_dof_map,
+    check_current_patterns,
     eeg_leadfield,
     eit_forward,
     eit_leadfield,
@@ -185,12 +186,34 @@ class TestEitForward:
         with pytest.raises(CurrentPatternError):
             eit_forward(sys, np.array([1.0, 0.0, 0.0, 0.0]), TIGHT)
 
+    def test_zero_pattern_does_not_hide_a_nonzero_sum(self):
+        # An all-zero pattern is valid, but must not skip the zero-sum check
+        # of the other patterns.
+        with pytest.raises(CurrentPatternError, match=r"\[1\]"):
+            check_current_patterns(np.array([[0, 1], [0, 1], [0, 1]]), 3)
+        I = np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(check_current_patterns(I, 3), I)
+
     def test_matches_direct_oracle(self):
         mesh, el, sys, _ = small_sphere_system(n_electrodes=6)
         I = adjacent_pair_patterns(6)
         y = eit_forward(sys, I, TIGHT)
         y_ref = direct_eit_forward(mesh, el, mesh.sigma, I)
         np.testing.assert_allclose(y, y_ref, rtol=1e-8)
+
+
+class TestDofMap:
+    def test_chunked_owners_match_dense_formula(self):
+        # 600 DOFs over ~7,000 elements spans several row chunks.
+        seg = Segmentation([Compartment(icosphere(0.1, 2), 0.33, active=True)])
+        mesh = generate_mesh(seg, 0.015)
+        dofs = build_dof_map(mesh, [0], n_dofs=600, seed=5)
+        cent = mesh.centroids()
+        d = np.linalg.norm(cent[:, None, :] - dofs.centers[None, :, :], axis=2)
+        owner = np.argmin(d, axis=1)
+        assert mesh.n_elements > 2 * (1_000_000 // 600)
+        for k, es in enumerate(dofs.element_sets):
+            np.testing.assert_array_equal(es, np.flatnonzero(owner == k))
 
 
 class TestEitLeadfield:
