@@ -15,7 +15,6 @@ from headfem import (
     PcgConfig,
     Segmentation,
     adjacent_pair_patterns,
-    assemble_A,
     assemble_cem_system,
     build_dof_map,
     eit_forward,
@@ -54,11 +53,8 @@ sig_m[dofs.element_sets[m]] -= delta
 
 
 def forward_at(sigma):
-    m2 = mesh.with_sigma(sigma)
-    sys2 = type(system)(mesh=m2, electrodes=electrodes,
-                        A=assemble_A(m2, electrodes), B=system.B, C=system.C,
-                        R=system.R, ground=system.ground)
-    return np.asarray(eit_forward(sys2, patterns, cfg)).T.ravel()
+    return np.asarray(eit_forward(system.with_sigma(sigma), patterns,
+                                  cfg)).T.ravel()
 
 
 fd = (forward_at(sig_p) - forward_at(sig_m)) / (2 * delta)

@@ -11,11 +11,8 @@ the estimate onto the anomaly; a single decomposition is visibly noisier.
 
 import numpy as np
 
-from headfem.experiments import (
-    EitHemorrhageParams,
-    eit_hemorrhage_experiment,
-    reconstruction_center_of_mass,
-)
+from headfem.experiments import EitHemorrhageParams, eit_hemorrhage_experiment
+from headfem.inverse import center_of_mass
 
 params = EitHemorrhageParams(n_seeds=3)
 rows, first, ctx = eit_hemorrhage_experiment(
@@ -30,7 +27,7 @@ for r in rows:
 
 centers = ctx["dofs"].centers
 for tag in ("averaged", "unaveraged"):
-    com = reconstruction_center_of_mass(first[tag], centers)
+    com = center_of_mass(np.abs(first[tag]), centers)
     err = 1e3 * np.linalg.norm(com - truth)
     peak = centers[np.argmax(np.abs(first[tag]))]
     print(f"{tag:10s}: CoM error {err:5.1f} mm, peak DOF at "

@@ -4,8 +4,8 @@ metrics.
 Every subcommand reads one INI project file, writes its artifacts plus a
 replayable JSON manifest into the output directory, and exits with 0 on
 success, 2 on configuration/IO problems, or 3 on runtime/numerical
-failures.  All outputs are byte-deterministic for a fixed configuration,
-seed and thread count.
+failures.  All outputs are byte-deterministic for a fixed configuration
+and seed.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ from .errors import (
     DataError,
     SetupError,
 )
-from .fem import ElectrodeSet, assemble_A, assemble_cem_system
+from .fem import ElectrodeSet, assemble_cem_system
 from .inverse import (
     HyperModel,
+    center_of_mass,
     ias_map,
     multires_ias,
     normalize_problem,
@@ -101,7 +102,6 @@ def _leadfield_from_config(cfg, args):
     seg, mesh = _build_mesh(cfg)
     electrodes = _build_electrodes(cfg, mesh)
     pcg = _pcg_config(cfg)
-    threads = args.threads
     seeds = {}
     if cfg.modality == "eeg":
         seeds["sources"] = cfg.sources["seed"]
@@ -109,7 +109,7 @@ def _leadfield_from_config(cfg, args):
                             mode=cfg.sources["mode"],
                             seed=cfg.sources["seed"])
         sys_ = assemble_cem_system(mesh, electrodes, src)
-        lf = eeg_leadfield(sys_, pcg, threads=threads)
+        lf = eeg_leadfield(sys_, pcg)
         extra = {"sources": cfg.sources["count"], "mode": cfg.sources["mode"]}
     else:
         seeds["dofs"] = cfg.eit["seed"]
@@ -120,7 +120,7 @@ def _leadfield_from_config(cfg, args):
                              seed=cfg.eit["seed"])
         patterns = adjacent_pair_patterns(electrodes.count,
                                           cfg.eit["amplitude"])
-        lf = eit_leadfield(sys_, dofs, patterns, pcg, threads=threads)
+        lf = eit_leadfield(sys_, dofs, patterns, pcg)
         extra = {"dofs": cfg.eit["dofs"], "patterns": patterns.shape[1]}
     return seg, mesh, electrodes, sys_, lf, seeds, extra
 
@@ -164,13 +164,9 @@ def cmd_simulate(cfg, args):
             raise ConfigError(f"{cfg.path}: [simulation] anomaly missing")
         cx, cy, cz, diameter, delta = anomaly
         sigma_p, _ = perturb_sigma_ball(mesh, (cx, cy, cz), diameter, delta)
-        mesh_p = mesh.with_sigma(sigma_p)
-        sys_p = type(sys_)(mesh=mesh_p, electrodes=electrodes,
-                           A=assemble_A(mesh_p, electrodes), B=sys_.B,
-                           C=sys_.C, R=sys_.R, ground=sys_.ground)
         patterns = adjacent_pair_patterns(electrodes.count,
                                           cfg.eit["amplitude"])
-        y_pert = np.asarray(eit_forward(sys_p, patterns,
+        y_pert = np.asarray(eit_forward(sys_.with_sigma(sigma_p), patterns,
                                         _pcg_config(cfg))).T.ravel()
         y = y_pert + noise.sample(y_pert)
         n_cols = patterns.shape[1]
@@ -286,11 +282,10 @@ def _truth_metrics(cfg, lf, x, mode):
     truth_pos = cfg.truth["position"]
     roi_radius = cfg.truth["roi_radius"]
     if lf.modality == "eit" or "orientation" not in cfg.truth:
-        from .experiments import reconstruction_center_of_mass
         in_roi = np.linalg.norm(lf.positions - truth_pos[None, :],
                                 axis=1) <= roi_radius
         pick = in_roi if in_roi.any() else slice(None)
-        com = reconstruction_center_of_mass(x[pick], lf.positions[pick])
+        com = center_of_mass(np.abs(x[pick]), lf.positions[pick])
         return {"position_error_mm": 1e3 * float(np.linalg.norm(com - truth_pos)),
                 "angle_error_deg": None}
     space = SourceSpace(positions=lf.positions, orientations=lf.orientations,
@@ -392,8 +387,7 @@ def cmd_metrics(cfg, args):
                             axis=1) <= roi_radius
     pick = in_roi if in_roi.any() else np.ones(len(positions), dtype=bool)
     amp = np.linalg.norm(values, axis=1)
-    from .experiments import reconstruction_center_of_mass
-    com = reconstruction_center_of_mass(amp[pick], positions[pick])
+    com = center_of_mass(amp[pick], positions[pick])
     metrics = {"position_error_mm":
                1e3 * float(np.linalg.norm(com - truth_pos)),
                "angle_error_deg": None}
@@ -430,7 +424,6 @@ def build_parser():
             p.add_argument("name", choices=["eeg-hypermodel", "eit-hemorrhage"])
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--output", default=None)
         if name == "invert":
             p.add_argument("--data", default=None)

@@ -22,11 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import ElectrodeSet, assemble_cem_system
-from .geometry import Compartment, Segmentation, icosphere
-from .inverse import HyperModel, ias_map, multires_ias, normalize_problem, roi_metrics
-from .leadfield import adjacent_pair_patterns, build_dof_map, eeg_leadfield, eit_leadfield
+from .inverse import (HyperModel, center_of_mass, ias_map, multires_ias,
+                      normalize_problem, roi_metrics)
+from .leadfield import (adjacent_pair_patterns, build_dof_map, eeg_leadfield,
+                        eit_forward, eit_leadfield)
 from .meshgen import generate_mesh, place_sources
-from .simulate import NoiseSpec, Phantom, dipole_signal, fibonacci_sphere_points
+from .simulate import (NoiseSpec, Phantom, dipole_signal, fibonacci_sphere_points,
+                       layered_sphere_segmentation)
 from .solver import PcgConfig
 
 HYPERMODEL_CASES = (
@@ -41,20 +43,6 @@ def derive_seed(master, *indices):
     """Deterministic child seed from a master seed and stream indices."""
     ss = np.random.SeedSequence([int(master), *[int(i) for i in indices]])
     return int(ss.generate_state(1)[0])
-
-
-def layered_sphere_segmentation(radii, conductivities, priorities=None,
-                                active_shells=(0,), subdivisions=3):
-    """Concentric icosphere head model, innermost shell first."""
-    comps = []
-    for k, (r, s) in enumerate(zip(radii, conductivities)):
-        comps.append(Compartment(
-            icosphere(r, subdivisions, name=f"shell{k}"),
-            conductivity=s,
-            priority=priorities[k] if priorities is not None else 0,
-            active=k in active_shells,
-            name=f"shell{k}"))
-    return Segmentation(comps)
 
 
 @dataclass
@@ -231,14 +219,6 @@ def build_eit_model(params):
     return phantom, mesh, el, sys, dofs, patterns, lf
 
 
-def reconstruction_center_of_mass(values, centers):
-    """Amplitude-weighted center of mass of a DOF reconstruction."""
-    w = np.abs(np.asarray(values, dtype=float))
-    if w.sum() == 0:
-        raise ValueError("all-zero reconstruction")
-    return (w[:, None] * centers).sum(axis=0) / w.sum()
-
-
 def eit_hemorrhage_experiment(params=None, progress=None):
     """Run the hemorrhage reconstruction over ``n_seeds`` noise seeds.
 
@@ -246,9 +226,6 @@ def eit_hemorrhage_experiment(params=None, progress=None):
     the averaged and unaveraged reconstruction of the first seed, and the
     model context.
     """
-    from .fem import assemble_A
-    from .leadfield import eit_forward
-
     params = params or EitHemorrhageParams()
     phantom, mesh, el, sys, dofs, patterns, lf = build_eit_model(params)
     cfg = PcgConfig(tolerance=params.solver_tolerance)
@@ -256,10 +233,8 @@ def eit_hemorrhage_experiment(params=None, progress=None):
     # Perturbed forward data are noise-free per seed except for the additive
     # measurement noise, so compute them once.
     sigma_p, _ = phantom.perturb_sigma(mesh)
-    mesh_p = mesh.with_sigma(sigma_p)
-    sys_p = type(sys)(mesh=mesh_p, electrodes=el, A=assemble_A(mesh_p, el),
-                      B=sys.B, C=sys.C, R=sys.R, ground=sys.ground)
-    y_pert = np.asarray(eit_forward(sys_p, patterns, cfg)).T.ravel()
+    y_pert = np.asarray(eit_forward(sys.with_sigma(sigma_p), patterns,
+                                    cfg)).T.ravel()
     y_bg = lf.background_data
 
     hyper = HyperModel(params.hypermodel, beta=params.beta, theta0=params.theta0)
@@ -278,7 +253,7 @@ def eit_hemorrhage_experiment(params=None, progress=None):
                              n_iter=params.n_iter, n_subsets=n_subsets,
                              n_decompositions=params.n_decompositions,
                              seed=dec_seed)
-        com = reconstruction_center_of_mass(x_avg, dofs.centers)
+        com = center_of_mass(np.abs(x_avg), dofs.centers)
         dist_mm = 1e3 * float(np.linalg.norm(com - truth))
         rows.append({
             "seed": s, "com_x": com[0], "com_y": com[1], "com_z": com[2],

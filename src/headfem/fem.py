@@ -16,7 +16,7 @@ is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -93,20 +93,21 @@ def stiffness_blocks(mesh, sigma=None, elements=None):
     return np.einsum("eik,ekl,ejl->eij", grads, tens, grads) * vols[:, None, None]
 
 
-def _scatter_blocks(blocks, connectivity, n):
-    """Sum (e, k, k) blocks into an n x n CSR matrix."""
+def _block_triplets(blocks, connectivity):
+    """(rows, cols, vals) of (e, k, k) blocks on (e, k) node connectivity."""
     k = connectivity.shape[1]
     rows = np.repeat(connectivity, k, axis=1).ravel()
     cols = np.tile(connectivity, (1, k)).ravel()
-    mat = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n))
-    return mat.tocsr()
+    return rows, cols, blocks.ravel()
 
 
 def volume_stiffness(mesh, sigma=None, elements=None):
     """Conductivity volume stiffness without electrode or grounding terms."""
     blocks = stiffness_blocks(mesh, sigma=sigma, elements=elements)
     conn = mesh.tetra if elements is None else mesh.tetra[elements]
-    return _scatter_blocks(blocks, conn, mesh.n_nodes)
+    rows, cols, vals = _block_triplets(blocks, conn)
+    n = mesh.n_nodes
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -200,28 +201,29 @@ def assemble_A(mesh, electrodes, ground=True):
     a_ij = int sigma grad psi_i . grad psi_j dV
          + sum_l 1/(Z_l A_l) int_{e_l} psi_i psi_j dS
 
-    afterwards row and column ``i'`` of the grounding node are replaced by
-    the identity row, which makes the matrix positive definite.
+    Volume and contact blocks are summed in one COO -> CSR pass; with
+    ``ground`` the triplets in row and column ``i'`` of the grounding node
+    are replaced by the single entry (i', i', 1), which makes the matrix
+    positive definite.
     """
-    A = volume_stiffness(mesh).tolil()
-    for tris, areas, z, a_l in zip(electrodes.triangles, electrodes.triangle_areas,
-                                   electrodes.impedances, electrodes.areas):
-        scale = 1.0 / (z * a_l)
-        for tri, at in zip(tris, areas):
-            A[np.ix_(tri, tri)] += scale * at * _SURF_MASS
-    A = A.tocsr()
+    vol = _block_triplets(stiffness_blocks(mesh), mesh.tetra)
+    parts = [vol]
+    if electrodes.count:
+        scale = np.concatenate([
+            areas / (z * a_l) for areas, z, a_l in zip(
+                electrodes.triangle_areas, electrodes.impedances,
+                electrodes.areas)])
+        tris = np.concatenate(electrodes.triangles)
+        parts.append(_block_triplets(scale[:, None, None] * _SURF_MASS, tris))
+    rows, cols, vals = (np.concatenate(t) for t in zip(*parts))
     if ground and electrodes.count:
         i = ground_node(mesh, electrodes)
-        A = _ground(A, i)
-    return A
-
-
-def _ground(A, i):
-    A = A.tolil()
-    A[i, :] = 0.0
-    A[:, i] = 0.0
-    A[i, i] = 1.0
-    return A.tocsr()
+        keep = (rows != i) & (cols != i)
+        rows = np.append(rows[keep], i)
+        cols = np.append(cols[keep], i)
+        vals = np.append(vals[keep], 1.0)
+    n = mesh.n_nodes
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def assemble_B_C_R(mesh, electrodes):
@@ -442,6 +444,13 @@ class CemSystem:
     @property
     def n_electrodes(self):
         return self.electrodes.count
+
+    def with_sigma(self, sigma):
+        """The system at conductivity ``sigma``: the mesh and ``A`` are
+        rebuilt; B, C, R, G, the ground node and the electrodes depend only
+        on the geometry and are shared."""
+        mesh = self.mesh.with_sigma(sigma)
+        return replace(self, mesh=mesh, A=assemble_A(mesh, self.electrodes))
 
 
 def assemble_cem_system(mesh, electrodes, sources=None):

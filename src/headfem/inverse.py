@@ -127,21 +127,20 @@ def ias_map(L, y, hyper, nu, n_iter, roi=None):
     if n_iter < 1:
         raise ParameterError("n_iter must be >= 1")
     L = np.asarray(L, dtype=float)
+    Lr = L
     if roi is not None:
         roi = np.asarray(roi, dtype=np.int64)
         if roi.size == 0:
             raise RoiError("region of interest contains no DOFs")
-        state = initial_state(roi.size, hyper, nu)
         Lr = L[:, roi]
-        for _ in range(int(n_iter)):
-            state = ias_step(Lr, y, state, hyper)
-        x = np.zeros(L.shape[1])
-        x[roi] = state.x
-        return x
-    state = initial_state(L.shape[1], hyper, nu)
+    state = initial_state(Lr.shape[1], hyper, nu)
     for _ in range(int(n_iter)):
-        state = ias_step(L, y, state, hyper)
-    return state.x
+        state = ias_step(Lr, y, state, hyper)
+    if roi is None:
+        return state.x
+    x = np.zeros(L.shape[1])
+    x[roi] = state.x
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +247,17 @@ def normalize_problem(L, y):
     return L / s_l, y / s_y, s_y / s_l
 
 
+def center_of_mass(amplitudes, positions):
+    """Amplitude-weighted center of mass of nonnegative per-DOF amplitudes.
+
+    Raises :class:`UndefinedMetricError` when every amplitude is zero.
+    """
+    w = np.asarray(amplitudes, dtype=float)
+    if w.sum() == 0:
+        raise UndefinedMetricError("all-zero reconstruction amplitudes")
+    return (w[:, None] * positions).sum(axis=0) / w.sum()
+
+
 def roi_metrics(reconstruction, source_space, roi_center, roi_radius,
                 true_dipole):
     """Position (mm) and orientation (degrees) error of the amplitude
@@ -278,11 +288,7 @@ def roi_metrics(reconstruction, source_space, roi_center, roi_radius,
     in_roi = np.linalg.norm(positions - center[None, :], axis=1) <= roi_radius
     if not in_roi.any():
         raise RoiError("ROI contains no source DOFs")
-    w = amp[in_roi]
-    if w.sum() == 0:
-        raise UndefinedMetricError("all ROI amplitudes are zero")
-
-    com = (w[:, None] * positions[in_roi]).sum(axis=0) / w.sum()
+    com = center_of_mass(amp[in_roi], positions[in_roi])
     pos_err_mm = 1e3 * float(np.linalg.norm(com - true_pos))
 
     mean_vec = vec[in_roi].sum(axis=0)

@@ -1,7 +1,9 @@
 """EEG and linearized EIT lead fields from the assembled CEM system.
 
 Both modalities share the transfer matrix T = A^-1 B and the dense
-electrode-level response M = C - B' T.  The EEG lead field is
+electrode-level response M = C - B' T, which is positive definite and is
+Cholesky-factored once per system by :func:`electrode_response`.  The EEG
+lead field is
 
     L = -R M^-1 (T' G)
 
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .errors import CurrentPatternError, DofError, SingularSystemError
 from .fem import stiffness_blocks
@@ -104,32 +105,45 @@ def build_dof_map(mesh, compartments, n_dofs, seed=0):
     return EitDofMap(element_sets=sets, centers=centers)
 
 
-def electrode_response(sys, cfg=PcgConfig(), threads=1):
-    """Transfer matrix T = A^-1 B and the symmetric response M = C - B' T."""
-    T = transfer_matrix(sys.A, sys.B, cfg, threads=threads)
+@dataclass(frozen=True)
+class ElectrodeResponse:
+    """Transfer matrix T = A^-1 B, the symmetric response M = C - B' T and
+    the Cholesky factor of M; ``solve(rhs)`` returns M^-1 rhs."""
+
+    T: np.ndarray
+    M: np.ndarray
+    factor: tuple
+
+    def solve(self, rhs):
+        return sla.cho_solve(self.factor, rhs)
+
+
+def electrode_response(sys, cfg=PcgConfig()):
+    """Factored electrode response of the system.
+
+    M is the Schur complement of the SPD CEM block matrix, so it is
+    positive definite; a failed Cholesky factorization raises
+    :class:`SingularSystemError`.
+    """
+    T = transfer_matrix(sys.A, sys.B, cfg)
     M = sys.C.toarray() - sys.B.T @ T
     M = 0.5 * (M + M.T)  # exact symmetry; B' A^-1 B is symmetric up to solver tolerance
-    return T, M
-
-
-def _solve_response(M, rhs):
     try:
-        lu, piv = sla.lu_factor(M)
+        factor = sla.cho_factor(M)
     except (ValueError, sla.LinAlgError) as exc:
-        raise SingularSystemError(f"electrode response factorization failed: {exc}")
-    if np.any(np.abs(np.diag(lu)) < 1e-300):
-        raise SingularSystemError("electrode response matrix is singular")
-    return sla.lu_solve((lu, piv), rhs)
+        raise SingularSystemError(
+            f"electrode response M is not positive definite: {exc}")
+    return ElectrodeResponse(T=T, M=M, factor=factor)
 
 
-def eeg_leadfield(sys, cfg=PcgConfig(), threads=1):
+def eeg_leadfield(sys, cfg=PcgConfig()):
     """EEG lead field L = -R M^-1 (T' G); columns are zero-mean by
     construction of R."""
     if sys.G is None or sys.G.shape[1] == 0:
         raise SingularSystemError("system has no source matrix G")
-    T, M = electrode_response(sys, cfg, threads=threads)
-    TtG = np.asarray((sys.G.T @ T).T if sp.issparse(sys.G) else sys.G.T @ T)
-    L = -(sys.R @ _solve_response(M, TtG))
+    resp = electrode_response(sys, cfg)
+    TtG = np.asarray(sys.G.T @ resp.T).T
+    L = -(sys.R @ resp.solve(TtG))
     src = sys.source_space
     return LeadField(matrix=L,
                      positions=src.positions if src is not None else None,
@@ -163,17 +177,16 @@ def adjacent_pair_patterns(n_electrodes, amplitude=1.0):
     return I
 
 
-def eit_forward(sys, currents, cfg=PcgConfig(), tm=None, threads=1):
+def eit_forward(sys, currents, cfg=PcgConfig(), response=None):
     """Electrode voltages y = R M^-1 I for zero-sum current patterns.
 
-    ``tm`` reuses a precomputed ``electrode_response`` pair.  A single
+    ``response`` reuses a precomputed :func:`electrode_response`.  A single
     pattern returns a length-L vector, multiple patterns an (L, P) array.
     """
     I = check_current_patterns(currents, sys.n_electrodes)
-    if tm is None:
-        tm = electrode_response(sys, cfg, threads=threads)
-    _, M = tm
-    y = sys.R @ _solve_response(M, I)
+    if response is None:
+        response = electrode_response(sys, cfg)
+    y = sys.R @ response.solve(I)
     return y[:, 0] if np.asarray(currents).ndim == 1 else y
 
 
@@ -208,7 +221,7 @@ def _dof_sensitivities(sys, dofs, U, T):
     return Q
 
 
-def eit_leadfield(sys, dofs, currents, cfg=PcgConfig(), threads=1):
+def eit_leadfield(sys, dofs, currents, cfg=PcgConfig()):
     """Linearized EIT lead field around the mesh conductivity.
 
     Column m stacks dy/ds_m over all current patterns; the background data
@@ -217,8 +230,8 @@ def eit_leadfield(sys, dofs, currents, cfg=PcgConfig(), threads=1):
     u_p = A^-1 B M^-1 I_p.
     """
     I = check_current_patterns(currents, sys.n_electrodes)
-    T, M = electrode_response(sys, cfg, threads=threads)
-    V = _solve_response(M, I)                    # M^-1 I, (L, P)
+    resp = electrode_response(sys, cfg)
+    V = resp.solve(I)                            # M^-1 I, (L, P)
     y_bg = sys.R @ V
 
     BV = np.asarray(sys.B @ V)
@@ -227,11 +240,11 @@ def eit_leadfield(sys, dofs, currents, cfg=PcgConfig(), threads=1):
     for p in range(P):
         U[:, p], _, _ = pcg_solve(sys.A, BV[:, p], cfg)
 
-    Q = _dof_sensitivities(sys, dofs, U, T)      # (P, m, L)
+    Q = _dof_sensitivities(sys, dofs, U, resp.T)  # (P, m, L)
     cols = np.empty((P * sys.n_electrodes, dofs.n_dofs))
     for p in range(P):
         cols[p * sys.n_electrodes:(p + 1) * sys.n_electrodes, :] = \
-            -(sys.R @ _solve_response(M, Q[p].T))
+            -(sys.R @ resp.solve(Q[p].T))
     return LeadField(matrix=cols, positions=dofs.centers, orientations=None,
                      modality="eit", n_patterns=P,
                      background_sigma=np.array(sys.mesh.sigma, copy=True),

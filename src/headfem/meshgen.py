@@ -268,18 +268,15 @@ def _apply_priorities(seg, tetra, labels, node_label):
     nl = node_label[tetra]                      # (m, 4)
     first = nl.max(axis=1)
     multi = np.any((nl != first[:, None]) & (nl >= 0), axis=1) & (first >= 0)
-    idx = np.flatnonzero(multi)
-    if idx.size == 0:
-        return labels
-    pri = np.array([c.priority for c in seg.compartments])
+    pri = np.array([c.priority for c in seg.compartments], dtype=float)
+    cands = np.column_stack([nl, labels])       # (m, 5): node labels, centroid
+    slot_pri = np.where(cands >= 0, pri[cands], np.inf)
+    best = slot_pri.min(axis=1)
+    # Lowest compartment index among the candidates at the best priority.
+    winner = np.where(slot_pri == best[:, None], cands, len(pri)).min(axis=1)
+    change = multi & (pri[labels] != best)
     out = labels.copy()
-    for e in idx:
-        cands = set(int(l) for l in nl[e] if l >= 0)
-        cands.add(int(labels[e]))
-        best = min(pri[list(cands)])
-        if pri[labels[e]] == best:
-            continue
-        out[e] = min(c for c in cands if pri[c] == best)
+    out[change] = winner[change]
     return out
 
 

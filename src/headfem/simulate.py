@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyAnomalyError, LocationError, ParameterError
-from .fem import assemble_A
 from .geometry import Compartment, Segmentation, icosphere
 from .leadfield import eit_forward
 from .solver import PcgConfig
@@ -96,21 +95,29 @@ class Phantom:
 
     def segmentation(self, subdivisions=3, active_shells=(0,), priorities=None):
         """Concentric icosphere segmentation matching the phantom shells."""
-        comps = []
-        for k, (r, s) in enumerate(zip(self.radii, self.conductivities)):
-            comps.append(Compartment(
-                icosphere(r, subdivisions, name=f"shell{k}"),
-                conductivity=s,
-                priority=priorities[k] if priorities is not None else 0,
-                active=k in active_shells,
-                name=f"shell{k}"))
-        return Segmentation(comps)
+        return layered_sphere_segmentation(self.radii, self.conductivities,
+                                           priorities, active_shells,
+                                           subdivisions)
 
     def perturb_sigma(self, mesh):
         """Mesh conductivity with the anomaly offset added on the elements
         whose centroids fall inside the ball."""
         return perturb_sigma_ball(mesh, self.anomaly_center,
                                   self.anomaly_diameter, self.anomaly_delta)
+
+
+def layered_sphere_segmentation(radii, conductivities, priorities=None,
+                                active_shells=(0,), subdivisions=3):
+    """Concentric icosphere head model, innermost shell first."""
+    comps = []
+    for k, (r, s) in enumerate(zip(radii, conductivities)):
+        comps.append(Compartment(
+            icosphere(r, subdivisions, name=f"shell{k}"),
+            conductivity=s,
+            priority=priorities[k] if priorities is not None else 0,
+            active=k in active_shells,
+            name=f"shell{k}"))
+    return Segmentation(comps)
 
 
 def perturb_sigma_ball(mesh, center, diameter, delta):
@@ -171,8 +178,7 @@ def simulate_eeg(leadfield, dipoles, noise):
     return y0 + noise.sample(y0), x_true
 
 
-def simulate_eit(sys, phantom, patterns, noise, cfg=PcgConfig(), tm=None,
-                 threads=1):
+def simulate_eit(sys, phantom, patterns, noise, cfg=PcgConfig()):
     """Noisy EIT data for a perturbed conductivity, plus background data.
 
     The forward map is re-assembled at the perturbed conductivity; noise is
@@ -181,13 +187,9 @@ def simulate_eit(sys, phantom, patterns, noise, cfg=PcgConfig(), tm=None,
 
     Returns (y_noisy, y_background).
     """
-    y_bg = eit_forward(sys, patterns, cfg, tm=tm, threads=threads)
+    y_bg = eit_forward(sys, patterns, cfg)
     sigma_p, _ = phantom.perturb_sigma(sys.mesh)
-    mesh_p = sys.mesh.with_sigma(sigma_p)
-    sys_p = type(sys)(mesh=mesh_p, electrodes=sys.electrodes,
-                      A=assemble_A(mesh_p, sys.electrodes),
-                      B=sys.B, C=sys.C, R=sys.R, ground=sys.ground)
-    y = eit_forward(sys_p, patterns, cfg, threads=threads)
+    y = eit_forward(sys.with_sigma(sigma_p), patterns, cfg)
     y = np.asarray(y).T.ravel()
     y_bg = np.asarray(y_bg).T.ravel()
     return y + noise.sample(y), y_bg

@@ -2,15 +2,13 @@
 
 The lumped diagonal preconditioner (LDP) takes each diagonal entry as the
 row sum of the absolute matrix entries; applying it is a componentwise
-division, which keeps the solver memory-light and embarrassingly parallel.
-The transfer matrix T = A^-1 B is computed column by column, one PCG solve
-per electrode.
+division, which keeps the solver memory-light.  The transfer matrix
+T = A^-1 B is computed column by column.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,31 +109,17 @@ def pcg_solve(A, b, cfg=PcgConfig()):
         best_x=best[1], residual=best[0], iterations=max_iter)
 
 
-def transfer_matrix(A, B, cfg=PcgConfig(), threads=1):
-    """Dense T with column l solving A t = B[:, l].
+def transfer_matrix(A, B, cfg=PcgConfig()):
+    """Dense T with column l solving A t = B[:, l] by PCG.
 
-    Columns are independent solves; with ``threads > 1`` they run on a
-    thread pool, which leaves the per-column result (and therefore the
-    output) unchanged.
+    A :class:`ConvergenceError` carries the failing column as ``column``.
     """
-    B = B.tocsc() if sp.issparse(B) else np.asarray(B, dtype=float)
-    n, L = B.shape
-    T = np.empty((n, L))
-
-    def solve_col(l):
-        b = B[:, [l]].toarray().ravel() if sp.issparse(B) else B[:, l]
+    B = B.toarray() if sp.issparse(B) else np.asarray(B, dtype=float)
+    T = np.empty(B.shape)
+    for l in range(B.shape[1]):
         try:
-            x, _, _ = pcg_solve(A, b, cfg)
+            T[:, l], _, _ = pcg_solve(A, B[:, l], cfg)
         except ConvergenceError as exc:
             exc.column = l
             raise
-        return x
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for l, col in enumerate(pool.map(solve_col, range(L))):
-                T[:, l] = col
-    else:
-        for l in range(L):
-            T[:, l] = solve_col(l)
     return T

@@ -4,6 +4,7 @@ import scipy.sparse.linalg as spla
 
 from headfem.errors import AssemblyError, ElectrodeError, LocationError
 from headfem.fem import (
+    _SURF_MASS,
     ElectrodeSet,
     assemble_A,
     assemble_B_C_R,
@@ -131,6 +132,41 @@ class TestAssembleA:
         A = assemble_A(mesh, el)
         lam = spla.eigsh(A, k=1, which="SA", return_eigenvectors=False)
         assert lam[0] > 0
+
+    def test_multi_triangle_electrodes_match_dense_sum(
+            self, nested_sphere_segmentation):
+        # Adjacent many-triangle electrodes share boundary nodes, so their
+        # contact blocks overlap in A.
+        mesh = generate_mesh(nested_sphere_segmentation, 0.35)
+        el = ElectrodeSet.from_centers(
+            mesh, [[0.0, 0.0, 1.0], [0.0, 0.6, 0.8], [0.0, 0.0, -1.0]],
+            radius=0.6, impedances=[10.0, 3.0, 50.0])
+        assert min(len(t) for t in el.triangle_ids) > 1
+        assert np.intersect1d(el.triangles[0], el.triangles[1]).size > 0
+        ref = volume_stiffness(mesh).toarray()
+        for tris, areas, z, a_l in zip(el.triangles, el.triangle_areas,
+                                       el.impedances, el.areas):
+            for tri, at in zip(tris, areas):
+                ref[np.ix_(tri, tri)] += at / (z * a_l) * _SURF_MASS
+        A0 = assemble_A(mesh, el, ground=False)
+        # atol covers Kuhn-mesh entries that are zero in exact arithmetic
+        # and come out as +-1e-34 residues in either summation order.
+        np.testing.assert_allclose(A0.toarray(), ref, rtol=1e-14,
+                                   atol=1e-14 * np.abs(ref).max())
+
+        # Grounding replaces row and column i by e_i and leaves the rest of
+        # the ungrounded matrix, pattern included, as it was.
+        A, A0 = assemble_A(mesh, el).tocoo(), A0.tocoo()
+        i = ground_node(mesh, el)
+        e_i = np.eye(mesh.n_nodes)[i]
+        np.testing.assert_array_equal(A.toarray()[i], e_i)
+        np.testing.assert_array_equal(A.toarray()[:, i], e_i)
+        off = (A.row != i) & (A.col != i)
+        off0 = (A0.row != i) & (A0.col != i)
+        np.testing.assert_array_equal(A.row[off], A0.row[off0])
+        np.testing.assert_array_equal(A.col[off], A0.col[off0])
+        np.testing.assert_allclose(A.data[off], A0.data[off0], rtol=1e-14,
+                                   atol=1e-14 * np.abs(ref).max())
 
     def test_non_pd_tensor_rejected(self):
         mesh = regular_tet_mesh(sigma=[1.0, 1.0, -1.0, 0.0, 0.0, 0.0])
@@ -303,3 +339,9 @@ class TestSystem:
         assert np.count_nonzero(row) == 1
         # A symmetric.
         assert abs(sys.A - sys.A.T).max() < 1e-12
+        # with_sigma rebuilds A at the new conductivity and shares the rest.
+        sys2 = sys.with_sigma(2.0 * mesh.sigma)
+        np.testing.assert_array_equal(sys2.mesh.sigma, 2.0 * mesh.sigma)
+        assert abs(sys2.A - assemble_A(sys2.mesh, el)).max() == 0
+        assert sys2.B is sys.B and sys2.C is sys.C and sys2.G is sys.G
+        assert sys2.ground == sys.ground and sys2.electrodes is el

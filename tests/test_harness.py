@@ -270,6 +270,18 @@ class TestCliInvertAndMetrics:
         metrics = json.loads((out / "metrics.json").read_text())
         assert set(metrics) == {"position_error_mm", "angle_error_deg"}
 
+    def test_metrics_all_zero_reconstruction_exit_3(self, tmp_path, capsys):
+        # The center of mass of an all-zero reconstruction is undefined: a
+        # runtime failure (exit 3), not a traceback.
+        path = write_sphere_project(
+            tmp_path, extra="[truth]\nposition = 0.0 0.0 0.05\nroi_radius = 0.05\n")
+        rec = tmp_path / "zeros.csv"
+        hio.save_reconstruction(rec, np.array([[0.0, 0.0, 0.05], [0.0, 0.04, 0.0]]),
+                                np.zeros(2), "constrained")
+        assert main(["metrics", "--config", str(path),
+                     "--reconstruction", str(rec)]) == 3
+        assert "error:" in capsys.readouterr().err
+
     def test_eit_invert_multires(self, tmp_path):
         inv = ("[inversion]\nmethod = multires\nsubsets = 4\n"
                "decompositions = 3\nnu = 0.12\ntheta0 = 1e-3")

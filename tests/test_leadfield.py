@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from headfem.errors import CurrentPatternError, DofError
+from headfem.errors import CurrentPatternError, DofError, SingularSystemError
 from headfem.fem import ElectrodeSet, assemble_A, assemble_B_C_R, assemble_cem_system
 from headfem.geometry import Compartment, Segmentation, icosphere
 from headfem.leadfield import (
@@ -72,6 +74,13 @@ class TestEegLeadfield:
         lf = eeg_leadfield(sys2, TIGHT)
         np.testing.assert_allclose(lf.matrix[:, 2], 0.0, atol=1e-16)
 
+    def test_dense_source_matrix_matches_sparse(self):
+        _, _, sys, _ = small_sphere_system()
+        lf = eeg_leadfield(sys, TIGHT)
+        lf_d = eeg_leadfield(dataclasses.replace(sys, G=sys.G.toarray()), TIGHT)
+        np.testing.assert_allclose(lf_d.matrix, lf.matrix, rtol=1e-12,
+                                   atol=1e-14 * np.abs(lf.matrix).max())
+
     def test_matches_dense_direct_evaluation(self):
         mesh, el, sys, _ = small_sphere_system(n_electrodes=5, n_sources=4,
                                                h=0.06)
@@ -125,9 +134,18 @@ class TestEegLeadfield:
 
     def test_response_matrix_symmetric_invertible(self):
         _, _, sys, _ = small_sphere_system()
-        _, M = electrode_response(sys, TIGHT)
+        resp = electrode_response(sys, TIGHT)
+        M = resp.M
         np.testing.assert_allclose(M, M.T, atol=1e-12 * np.abs(M).max())
         assert np.linalg.cond(M) < 1e12
+        np.testing.assert_allclose(resp.solve(M), np.eye(len(M)), atol=1e-12)
+
+    def test_indefinite_response_raises(self):
+        # With C = 0 the response M = -B' A^-1 B is negative definite, so
+        # its Cholesky factorization must fail.
+        _, _, sys, _ = small_sphere_system()
+        with pytest.raises(SingularSystemError):
+            electrode_response(dataclasses.replace(sys, C=0.0 * sys.C), TIGHT)
 
     def test_central_dipole_matches_analytic_solution(self):
         # A dipole at the center of a homogeneous sphere of radius R has the
@@ -176,9 +194,9 @@ class TestEitForward:
     def test_linearity_in_currents(self):
         _, _, sys, _ = small_sphere_system()
         I = np.array([1.0, -0.25, -0.5, -0.25])
-        tm = electrode_response(sys, TIGHT)
-        y1 = eit_forward(sys, I, TIGHT, tm=tm)
-        y3 = eit_forward(sys, 3.0 * I, TIGHT, tm=tm)
+        resp = electrode_response(sys, TIGHT)
+        y1 = eit_forward(sys, I, TIGHT, response=resp)
+        y3 = eit_forward(sys, 3.0 * I, TIGHT, response=resp)
         np.testing.assert_allclose(y3, 3.0 * y1, rtol=1e-12)
 
     def test_nonzero_sum_rejected(self):

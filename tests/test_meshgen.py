@@ -1,11 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headfem.errors import ConfigError, EmptyMeshError, ParameterError
 from headfem.geometry import Compartment, Segmentation, box_surface, icosphere
 from headfem.meshgen import (
     SourceSpace,
     TetMesh,
+    _apply_priorities,
     generate_mesh,
     place_sources,
     smooth_mesh,
@@ -61,6 +66,31 @@ class TestGenerateMesh:
         # Non-straddling elements keep their centroid label.
         oracle = seg.locate(centroids)
         np.testing.assert_array_equal(mesh.labels[~straddle], oracle[~straddle])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_priority_rule_matches_per_element_reference(self, data):
+        k = data.draw(st.integers(1, 5))
+        m = data.draw(st.integers(1, 30))
+        pri = data.draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+        node_label = np.array(data.draw(st.lists(
+            st.integers(-1, k - 1), min_size=4 * m, max_size=4 * m)))
+        labels = np.array(data.draw(st.lists(
+            st.integers(0, k - 1), min_size=m, max_size=m)))
+        tetra = np.arange(4 * m).reshape(m, 4)
+        seg = SimpleNamespace(compartments=[SimpleNamespace(priority=p)
+                                            for p in pri])
+        expect = labels.copy()
+        for e in range(m):
+            touched = {int(l) for l in node_label[tetra[e]] if l >= 0}
+            if len(touched) < 2:
+                continue
+            cands = touched | {int(labels[e])}
+            best = min(pri[c] for c in cands)
+            if pri[labels[e]] != best:
+                expect[e] = min(c for c in cands if pri[c] == best)
+        np.testing.assert_array_equal(
+            _apply_priorities(seg, tetra, labels, node_label), expect)
 
     def test_sigma_filled_from_compartments(self, nested_sphere_segmentation):
         mesh = generate_mesh(nested_sphere_segmentation, 0.3)

@@ -127,11 +127,3 @@ class TestTransferMatrix:
         with pytest.raises(ConvergenceError) as exc:
             transfer_matrix(A, B, PcgConfig(tolerance=1e-15, max_iterations=2))
         assert exc.value.column == 0
-
-    def test_threads_do_not_change_result(self):
-        n = 30
-        A = sp.csr_matrix(random_spd(n, seed=8))
-        B = sp.random(n, 5, density=0.4, random_state=8, format="csr")
-        T1 = transfer_matrix(A, B, threads=1)
-        T4 = transfer_matrix(A, B, threads=4)
-        np.testing.assert_array_equal(T1, T4)
