@@ -51,6 +51,7 @@ print(f"\nsmoothing moved {np.count_nonzero(moved):d} nodes "
       f"(max {1e3 * moved.max():.2f} mm), min volume still "
       f"{smoothed.volumes.min():.2e} m^3")
 
-out = pathlib.Path(tempfile.mkdtemp(prefix="headfem_demo_")) / "head"
-save_tet_mesh(smoothed, out)
-print(f"wrote {out}_nodes.dat, _tetra.dat, _labels.dat, _sigma.dat")
+with tempfile.TemporaryDirectory(prefix="headfem_demo_") as tmp:
+    out = pathlib.Path(tmp) / "head"
+    save_tet_mesh(smoothed, out)
+    print(f"wrote {out}_nodes.dat, _tetra.dat, _labels.dat, _sigma.dat")

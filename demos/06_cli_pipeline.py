@@ -15,15 +15,7 @@ from headfem.cli import main
 from headfem.geometry import icosphere, save_surface_mesh
 from headfem.simulate import fibonacci_sphere_points
 
-work = pathlib.Path(tempfile.mkdtemp(prefix="headfem_demo_"))
-print(f"working in {work}")
-
-save_surface_mesh(icosphere(0.1, 2, name="head"),
-                  work / "head_nodes.dat", work / "head_tris.dat")
-electrode_lines = "\n    ".join(
-    " ".join(f"{v:.6f}" for v in p) for p in fibonacci_sphere_points(8, 0.1))
-
-(work / "project.ini").write_text(f"""
+PROJECT = """
 [compartment:head]
 surfaces = head_nodes.dat head_tris.dat
 conductivity = 0.33
@@ -35,7 +27,7 @@ resolution = 0.03
 [electrodes]
 radius = 0.035
 impedance = 100.0
-positions = {electrode_lines}
+positions = {electrodes}
 
 [sources]
 count = 80
@@ -66,19 +58,30 @@ roi_radius = 0.05
 
 [output]
 dir = out
-""")
+"""
 
-config = str(work / "project.ini")
-for argv in (["mesh", "--config", config],
-             ["leadfield", "--config", config],
-             ["simulate", "--config", config],
-             ["invert", "--config", config,
-              "--data", str(work / "out" / "data.csv")]):
-    print(f"\n$ headfem {' '.join(argv)}")
-    rc = main(argv)
-    assert rc == 0, f"exit code {rc}"
+with tempfile.TemporaryDirectory(prefix="headfem_demo_") as tmp:
+    work = pathlib.Path(tmp)
+    print(f"working in {work}")
 
-metrics = json.loads((work / "out" / "metrics.json").read_text())
-print(f"\nlocalization error: {metrics['position_error_mm']:.1f} mm, "
-      f"orientation error: {metrics['angle_error_deg']:.1f} deg")
-print(f"artifacts: {sorted(p.name for p in (work / 'out').iterdir())}")
+    save_surface_mesh(icosphere(0.1, 2, name="head"),
+                      work / "head_nodes.dat", work / "head_tris.dat")
+    electrode_lines = "\n    ".join(
+        " ".join(f"{v:.6f}" for v in p) for p in fibonacci_sphere_points(8, 0.1))
+
+    (work / "project.ini").write_text(PROJECT.format(electrodes=electrode_lines))
+
+    config = str(work / "project.ini")
+    for argv in (["mesh", "--config", config],
+                 ["leadfield", "--config", config],
+                 ["simulate", "--config", config],
+                 ["invert", "--config", config,
+                  "--data", str(work / "out" / "data.csv")]):
+        print(f"\n$ headfem {' '.join(argv)}")
+        rc = main(argv)
+        assert rc == 0, f"exit code {rc}"
+
+    metrics = json.loads((work / "out" / "metrics.json").read_text())
+    print(f"\nlocalization error: {metrics['position_error_mm']:.1f} mm, "
+          f"orientation error: {metrics['angle_error_deg']:.1f} deg")
+    print(f"artifacts: {sorted(p.name for p in (work / 'out').iterdir())}")

@@ -26,7 +26,6 @@ from .meshgen import SourceSpace, TetMesh, generate_mesh, place_sources, smooth_
 from .fem import (
     CemSystem,
     ElectrodeSet,
-    SourceModel,
     assemble_A,
     assemble_B_C_R,
     assemble_G,

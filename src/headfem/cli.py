@@ -23,6 +23,7 @@ from .errors import (
     ConfigError,
     DataError,
     SetupError,
+    UndefinedMetricError,
 )
 from .fem import ElectrodeSet, assemble_cem_system
 from .inverse import (
@@ -31,6 +32,7 @@ from .inverse import (
     ias_map,
     multires_ias,
     normalize_problem,
+    orientation_error_deg,
     roi_metrics,
 )
 from .leadfield import (
@@ -392,12 +394,11 @@ def cmd_metrics(cfg, args):
                1e3 * float(np.linalg.norm(com - truth_pos)),
                "angle_error_deg": None}
     if values.shape[1] == 3 and "orientation" in cfg.truth:
-        mean_vec = values[pick].sum(axis=0)
-        t = cfg.truth["orientation"]
-        denom = np.linalg.norm(mean_vec) * np.linalg.norm(t)
-        if denom > 0:
-            cosang = np.clip(mean_vec @ t / denom, -1.0, 1.0)
-            metrics["angle_error_deg"] = float(np.degrees(np.arccos(cosang)))
+        try:
+            metrics["angle_error_deg"] = orientation_error_deg(
+                values[pick].sum(axis=0), cfg.truth["orientation"])
+        except UndefinedMetricError:
+            pass                    # zero mean vector: the angle stays null
     hio.write_json(os.path.join(out, "metrics.json"), metrics)
     print(f"metrics: position_error_mm={metrics['position_error_mm']:.3f}")
     return 0

@@ -12,6 +12,14 @@ zero-mean projector ``R`` and the source matrix ``G`` built from lowest
 order H(div) face functions (the 4-function Whitney stencil per source
 element).  All P1 integrals have closed forms, so no numerical quadrature
 is involved.
+
+``G`` is built for all sources at once: the faces of the source elements
+and their adjoining elements are gathered from the mesh face table
+(:meth:`TetMesh.face_table`), and the per-source combination of the face
+functions is one batched pseudoinverse of the (S, 3, 4) moment stack.
+Point location tests the nearest-centroid candidates of all points in one
+vectorized barycentric sweep and sends the points that none of them
+contains to the same test over every element.
 """
 
 from __future__ import annotations
@@ -262,131 +270,81 @@ def assemble_B_C_R(mesh, electrodes):
 
 # ---------------------------------------------------------------------------
 # H(div) source model
-
-@dataclass(frozen=True)
-class SourceModel:
-    """Whitney (lowest-order H(div) face function) stencil per source element.
-
-    For every source element the 4 global face functions of its faces are
-    recorded with their adjoining elements.  Each face function has unit
-    flux along the canonical face normal and constant divergence
-    ``sign / V`` on each adjoining element, with opposite signs across the
-    shared face.
-
-    Attributes
-    ----------
-    source_elements : (S,) element index per source
-    adjoining : (S, 4, 2) adjoining element per (source, face), -1 if none
-    signs : (S, 4, 2) float direction of the canonical normal w.r.t. the
-        element's outward normal (0 where there is no second element)
-    volumes : (S, 4, 2) adjoining element volumes
-    moments : (S, 4, 3) dipole moment of each face function
-    """
-
-    source_elements: np.ndarray
-    adjoining: np.ndarray
-    signs: np.ndarray
-    volumes: np.ndarray
-    moments: np.ndarray
-
-
-def _face_incidence(mesh):
-    faces = mesh.element_faces()
-    key = np.sort(faces, axis=1)
-    uniq, inv = np.unique(key, axis=0, return_inverse=True)
-    inv = inv.reshape(-1)
-    owners = np.repeat(np.arange(mesh.n_elements), 4)
-    order = np.argsort(inv, kind="stable")
-    counts = np.bincount(inv, minlength=len(uniq))
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    face_elems = np.full((len(uniq), 2), -1, dtype=np.int64)
-    face_elems[:, 0] = owners[order[starts]]
-    second = counts == 2
-    face_elems[second, 1] = owners[order[starts[second] + 1]]
-    return uniq, inv, face_elems
-
-
-def build_source_model(mesh, elements):
-    """Assemble the Whitney face stencil for the given source elements."""
-    elements = np.asarray(elements, dtype=np.int64)
-    uniq, inv, face_elems = _face_incidence(mesh)
-    inv4 = inv.reshape(-1, 4)
-
-    centroids = mesh.centroids()
-    vols = mesh.volumes
-    S = len(elements)
-    adjoining = np.full((S, 4, 2), -1, dtype=np.int64)
-    signs = np.zeros((S, 4, 2))
-    volumes = np.zeros((S, 4, 2))
-    moments = np.zeros((S, 4, 3))
-
-    for s, e in enumerate(elements):
-        for j in range(4):
-            fid = inv4[e, j]
-            fnodes = uniq[fid]
-            fc = mesh.nodes[fnodes].mean(axis=0)
-            ncanon = np.cross(mesh.nodes[fnodes[1]] - mesh.nodes[fnodes[0]],
-                              mesh.nodes[fnodes[2]] - mesh.nodes[fnodes[0]])
-            for slot, k in enumerate(face_elems[fid]):
-                if k < 0:
-                    continue
-                opposite = np.setdiff1d(mesh.tetra[k], fnodes)[0]
-                sgn = 1.0 if ncanon @ (fc - mesh.nodes[opposite]) > 0 else -1.0
-                adjoining[s, j, slot] = k
-                signs[s, j, slot] = sgn
-                volumes[s, j, slot] = vols[k]
-                # moment of w restricted to k: sign * (centroid_k - a_k) / 3
-                moments[s, j] += sgn * (centroids[k] - mesh.nodes[opposite]) / 3.0
-    return SourceModel(source_elements=elements, adjoining=adjoining,
-                       signs=signs, volumes=volumes, moments=moments)
-
+#
+# Every face of a source element carries one Whitney face function: unit
+# flux along the canonical normal of the sorted face (n0, n1, n2) and
+# divergence sign / V on each of the (one or two) adjoining elements of the
+# mesh face table, with opposite signs across an interior face.  All
+# per-(source, face, slot) quantities are gathers over (S, 4, 2) arrays of
+# adjoining elements; empty slots (boundary faces) carry sign 0.
 
 def whitney_source_matrix(mesh, elements):
-    """Raw face-function source matrix: 4 columns per source element.
+    """Raw face-function source matrix (4 columns per source element) and
+    the (S, 4, 3) dipole moments of the face functions.
 
     g_{i,f} accumulates sign/4 over the nodes of every element adjoining
-    face f (int psi_i dV = V/4 and div w = sign / V).
+    face f (int psi_i dV = V/4 and div w = sign / V); the moment of a face
+    function restricted to element k is sign * (centroid_k - a_k) / 3, with
+    a_k the vertex of k opposite the face.
     """
-    model = build_source_model(mesh, elements)
-    S = len(model.source_elements)
-    rows, cols, vals = [], [], []
-    for s in range(S):
-        for j in range(4):
-            col = 4 * s + j
-            for slot in range(2):
-                k = model.adjoining[s, j, slot]
-                if k < 0:
-                    continue
-                rows.append(mesh.tetra[k])
-                cols.append(np.full(4, col, dtype=np.int64))
-                vals.append(np.full(4, model.signs[s, j, slot] / 4.0))
-    G = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
+    elements = np.asarray(elements, dtype=np.int64)
+    faces, element_faces, face_elements = mesh.face_table()
+    fid = element_faces[elements]                        # (S, 4)
+    fnodes = faces[fid]                                  # (S, 4, 3)
+    adjoining = face_elements[fid]                       # (S, 4, 2)
+    present = adjoining >= 0
+    # An empty slot borrows the face's first element and gets sign 0.
+    tets = mesh.tetra[np.where(present, adjoining, adjoining[..., :1])]
+    opposite = tets.sum(axis=3) - fnodes.sum(axis=2)[:, :, None]
+
+    x = mesh.nodes
+    p = x[fnodes]
+    normal = np.cross(p[:, :, 1] - p[:, :, 0], p[:, :, 2] - p[:, :, 0])
+    a = x[opposite]                                      # (S, 4, 2, 3)
+    outward = np.einsum("sjc,sjkc->sjk", normal, p.mean(axis=2)[:, :, None] - a)
+    signs = np.where(outward > 0, 1.0, -1.0) * present
+    moments = (signs[..., None] * (x[tets].mean(axis=3) - a) / 3.0).sum(axis=2)
+
+    S = len(elements)
+    cols = np.broadcast_to(np.arange(4 * S).reshape(S, 4, 1, 1), tets.shape)
+    vals = np.broadcast_to((signs / 4.0)[..., None], tets.shape)
+    keep = np.broadcast_to(present[..., None], tets.shape)
+    G = sp.coo_matrix((vals[keep], (tets[keep], cols[keep])),
                       shape=(mesh.n_nodes, 4 * S)).tocsr()
-    return G, model
+    return G, moments
 
 
 def locate_elements(mesh, points, tol=1e-9):
-    """Element containing each point (nearest-centroid candidates, then a
-    barycentric test).  Raises LocationError for points outside the mesh."""
+    """Element containing each point: the first of its 32 nearest-centroid
+    candidates that passes the barycentric test, else the lowest-index
+    element that does.  Raises LocationError for points outside the mesh."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     tree = cKDTree(mesh.centroids())
     k = min(mesh.n_elements, 32)
     _, cand = tree.query(points, k=k)
     cand = np.asarray(cand, dtype=np.int64).reshape(len(points), k)
-    vols, grads = element_gradients(mesh)
-    out = np.full(len(points), -1, dtype=np.int64)
+    _, grads = element_gradients(mesh)
     scale = tol * np.max(np.ptp(mesh.nodes, axis=0))
-    for i, p in enumerate(points):
-        for e in cand[i]:
-            # lambda_k(p) = lambda_k(p0) + grad_k . (p - p0); using vertex 0
-            lam = grads[e] @ (p - mesh.nodes[mesh.tetra[e, 0]])
-            lam[0] += 1.0
-            if np.all(lam >= -scale) and np.all(lam <= 1.0 + scale):
-                out[i] = e
-                break
-        if out[i] < 0:
-            raise LocationError(f"point {p} lies outside the mesh")
+    origin = mesh.nodes[mesh.tetra[:, 0]]
+
+    def inside(pts, elems):
+        # lambda_k(p) = lambda_k(p0) + grad_k . (p - p0); using vertex 0
+        lam = np.einsum("...kc,...c->...k", grads[elems], pts - origin[elems])
+        lam[..., 0] += 1.0
+        return np.all((lam >= -scale) & (lam <= 1.0 + scale), axis=-1)
+
+    hit = inside(points[:, None, :], cand)               # (n, k)
+    out = np.where(hit.any(axis=1), cand[np.arange(len(points)),
+                                         hit.argmax(axis=1)], -1)
+    missed = np.flatnonzero(out < 0)
+    chunk = max(1, 1_000_000 // mesh.n_elements)         # points per block
+    for lo in range(0, missed.size, chunk):
+        idx = missed[lo:lo + chunk]
+        hit = inside(points[idx, None, :], np.arange(mesh.n_elements))
+        out[idx] = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+    if np.any(out < 0):
+        raise LocationError(
+            f"point {points[np.argmax(out < 0)]} lies outside the mesh")
     return out
 
 
@@ -396,32 +354,25 @@ def assemble_G(mesh, sources):
     Unconstrained mode emits 3 columns per source (pattern: position 1
     xyz, position 2 xyz, ...), each the minimum-norm combination of the
     element's 4 face functions whose dipole moment equals the unit axis
-    dipole.  Constrained mode projects that combination onto the source
-    normal, one column per source.
+    dipole (the pseudoinverse of the 3 x 4 moment matrix).  Constrained
+    mode projects that combination onto the source normal, one column per
+    source.
     """
-    if sources.element_ids is not None:
-        elements = np.asarray(sources.element_ids, dtype=np.int64)
-        if elements.size and (elements.min() < 0 or elements.max() >= mesh.n_elements):
-            raise LocationError("source element index outside the mesh")
-    else:
-        elements = locate_elements(mesh, sources.positions)
-    G_w, model = whitney_source_matrix(mesh, elements)
+    elements = np.asarray(sources.element_ids, dtype=np.int64)
+    if elements.size and (elements.min() < 0 or elements.max() >= mesh.n_elements):
+        raise LocationError("source element index outside the mesh")
+    G_w, moments = whitney_source_matrix(mesh, elements)
 
-    S = len(elements)
-    n_comp = sources.n_components
-    blocks = []
-    for s in range(S):
-        M = model.moments[s].T                      # 3 x 4
-        coeff, *_ = np.linalg.lstsq(M, np.eye(3), rcond=None)   # 4 x 3
-        if sources.mode == "constrained":
-            coeff = coeff @ sources.orientations[s]
-            blocks.append(sp.csr_matrix(coeff[:, None]))
-        else:
-            blocks.append(sp.csr_matrix(coeff))
-    W = sp.block_diag(blocks, format="csr")
-    G = (G_w @ W).tocsr()
-    assert G.shape == (mesh.n_nodes, n_comp * S)
-    return G
+    coeff = np.linalg.pinv(moments.transpose(0, 2, 1))    # (S, 4, 3)
+    if sources.mode == "constrained":
+        coeff = np.einsum("sjc,sc->sj", coeff, sources.orientations)[..., None]
+    S, n_comp = len(elements), coeff.shape[2]
+    W = sp.csr_matrix(
+        (coeff.ravel(),
+         np.repeat(np.arange(n_comp * S).reshape(S, 1, n_comp), 4, axis=1).ravel(),
+         np.arange(0, 4 * S * n_comp + 1, n_comp)),
+        shape=(4 * S, n_comp * S))
+    return (G_w @ W).tocsr()
 
 
 # ---------------------------------------------------------------------------

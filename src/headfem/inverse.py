@@ -258,6 +258,19 @@ def center_of_mass(amplitudes, positions):
     return (w[:, None] * positions).sum(axis=0) / w.sum()
 
 
+def orientation_error_deg(vector, reference):
+    """Angle in degrees between a reconstructed orientation vector and the
+    reference orientation.
+
+    Raises :class:`UndefinedMetricError` when either vector is zero.
+    """
+    denom = np.linalg.norm(vector) * np.linalg.norm(reference)
+    if denom == 0:
+        raise UndefinedMetricError("orientation undefined for zero vectors")
+    cosang = np.clip(vector @ reference / denom, -1.0, 1.0)
+    return float(np.degrees(np.arccos(cosang)))
+
+
 def roi_metrics(reconstruction, source_space, roi_center, roi_radius,
                 true_dipole):
     """Position (mm) and orientation (degrees) error of the amplitude
@@ -291,10 +304,4 @@ def roi_metrics(reconstruction, source_space, roi_center, roi_radius,
     com = center_of_mass(amp[in_roi], positions[in_roi])
     pos_err_mm = 1e3 * float(np.linalg.norm(com - true_pos))
 
-    mean_vec = vec[in_roi].sum(axis=0)
-    denom = np.linalg.norm(mean_vec) * np.linalg.norm(true_ori)
-    if denom == 0:
-        raise UndefinedMetricError("orientation undefined for zero vectors")
-    cosang = np.clip(mean_vec @ true_ori / denom, -1.0, 1.0)
-    ang_err_deg = float(np.degrees(np.arccos(cosang)))
-    return pos_err_mm, ang_err_deg
+    return pos_err_mm, orientation_error_deg(vec[in_roi].sum(axis=0), true_ori)

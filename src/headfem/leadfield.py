@@ -27,7 +27,7 @@ import scipy.linalg as sla
 
 from .errors import CurrentPatternError, DofError, SingularSystemError
 from .fem import stiffness_blocks
-from .solver import PcgConfig, pcg_solve, transfer_matrix
+from .solver import PcgConfig, transfer_matrix
 
 
 @dataclass(frozen=True)
@@ -226,20 +226,16 @@ def eit_leadfield(sys, dofs, currents, cfg=PcgConfig()):
 
     Column m stacks dy/ds_m over all current patterns; the background data
     y_bg (same stacking) and conductivity snapshot are stored on the
-    result.  Solves: one per electrode for T plus one per pattern for
-    u_p = A^-1 B M^-1 I_p.
+    result.  Solves: one per electrode for T; the background fields
+    u_p = A^-1 B M^-1 I_p = T M^-1 I_p need none.
     """
     I = check_current_patterns(currents, sys.n_electrodes)
     resp = electrode_response(sys, cfg)
     V = resp.solve(I)                            # M^-1 I, (L, P)
     y_bg = sys.R @ V
+    U = resp.T @ V                               # (n, P)
 
-    BV = np.asarray(sys.B @ V)
     P = I.shape[1]
-    U = np.empty((sys.A.shape[0], P))
-    for p in range(P):
-        U[:, p], _, _ = pcg_solve(sys.A, BV[:, p], cfg)
-
     Q = _dof_sensitivities(sys, dofs, U, resp.T)  # (P, m, L)
     cols = np.empty((P * sys.n_electrodes, dofs.n_dofs))
     for p in range(P):

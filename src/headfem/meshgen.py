@@ -91,6 +91,7 @@ class TetMesh:
         self.volumes = vols
         for arr in (self.nodes, self.tetra, self.labels, self.sigma, self.volumes):
             arr.setflags(write=False)
+        self._faces = None
         self._boundary = None
 
     @property
@@ -121,8 +122,35 @@ class TetMesh:
             t[:, [0, 2, 1]],
         ], axis=1).reshape(-1, 3)
 
+    def face_table(self):
+        """The faces of the mesh topology, computed once per ``tetra``.
+
+        Returns
+        -------
+        faces : (F, 3) int array of unique faces, node ids sorted per row,
+            rows in lexicographic order.
+        element_faces : (m, 4) face id of each element face (face k of an
+            element is opposite its local vertex k).
+        face_elements : (F, 2) elements on each face in increasing order,
+            -1 in the second column where the face is on the boundary.
+        """
+        if self._faces is None:
+            key = np.sort(self.element_faces(), axis=1)
+            faces, inv = np.unique(key, axis=0, return_inverse=True)
+            inv = inv.reshape(-1)
+            order = np.argsort(inv, kind="stable")
+            counts = np.bincount(inv, minlength=len(faces))
+            starts = np.cumsum(counts) - counts
+            face_elements = np.full((len(faces), 2), -1, dtype=np.int64)
+            face_elements[:, 0] = order[starts] // 4
+            second = counts > 1
+            face_elements[second, 1] = order[starts[second] + 1] // 4
+            self._faces = (faces, inv.reshape(-1, 4), face_elements)
+        return self._faces
+
     def boundary_triangles(self):
-        """Outward-oriented boundary faces and their owner elements.
+        """Outward-oriented boundary faces and their owner elements, in
+        element-face order.
 
         Returns
         -------
@@ -130,26 +158,29 @@ class TetMesh:
         owners : (b,) element indices.
         """
         if self._boundary is None:
-            faces = self.element_faces()
-            key = np.sort(faces, axis=1)
-            _, inv, counts = np.unique(key, axis=0, return_inverse=True,
-                                       return_counts=True)
-            on_boundary = counts[inv] == 1
-            idx = np.flatnonzero(on_boundary)
-            self._boundary = (faces[idx], idx // 4)
+            _, element_faces, face_elements = self.face_table()
+            idx = np.flatnonzero(face_elements[element_faces.ravel(), 1] < 0)
+            self._boundary = (self.element_faces()[idx], idx // 4)
         return self._boundary
 
     def boundary_nodes(self):
         faces, _ = self.boundary_triangles()
         return np.unique(faces)
 
+    def _same_topology(self, mesh):
+        mesh._faces, mesh._boundary = self._faces, self._boundary
+        return mesh
+
     def with_nodes(self, nodes):
-        """Same topology on moved nodes."""
-        return TetMesh(nodes, self.tetra, self.labels, self.sigma)
+        """Same topology on moved nodes; the face table is shared."""
+        return self._same_topology(
+            TetMesh(nodes, self.tetra, self.labels, self.sigma))
 
     def with_sigma(self, sigma):
-        """Same mesh with a replaced conductivity distribution."""
-        return TetMesh(self.nodes, self.tetra, self.labels, sigma)
+        """Same mesh with a replaced conductivity distribution; the face
+        table is shared."""
+        return self._same_topology(
+            TetMesh(self.nodes, self.tetra, self.labels, sigma))
 
     def __repr__(self):
         return f"TetMesh({self.n_nodes} nodes, {self.n_elements} elements)"
@@ -315,17 +346,10 @@ def _interface_graph(mesh):
     labels, plus the outer boundary; neighbors are the nodes joined to a
     node by an edge of such a face.
     """
-    faces = mesh.element_faces()
-    key = np.sort(faces, axis=1)
-    uniq, inv, counts = np.unique(key, axis=0, return_counts=True,
-                                  return_inverse=True)
-    owner_label = np.repeat(mesh.labels, 4)
-    lab_min = np.full(len(uniq), np.iinfo(np.int64).max, dtype=np.int64)
-    lab_max = np.full(len(uniq), np.iinfo(np.int64).min, dtype=np.int64)
-    np.minimum.at(lab_min, inv, owner_label)
-    np.maximum.at(lab_max, inv, owner_label)
-    interface = (counts == 1) | (lab_min != lab_max)
-    ifaces = uniq[interface]
+    faces, _, face_elements = mesh.face_table()
+    first, second = face_elements.T
+    interface = (second < 0) | (mesh.labels[first] != mesh.labels[second])
+    ifaces = faces[interface]
     if len(ifaces) == 0:
         return np.array([], dtype=np.int64), None, None
 

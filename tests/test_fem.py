@@ -1,6 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headfem.errors import AssemblyError, ElectrodeError, LocationError
 from headfem.fem import (
@@ -10,14 +15,19 @@ from headfem.fem import (
     assemble_B_C_R,
     assemble_G,
     assemble_cem_system,
-    build_source_model,
     ground_node,
     locate_elements,
     volume_stiffness,
     whitney_source_matrix,
 )
 from headfem.geometry import Compartment, Segmentation, icosphere
-from headfem.meshgen import SourceSpace, TetMesh, generate_mesh, place_sources
+from headfem.meshgen import (
+    SourceSpace,
+    TetMesh,
+    generate_mesh,
+    place_sources,
+    smooth_mesh,
+)
 
 
 def single_tet_mesh(sigma=1.0):
@@ -230,10 +240,60 @@ class TestAssembleBCR:
             ElectrodeSet(mesh, [np.array([], dtype=int)], 1.0)
 
 
+def reference_source_matrices(mesh, sources):
+    """Per-source loop construction of the raw face-function matrix G_w
+    and of G (one least-squares solve per source), the reference for the
+    batched gathers in ``fem``."""
+    tetra, x = mesh.tetra, mesh.nodes
+    faces = {}
+    for e, t in enumerate(tetra):
+        for j in range(4):
+            faces.setdefault(tuple(sorted(np.delete(t, j))), []).append(e)
+    rows, cols, vals, blocks = [], [], [], []
+    for s, e in enumerate(sources.element_ids):
+        moments = np.zeros((4, 3))
+        for j in range(4):
+            fnodes = np.array(sorted(np.delete(tetra[e], j)))
+            normal = np.cross(x[fnodes[1]] - x[fnodes[0]],
+                              x[fnodes[2]] - x[fnodes[0]])
+            for k in faces[tuple(fnodes)]:
+                a = x[np.setdiff1d(tetra[k], fnodes)[0]]
+                sgn = 1.0 if normal @ (x[fnodes].mean(axis=0) - a) > 0 else -1.0
+                moments[j] += sgn * (x[tetra[k]].mean(axis=0) - a) / 3.0
+                rows += list(tetra[k])
+                cols += [4 * s + j] * 4
+                vals += [sgn / 4.0] * 4
+        coeff, *_ = np.linalg.lstsq(moments.T, np.eye(3), rcond=None)
+        if sources.mode == "constrained":
+            coeff = coeff @ sources.orientations[s][:, None]
+        blocks.append(coeff)
+    G_w = sp.coo_matrix((vals, (rows, cols)),
+                        shape=(mesh.n_nodes, 4 * len(blocks))).tocsr()
+    return G_w, G_w @ sp.block_diag(blocks, format="csr")
+
+
+@functools.lru_cache(maxsize=None)
+def sphere_meshes():
+    seg = Segmentation([
+        Compartment(icosphere(0.5, 2), 0.33, priority=1, active=True),
+        Compartment(icosphere(1.0, 2), 0.43, priority=0, active=True)])
+    mesh = generate_mesh(seg, 0.25)
+    return seg, mesh, smooth_mesh(mesh, 2, 0.3)
+
+
+@pytest.fixture(scope="module")
+def three_shell_mesh():
+    seg = Segmentation([
+        Compartment(icosphere(0.078, 2), 0.33, priority=2, active=True),
+        Compartment(icosphere(0.085, 2), 0.0064, priority=0),
+        Compartment(icosphere(0.092, 2), 0.43, priority=1)])
+    return seg, generate_mesh(seg, 0.012)
+
+
 class TestSourceModel:
     def test_single_tet_face_function_quarter_entries(self):
         mesh = single_tet_mesh()
-        G, model = whitney_source_matrix(mesh, [0])
+        G, _ = whitney_source_matrix(mesh, [0])
         G = G.toarray()
         assert G.shape == (4, 4)
         # Every face function deposits +-1/4 on all 4 nodes of the element.
@@ -241,12 +301,12 @@ class TestSourceModel:
 
     def test_interior_face_column_sums_to_zero(self):
         mesh = two_tet_mesh()
-        G, model = whitney_source_matrix(mesh, [0])
+        G, _ = whitney_source_matrix(mesh, [0])
         sums = np.asarray(G.sum(axis=0)).ravel()
         # Face (0,1,2) is interior: its column sums to zero; boundary faces
         # sum to +-1.
-        interior = [j for j in range(4)
-                    if (model.adjoining[0, j] >= 0).all()]
+        _, element_faces, face_elements = mesh.face_table()
+        interior = np.flatnonzero((face_elements[element_faces[0]] >= 0).all(axis=1))
         assert len(interior) == 1
         assert sums[interior[0]] == pytest.approx(0.0, abs=1e-15)
         for j in range(4):
@@ -254,23 +314,21 @@ class TestSourceModel:
                 assert abs(sums[j]) == pytest.approx(1.0, rel=1e-15)
 
     def test_unit_flux_and_divergence(self):
+        # The shared face (0, 1, 2) has canonical normal +z.  Its face
+        # function is the same column for either source element: divergence
+        # +1/V on element 1 (below, the flux leaves it) and -1/V on element
+        # 0, so the shared nodes cancel and the apexes 3 and 4 keep -+1/4.
         mesh = two_tet_mesh()
-        model = build_source_model(mesh, [0, 1])
-        # Unit flux: |F| * h / (3V) = 1 by construction; check via the
-        # geometric identity h = 3V/|F| for each (source, face, element).
-        uniq_vols = mesh.volumes
-        for s in range(2):
-            for j in range(4):
-                for slot in range(2):
-                    k = model.adjoining[s, j, slot]
-                    if k < 0:
-                        continue
-                    assert model.volumes[s, j, slot] == pytest.approx(uniq_vols[k])
-                    assert model.signs[s, j, slot] in (-1.0, 1.0)
-        # Opposite divergence signs across the shared interior face.
-        for j in range(4):
-            if (model.adjoining[0, j] >= 0).all():
-                assert model.signs[0, j, 0] * model.signs[0, j, 1] == -1.0
+        faces, element_faces, face_elements = mesh.face_table()
+        shared = np.flatnonzero((face_elements >= 0).all(axis=1))
+        np.testing.assert_array_equal(faces[shared], [[0, 1, 2]])
+        np.testing.assert_array_equal(face_elements[shared], [[0, 1]])
+        G, _ = whitney_source_matrix(mesh, [0, 1])
+        G = G.toarray()
+        j0 = np.flatnonzero(element_faces[0] == shared[0])[0]
+        j1 = np.flatnonzero(element_faces[1] == shared[0])[0]
+        np.testing.assert_array_equal(G[:, j0], G[:, 4 + j1])
+        np.testing.assert_array_equal(G[:, j0], [0.0, 0.0, 0.0, -0.25, 0.25])
 
     def test_zero_amplitude_maps_to_zero(self):
         mesh = two_tet_mesh()
@@ -285,8 +343,8 @@ class TestSourceModel:
         G = assemble_G(mesh, src)
         assert G.shape == (5, 3)
         # Reconstruct the combination coefficients and verify the moment.
-        _, model = whitney_source_matrix(mesh, [0])
-        M = model.moments[0].T
+        _, moments = whitney_source_matrix(mesh, [0])
+        M = moments[0].T
         coeff, *_ = np.linalg.lstsq(M, np.eye(3), rcond=None)
         np.testing.assert_allclose(M @ coeff, np.eye(3), atol=1e-12)
 
@@ -299,6 +357,37 @@ class TestSourceModel:
         G = assemble_G(mesh, src)
         assert G.shape == (5, 1)
 
+    def test_interior_dipole_moment_identity(self, three_shell_mesh):
+        # For a source whose four faces are interior, sum_i x_i g_i equals
+        # int x div w dV = -(dipole moment), so -X' G gives the unit axes.
+        seg, mesh = three_shell_mesh
+        src = place_sources(mesh, seg, 200, seed=1)
+        _, element_faces, face_elements = mesh.face_table()
+        interior = (face_elements[element_faces[src.element_ids]] >= 0).all(axis=(1, 2))
+        assert interior.sum() > 100
+        G = assemble_G(mesh, src).toarray()
+        P = -(mesh.nodes.T @ G).reshape(3, -1, 3)[:, interior]     # (3, s, 3)
+        np.testing.assert_allclose(P, np.broadcast_to(np.eye(3)[:, None, :], P.shape),
+                                   rtol=0, atol=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 25),
+           constrained=st.booleans(), smoothed=st.booleans())
+    def test_batched_matches_per_source_reference(self, seed, n, constrained,
+                                                  smoothed):
+        seg, plain, smooth = sphere_meshes()
+        mesh = smooth if smoothed else plain
+        src = place_sources(mesh, seg, n, seed=seed,
+                            mode="constrained" if constrained else "unconstrained")
+        ref_w, ref = reference_source_matrices(mesh, src)
+        G_w, _ = whitney_source_matrix(mesh, src.element_ids)
+        np.testing.assert_array_equal(G_w.indptr, ref_w.indptr)
+        np.testing.assert_array_equal(G_w.indices, ref_w.indices)
+        np.testing.assert_array_equal(G_w.data, ref_w.data)
+        G = assemble_G(mesh, src).toarray()
+        ref = ref.toarray()
+        np.testing.assert_allclose(G, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
+
     def test_locate_elements(self):
         mesh = two_tet_mesh()
         ids = locate_elements(mesh, np.array([[0.2, 0.2, 0.2], [0.3, 0.3, -0.3]]))
@@ -306,16 +395,62 @@ class TestSourceModel:
         with pytest.raises(LocationError):
             locate_elements(mesh, np.array([[5.0, 5.0, 5.0]]))
 
+    def test_locate_elements_on_smoothed_mesh(self, three_shell_mesh):
+        # Smoothing moves interface nodes, so an element's centroid need not
+        # be among the 32 centroids nearest to a point inside it.
+        _, mesh = three_shell_mesh
+        for m in (mesh, smooth_mesh(mesh, 2, 0.3)):
+            x = m.nodes[m.tetra]
+            near_vertex = 0.9 * x[:, 0] + 0.1 * x.mean(axis=1)
+            np.testing.assert_array_equal(locate_elements(m, near_vertex),
+                                          np.arange(m.n_elements))
+
     def test_interior_columns_sum_zero_on_sphere(self):
         seg = Segmentation([Compartment(icosphere(1.0, 2), 1.0, active=True)])
         mesh = generate_mesh(seg, 0.4)
         src = place_sources(mesh, seg, 5, seed=2)
         # Pick sources whose elements sit strictly inside: all face functions
         # two-sided, so every raw column sums to zero.
-        G, model = whitney_source_matrix(mesh, src.element_ids)
+        G, _ = whitney_source_matrix(mesh, src.element_ids)
         sums = np.asarray(G.sum(axis=0)).ravel()
-        two_sided = (model.adjoining >= 0).all(axis=2).ravel()
+        _, element_faces, face_elements = mesh.face_table()
+        two_sided = (face_elements[element_faces[src.element_ids]] >= 0).all(axis=2).ravel()
         np.testing.assert_allclose(sums[two_sided], 0.0, atol=1e-14)
+
+
+class TestFaceTable:
+    def test_faces_and_incidence(self, nested_sphere_segmentation):
+        mesh = generate_mesh(nested_sphere_segmentation, 0.35)
+        faces, element_faces, face_elements = mesh.face_table()
+        np.testing.assert_array_equal(
+            faces[element_faces].reshape(-1, 3),
+            np.sort(mesh.element_faces(), axis=1))
+        two = face_elements[:, 1] >= 0
+        assert np.all(face_elements[two, 0] < face_elements[two, 1])
+        # Each element lists each of its faces once, and a face is listed by
+        # exactly the elements recorded for it.
+        counts = np.bincount(element_faces.ravel(), minlength=len(faces))
+        np.testing.assert_array_equal(counts, 1 + two)
+        for slot in range(2):
+            e = face_elements[:, slot]
+            ok = e >= 0
+            assert np.all((element_faces[e[ok]] == np.flatnonzero(ok)[:, None]).any(axis=1))
+        bfaces, owners = mesh.boundary_triangles()
+        assert len(bfaces) == np.count_nonzero(~two)
+
+    def test_with_sigma_and_with_nodes_share_the_table(self, nested_sphere_segmentation):
+        mesh = generate_mesh(nested_sphere_segmentation, 0.35)
+        smoothed = smooth_mesh(mesh, 2, 0.3)
+        moved = mesh.with_nodes(smoothed.nodes)
+        scaled = mesh.with_sigma(2.0 * mesh.sigma)
+        fresh = TetMesh(smoothed.nodes, mesh.tetra, mesh.labels, mesh.sigma)
+        for other in (smoothed, moved, scaled):
+            assert other.face_table() is mesh.face_table()
+        for a, b in zip(fresh.face_table(), mesh.face_table()):
+            np.testing.assert_array_equal(a, b)
+        for other in (smoothed, moved, scaled, fresh):
+            for a, b in zip(other.boundary_triangles(), mesh.boundary_triangles()):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestSystem:

@@ -282,6 +282,21 @@ class TestCliInvertAndMetrics:
                      "--reconstruction", str(rec)]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_metrics_zero_mean_vector_writes_null_angle(self, tmp_path):
+        # Opposite dipoles in the ROI: the position error is defined, the
+        # orientation of their zero mean vector is not.
+        path = write_sphere_project(
+            tmp_path, extra="[truth]\nposition = 0.0 0.0 0.05\n"
+                            "orientation = 1 0 0\nroi_radius = 0.05\n")
+        rec = tmp_path / "opposite.csv"
+        hio.save_reconstruction(rec, np.array([[0.0, 0.0, 0.05], [0.0, 0.02, 0.05]]),
+                                np.array([1.0, 0, 0, -1.0, 0, 0]), "unconstrained")
+        assert main(["metrics", "--config", str(path),
+                     "--reconstruction", str(rec)]) == 0
+        metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+        assert metrics["angle_error_deg"] is None
+        assert metrics["position_error_mm"] == pytest.approx(10.0)
+
     def test_eit_invert_multires(self, tmp_path):
         inv = ("[inversion]\nmethod = multires\nsubsets = 4\n"
                "decompositions = 3\nnu = 0.12\ntheta0 = 1e-3")

@@ -253,6 +253,15 @@ class TestRoiMetrics:
             roi_metrics(np.zeros(3), space, np.zeros(3), 0.01,
                         (np.zeros(3), np.array([1.0, 0, 0])))
 
+    def test_zero_mean_vector_raises(self):
+        # Opposite dipoles: nonzero amplitudes, so the center of mass is
+        # defined, but their mean orientation vector is zero.
+        space = self._space([[0, 0, 0], [0.01, 0, 0]])
+        x = np.array([1.0, 0, 0, -1.0, 0, 0])
+        with pytest.raises(UndefinedMetricError):
+            roi_metrics(x, space, np.zeros(3), 0.05,
+                        (np.zeros(3), np.array([1.0, 0, 0])))
+
     def test_empty_roi(self):
         space = self._space([[1.0, 0, 0]])
         with pytest.raises(RoiError):
