@@ -6,13 +6,23 @@ replayable JSON manifest into the output directory, and exits with 0 on
 success, 2 on configuration/IO problems, or 3 on runtime/numerical
 failures.  All outputs are byte-deterministic for a fixed configuration
 and seed.
+
+``leadfield`` reads the mesh and ``simulate`` the lead field (EIT: and the
+mesh) from ``--output`` or else the project's ``[output] dir``, and builds
+them only when no artifact there is current.  An artifact is current when
+its manifest records today's configuration hash, the sha256 of every
+surface file the configuration names (``inputs``) and of every artifact
+file, the lead-field sidecar included.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import logging
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -46,26 +56,114 @@ from .meshgen import SourceSpace, generate_mesh, place_sources, smooth_mesh
 from .simulate import NoiseSpec, dipole_signal, perturb_sigma_ball
 from .solver import PcgConfig
 
+logger = logging.getLogger(__name__)
+
 
 def _pcg_config(cfg):
     return PcgConfig(tolerance=cfg.solver["tolerance"],
                      max_iterations=cfg.solver["max_iterations"])
 
 
+def _resolve(cfg, path):
+    return path if os.path.isabs(path) else os.path.join(cfg.base_dir, path)
+
+
 def _outdir(cfg, args):
-    out = args.output or cfg.output_dir
-    out = out if os.path.isabs(out) else os.path.join(cfg.base_dir, out)
+    out = _resolve(cfg, args.output or cfg.output_dir)
     os.makedirs(out, exist_ok=True)
     return out
 
 
+# ---------------------------------------------------------------------------
+# verified artifacts
+#
+# The files of each reusable stage by manifest output key; the lead-field
+# sidecar carries the DOF positions and the EIT background data.
+
+_ARTIFACTS = {
+    "mesh": ("mesh_manifest.json",
+             {f"mesh_{part}": f"mesh_{part}.dat"
+              for part in ("nodes", "tetra", "labels", "sigma")}),
+    "leadfield": ("leadfield_manifest.json",
+                  {"leadfield": "leadfield.bin",
+                   "leadfield_sidecar": "leadfield.bin.json"}),
+}
+
+
+def _input_hashes(cfg):
+    """sha256 of every surface file the configuration names, keyed by its
+    name in the INI; ``cfg.digest`` covers the INI text only."""
+    return {name: hio.sha256_file(_resolve(cfg, name))
+            for spec in cfg.compartments
+            for entry in spec.surfaces for name in entry}
+
+
+def _output_hashes(out, stage):
+    return {key: hio.sha256_file(os.path.join(out, name))
+            for key, name in _ARTIFACTS[stage][1].items()}
+
+
+def _stale_reason(directory, stage, cfg, inputs):
+    """Why the ``stage`` artifact in ``directory`` cannot be reused, or None."""
+    manifest, files = _ARTIFACTS[stage]
+    try:
+        with open(os.path.join(directory, manifest)) as fh:
+            recorded = json.load(fh)
+    except FileNotFoundError:
+        return "no manifest"
+    except (OSError, ValueError):
+        return "unparsable manifest"
+    if not (isinstance(recorded, dict)
+            and isinstance(recorded.get("outputs"), dict)):
+        return "unparsable manifest"
+    if recorded.get("config_sha256") != cfg.digest:
+        return "config changed"
+    if recorded.get("inputs") != inputs:
+        return "input changed"
+    for key, name in files.items():
+        path = os.path.join(directory, name)
+        if (not os.path.isfile(path)
+                or recorded["outputs"].get(key) != hio.sha256_file(path)):
+            return "hash mismatch"
+    return None
+
+
+def _find_artifact(cfg, out, stage, inputs):
+    """The directory of a reusable ``stage`` artifact, or None.
+
+    Looks in the command's output directory ``out``, then in the project's
+    ``[output] dir``, and logs one line: which directory was reused, or
+    why each was stale.
+    """
+    reasons = []
+    for directory in dict.fromkeys(
+            os.path.abspath(d) for d in (out, _resolve(cfg, cfg.output_dir))):
+        reason = _stale_reason(directory, stage, cfg, inputs)
+        if reason is None:
+            logger.info("%s: reused %s", stage, directory)
+            return directory
+        reasons.append(f"{directory}: {reason}")
+    logger.info("%s: built (%s)", stage, "; ".join(reasons))
+    return None
+
+
+# ---------------------------------------------------------------------------
+# stages
+
 def _build_mesh(cfg):
-    seg = cfg.build_segmentation()
-    mesh = generate_mesh(seg, cfg.mesh["resolution"])
+    mesh = generate_mesh(cfg.build_segmentation(), cfg.mesh["resolution"])
     if cfg.mesh["smoothing_iterations"] > 0:
         mesh = smooth_mesh(mesh, cfg.mesh["smoothing_iterations"],
                            cfg.mesh["smoothing_step"])
-    return seg, mesh
+    return mesh
+
+
+def _mesh(cfg, out, inputs):
+    """The project mesh, read from a verified artifact or built."""
+    found = _find_artifact(cfg, out, "mesh", inputs)
+    if found is None:
+        return _build_mesh(cfg)
+    return hio.load_tet_mesh(os.path.join(found, "mesh"))
 
 
 def _build_electrodes(cfg, mesh):
@@ -79,13 +177,46 @@ def _build_electrodes(cfg, mesh):
                                      cfg.electrodes["impedances"])
 
 
+def _build_leadfield(cfg, mesh):
+    electrodes = _build_electrodes(cfg, mesh)
+    pcg = _pcg_config(cfg)
+    if cfg.modality == "eeg":
+        src = place_sources(mesh, cfg.build_segmentation(),
+                            cfg.sources["count"], mode=cfg.sources["mode"],
+                            seed=cfg.sources["seed"])
+        return eeg_leadfield(assemble_cem_system(mesh, electrodes, src), pcg)
+    comp_ids = [cfg.compartment_index(n) for n in cfg.eit["compartments"]] \
+        or [0]
+    dofs = build_dof_map(mesh, comp_ids, cfg.eit["dofs"], seed=cfg.eit["seed"])
+    patterns = adjacent_pair_patterns(electrodes.count, cfg.eit["amplitude"])
+    return eit_leadfield(assemble_cem_system(mesh, electrodes), dofs,
+                         patterns, pcg)
+
+
+def _leadfield(cfg, out, inputs, mesh=None):
+    """The project lead field, read from a verified artifact or built on
+    ``mesh`` (by default the project mesh)."""
+    found = _find_artifact(cfg, out, "leadfield", inputs)
+    if found is None:
+        return _build_leadfield(
+            cfg, mesh if mesh is not None else _mesh(cfg, out, inputs))
+    lf, _ = hio.load_leadfield(os.path.join(found, "leadfield.bin"))
+    # The C order of a built lead field, so products with it round alike.
+    return replace(lf, matrix=np.ascontiguousarray(lf.matrix))
+
+
+def _leadfield_seeds(cfg):
+    if cfg.modality == "eeg":
+        return {"sources": cfg.sources["seed"]}
+    return {"dofs": cfg.eit["seed"]}
+
+
 def cmd_mesh(cfg, args):
     out = _outdir(cfg, args)
-    seg, mesh = _build_mesh(cfg)
+    inputs = _input_hashes(cfg)
+    mesh = _build_mesh(cfg)
     prefix = os.path.join(out, "mesh")
     hio.save_tet_mesh(mesh, prefix)
-    outputs = {f"mesh_{part}": hio.sha256_file(f"{prefix}_{part}.dat")
-               for part in ("nodes", "tetra", "labels", "sigma")}
     hio.write_manifest(
         os.path.join(out, "mesh_manifest.json"), "mesh", cfg.digest,
         seeds={}, parameters={
@@ -95,49 +226,27 @@ def cmd_mesh(cfg, args):
             "n_nodes": mesh.n_nodes,
             "n_elements": mesh.n_elements,
             "compartments": [c.name for c in cfg.compartments],
-        }, outputs=outputs)
+        }, outputs=_output_hashes(out, "mesh"), inputs=inputs)
     print(f"mesh: {mesh.n_nodes} nodes, {mesh.n_elements} elements -> {prefix}_*.dat")
     return 0
 
 
-def _leadfield_from_config(cfg, args):
-    seg, mesh = _build_mesh(cfg)
-    electrodes = _build_electrodes(cfg, mesh)
-    pcg = _pcg_config(cfg)
-    seeds = {}
-    if cfg.modality == "eeg":
-        seeds["sources"] = cfg.sources["seed"]
-        src = place_sources(mesh, seg, cfg.sources["count"],
-                            mode=cfg.sources["mode"],
-                            seed=cfg.sources["seed"])
-        sys_ = assemble_cem_system(mesh, electrodes, src)
-        lf = eeg_leadfield(sys_, pcg)
-        extra = {"sources": cfg.sources["count"], "mode": cfg.sources["mode"]}
-    else:
-        seeds["dofs"] = cfg.eit["seed"]
-        comp_ids = [cfg.compartment_index(n) for n in cfg.eit["compartments"]] \
-            or [0]
-        sys_ = assemble_cem_system(mesh, electrodes)
-        dofs = build_dof_map(mesh, comp_ids, cfg.eit["dofs"],
-                             seed=cfg.eit["seed"])
-        patterns = adjacent_pair_patterns(electrodes.count,
-                                          cfg.eit["amplitude"])
-        lf = eit_leadfield(sys_, dofs, patterns, pcg)
-        extra = {"dofs": cfg.eit["dofs"], "patterns": patterns.shape[1]}
-    return seg, mesh, electrodes, sys_, lf, seeds, extra
-
-
 def cmd_leadfield(cfg, args):
     out = _outdir(cfg, args)
-    *_, lf, seeds, extra = _leadfield_from_config(cfg, args)
+    inputs = _input_hashes(cfg)
+    lf = _build_leadfield(cfg, _mesh(cfg, out, inputs))
+    if cfg.modality == "eeg":
+        extra = {"sources": cfg.sources["count"], "mode": cfg.sources["mode"]}
+    else:
+        extra = {"dofs": cfg.eit["dofs"], "patterns": lf.n_patterns}
     path = os.path.join(out, "leadfield.bin")
     hio.save_leadfield(lf, path)
     hio.write_manifest(
         os.path.join(out, "leadfield_manifest.json"), "leadfield", cfg.digest,
-        seeds=seeds, parameters={
+        seeds=_leadfield_seeds(cfg), parameters={
             "modality": cfg.modality, "rows": lf.matrix.shape[0],
             "cols": lf.matrix.shape[1], **extra,
-        }, outputs={"leadfield": hio.sha256_file(path)})
+        }, outputs=_output_hashes(out, "leadfield"), inputs=inputs)
     print(f"leadfield: {lf.matrix.shape[0]} x {lf.matrix.shape[1]} "
           f"({cfg.modality}) -> {path}")
     return 0
@@ -148,14 +257,14 @@ def cmd_simulate(cfg, args):
     seed = args.seed if args.seed is not None else cfg.simulation["seed"]
     noise = NoiseSpec(mode=cfg.simulation["noise_mode"],
                       level=cfg.simulation["noise_level"], seed=seed)
-    seg, mesh, electrodes, sys_, lf, seeds, _ = _leadfield_from_config(cfg, args)
-    seeds["noise"] = seed
+    inputs = _input_hashes(cfg)
     truth = {}
     if cfg.modality == "eeg":
         dipoles = cfg.simulation["dipoles"]
         if not dipoles:
             raise ConfigError(f"{cfg.path}: [simulation] dipoles missing")
-        y0, x_true = dipole_signal(lf, dipoles)
+        lf = _leadfield(cfg, out, inputs)
+        y0, _ = dipole_signal(lf, dipoles)
         y = y0 + noise.sample(y0)
         n_cols = 1
         truth["dipoles"] = [[*map(float, p), *map(float, o), float(m)]
@@ -164,11 +273,15 @@ def cmd_simulate(cfg, args):
         anomaly = cfg.simulation["anomaly"]
         if anomaly is None:
             raise ConfigError(f"{cfg.path}: [simulation] anomaly missing")
+        mesh = _mesh(cfg, out, inputs)
+        lf = _leadfield(cfg, out, inputs, mesh)
+        electrodes = _build_electrodes(cfg, mesh)
         cx, cy, cz, diameter, delta = anomaly
         sigma_p, _ = perturb_sigma_ball(mesh, (cx, cy, cz), diameter, delta)
         patterns = adjacent_pair_patterns(electrodes.count,
                                           cfg.eit["amplitude"])
-        y_pert = np.asarray(eit_forward(sys_.with_sigma(sigma_p), patterns,
+        perturbed = assemble_cem_system(mesh.with_sigma(sigma_p), electrodes)
+        y_pert = np.asarray(eit_forward(perturbed, patterns,
                                         _pcg_config(cfg))).T.ravel()
         y = y_pert + noise.sample(y_pert)
         n_cols = patterns.shape[1]
@@ -177,10 +290,10 @@ def cmd_simulate(cfg, args):
         truth["anomaly"] = [float(v) for v in anomaly]
 
     path = os.path.join(out, "data.csv")
-    hio.save_dataset(path, y, electrodes.count)
+    hio.save_dataset(path, y, lf.n_electrodes)
     hio.write_manifest(
         os.path.join(out, "data_manifest.json"), "simulate", cfg.digest,
-        seeds=seeds, parameters={
+        seeds={**_leadfield_seeds(cfg), "noise": seed}, parameters={
             "modality": cfg.modality, "noise_mode": noise.mode,
             "noise_level": noise.level, "columns": n_cols, "truth": truth,
         }, outputs={"data": hio.sha256_file(path)})

@@ -343,10 +343,29 @@ class SurfaceMesh:
 
     def nearest_triangle(self, point):
         """Index of the triangle closest to ``point`` and its distance."""
-        d2 = _point_triangle_sqdist(np.asarray(point, dtype=float),
-                                    self._v0, self._e1, self._e2)
+        d2 = _point_triangle_sqdist(np.asarray(point, dtype=float)[None],
+                                    self._v0, self._e1, self._e2)[0]
         j = int(np.argmin(d2))
         return j, float(np.sqrt(d2[j]))
+
+    def nearest_triangles(self, points):
+        """``nearest_triangle`` for (k, 3) points at once: triangle indices
+        and distances, equal to the per-point calls (lowest index on ties).
+
+        Points go through in row chunks of at most 2**15 (point, triangle)
+        pairs, which bounds the temporaries.
+        """
+        points = np.asarray(points, dtype=float).reshape(-1, 3)
+        rows = max(1, (1 << 15) // len(self.triangles))
+        j = np.empty(len(points), dtype=np.int64)
+        d = np.empty(len(points))
+        for lo in range(0, len(points), rows):
+            d2 = _point_triangle_sqdist(points[lo:lo + rows], self._v0,
+                                        self._e1, self._e2)
+            j[lo:lo + rows] = np.argmin(d2, axis=1)
+            d[lo:lo + rows] = np.sqrt(np.take_along_axis(
+                d2, j[lo:lo + rows, None], axis=1)[:, 0])
+        return j, d
 
     def __repr__(self):
         return (f"SurfaceMesh('{self.name}', {len(self.nodes)} nodes, "
@@ -354,20 +373,25 @@ class SurfaceMesh:
 
 
 def _point_triangle_sqdist(p, v0, e1, e2):
-    """Squared distance from point ``p`` to each triangle (v0, v0+e1, v0+e2).
+    """Squared distances (k, m) from (k, 3) points ``p`` to the m triangles
+    (v0, v0+e1, v0+e2).
 
     Vectorized closest-point-on-triangle (Ericson, Real-Time Collision
-    Detection, 5.1.5).
+    Detection, 5.1.5).  Coordinates lead the (3, k, m) intermediates, so
+    each operation runs on whole (k, m) planes.
     """
-    ap = p[None, :] - v0
-    d1 = np.einsum("ij,ij->i", e1, ap)
-    d2 = np.einsum("ij,ij->i", e2, ap)
+    p = p.T[:, :, None]
+    v0, e1, e2 = (np.ascontiguousarray(a.T)[:, None, :]
+                  for a in (v0, e1, e2))
+    ap = p - v0
+    d1 = _dot3(e1, ap)
+    d2 = _dot3(e2, ap)
     bp = ap - e1
-    d3 = np.einsum("ij,ij->i", e1, bp)
-    d4 = np.einsum("ij,ij->i", e2, bp)
+    d3 = _dot3(e1, bp)
+    d4 = _dot3(e2, bp)
     cp = ap - e2
-    d5 = np.einsum("ij,ij->i", e1, cp)
-    d6 = np.einsum("ij,ij->i", e2, cp)
+    d5 = _dot3(e1, cp)
+    d6 = _dot3(e2, cp)
 
     vc = d1 * d4 - d3 * d2
     vb = d5 * d2 - d1 * d6
@@ -382,18 +406,24 @@ def _point_triangle_sqdist(p, v0, e1, e2):
         v_in = np.where(denom != 0, vb / denom, 0.0)
         w_in = np.where(denom != 0, vc / denom, 0.0)
 
-    closest = v0 + v_in[:, None] * e1 + w_in[:, None] * e2
-    closest = np.where(((va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0))[:, None],
-                       v0 + e1 + t_bc[:, None] * (e2 - e1), closest)
-    closest = np.where(((vb <= 0) & (d2 >= 0) & (d6 <= 0))[:, None],
-                       v0 + t_ac[:, None] * e2, closest)
-    closest = np.where(((vc <= 0) & (d1 >= 0) & (d3 <= 0))[:, None],
-                       v0 + t_ab[:, None] * e1, closest)
-    closest = np.where(((d6 >= 0) & (d5 <= d6))[:, None], v0 + e2, closest)
-    closest = np.where(((d3 >= 0) & (d4 <= d3))[:, None], v0 + e1, closest)
-    closest = np.where(((d1 <= 0) & (d2 <= 0))[:, None], v0, closest)
-    diff = closest - p[None, :]
-    return np.einsum("ij,ij->i", diff, diff)
+    closest = v0 + v_in * e1 + w_in * e2
+    closest = np.where((va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0),
+                       v0 + e1 + t_bc * (e2 - e1), closest)
+    closest = np.where((vb <= 0) & (d2 >= 0) & (d6 <= 0),
+                       v0 + t_ac * e2, closest)
+    closest = np.where((vc <= 0) & (d1 >= 0) & (d3 <= 0),
+                       v0 + t_ab * e1, closest)
+    closest = np.where((d6 >= 0) & (d5 <= d6), v0 + e2, closest)
+    closest = np.where((d3 >= 0) & (d4 <= d3), v0 + e1, closest)
+    closest = np.where((d1 <= 0) & (d2 <= 0), v0, closest)
+    diff = closest - p
+    return _dot3(diff, diff)
+
+
+def _dot3(a, b):
+    """Dot product over the leading axis of length 3, summed in the order
+    numpy's einsum uses, so distances match its earlier per-point form."""
+    return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
 
 
 class Compartment:

@@ -57,9 +57,10 @@ def load_tet_mesh(prefix):
     nodes = np.loadtxt(f"{prefix}_nodes.dat", ndmin=2)
     tetra = np.loadtxt(f"{prefix}_tetra.dat", dtype=np.int64, ndmin=2) - 1
     labels = np.loadtxt(f"{prefix}_labels.dat", dtype=np.int64).reshape(-1) - 1
-    sigma = np.loadtxt(f"{prefix}_sigma.dat", ndmin=1)
-    if sigma.ndim == 2 and sigma.shape[1] == 1:
-        sigma = sigma.ravel()
+    # One value per line and element is scalar sigma, six are a tensor row.
+    sigma = np.loadtxt(f"{prefix}_sigma.dat", ndmin=2)
+    if sigma.shape == (len(tetra), 1):
+        sigma = sigma[:, 0]
     return TetMesh(nodes, tetra, labels, sigma)
 
 
@@ -201,9 +202,12 @@ def sha256_file(path):
     return h.hexdigest()
 
 
-def write_manifest(path, kind, config_digest, seeds, parameters, outputs=None):
+def write_manifest(path, kind, config_digest, seeds, parameters, outputs=None,
+                   inputs=None):
     """Replayable run manifest: configuration digest, seeds and parameters
-    (never timestamps, so reruns hash identically)."""
+    (never timestamps, so reruns hash identically).  ``inputs`` maps the
+    input files the configuration names to their sha256; it is written
+    only when given."""
     from . import __version__
 
     manifest = {
@@ -214,5 +218,7 @@ def write_manifest(path, kind, config_digest, seeds, parameters, outputs=None):
         "parameters": parameters,
         "outputs": outputs or {},
     }
+    if inputs is not None:
+        manifest["inputs"] = inputs
     write_json(path, manifest)
     return manifest

@@ -414,13 +414,24 @@ def place_sources(mesh, seg, n, mode="unconstrained", seed=0):
     orientations = None
     if mode == "constrained":
         orientations = np.empty((n, 3))
-        for i, (p, e) in enumerate(zip(positions, elements)):
-            comp = seg.compartments[mesh.labels[e]]
-            best = (np.inf, None, None)
-            for surf in comp.surfaces:
-                j, d = surf.nearest_triangle(p)
-                if d < best[0]:
-                    best = (d, surf, j)
-            orientations[i] = best[1].normals[best[2]]
+        labels = mesh.labels[elements]
+        for k in np.unique(labels):
+            rows = labels == k
+            orientations[rows] = _nearest_normals(
+                seg.compartments[k].surfaces, positions[rows])
     return SourceSpace(positions=positions, orientations=orientations,
                        element_ids=elements, mode=mode)
+
+
+def _nearest_normals(surfaces, points):
+    """Outward normal of the triangle nearest to each point over all
+    ``surfaces``; on equal distance the lower triangle index and then the
+    earlier surface win."""
+    best = np.full(len(points), np.inf)
+    normals = np.empty((len(points), 3))
+    for surf in surfaces:
+        j, d = surf.nearest_triangles(points)
+        nearer = d < best
+        best[nearer] = d[nearer]
+        normals[nearer] = surf.normals[j[nearer]]
+    return normals

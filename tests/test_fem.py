@@ -21,6 +21,7 @@ from headfem.fem import (
     whitney_source_matrix,
 )
 from headfem.geometry import Compartment, Segmentation, icosphere
+from headfem.leadfield import eeg_leadfield
 from headfem.meshgen import (
     SourceSpace,
     TetMesh,
@@ -28,6 +29,7 @@ from headfem.meshgen import (
     place_sources,
     smooth_mesh,
 )
+from headfem.solver import PcgConfig
 
 
 def single_tet_mesh(sigma=1.0):
@@ -238,6 +240,53 @@ class TestAssembleBCR:
         mesh = single_tet_mesh()
         with pytest.raises(ElectrodeError):
             ElectrodeSet(mesh, [np.array([], dtype=int)], 1.0)
+
+
+class TestCemProperties:
+    """Invariants of the CEM blocks on random electrode sets over a plain
+    and a smoothed two-shell mesh."""
+
+    @staticmethod
+    def draw_system(data, min_electrodes=1):
+        seg, plain, smoothed = sphere_meshes()
+        mesh = smoothed if data.draw(st.booleans(), "smoothed") else plain
+        n_bound = len(mesh.boundary_triangles()[0])
+        n_el = data.draw(st.integers(min_electrodes, 6), "electrodes")
+        sizes = data.draw(st.lists(st.integers(1, 4), min_size=n_el,
+                                   max_size=n_el), "sizes")
+        order = data.draw(st.permutations(range(n_bound)), "order")
+        ends = np.cumsum(sizes)
+        ids = [np.array(order[e - k:e]) for k, e in zip(sizes, ends)]
+        z = data.draw(st.lists(st.floats(10.0, 1e4), min_size=n_el,
+                               max_size=n_el), "impedances")
+        return seg, mesh, ElectrodeSet(mesh, ids, z)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_b_column_sums_equal_diag_c(self, data):
+        _, mesh, el = self.draw_system(data)
+        B, C, _ = assemble_B_C_R(mesh, el)
+        np.testing.assert_allclose(np.asarray(B.sum(axis=0)).ravel(),
+                                   C.diagonal(), rtol=1e-14)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), c=st.floats(-1e3, 1e3))
+    def test_r_annihilates_constants(self, data, c):
+        _, mesh, el = self.draw_system(data)
+        _, _, R = assemble_B_C_R(mesh, el)
+        np.testing.assert_allclose(R @ np.full(el.count, c), 0.0,
+                                   atol=1e-15 * el.count * max(abs(c), 1.0))
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8),
+           mode=st.sampled_from(["constrained", "unconstrained"]))
+    def test_eeg_leadfield_columns_zero_mean(self, data, n, mode):
+        seg, mesh, el = self.draw_system(data, min_electrodes=2)
+        src = place_sources(mesh, seg, n, mode=mode,
+                            seed=data.draw(st.integers(0, 2**31 - 1), "seed"))
+        L = eeg_leadfield(assemble_cem_system(mesh, el, src),
+                          PcgConfig(tolerance=1e-10)).matrix
+        assert np.abs(L.mean(axis=0)).max() <= 1e-12 * np.abs(L).max()
 
 
 def reference_source_matrices(mesh, sources):

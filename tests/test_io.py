@@ -1,14 +1,17 @@
 import json
+import tempfile
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headfem import io as hio
 from headfem.fem import ElectrodeSet, assemble_cem_system, volume_stiffness
 from headfem.geometry import Compartment, Segmentation, icosphere
 from headfem.leadfield import eeg_leadfield
-from headfem.meshgen import generate_mesh, place_sources
+from headfem.meshgen import TetMesh, generate_mesh, place_sources, smooth_mesh
 from headfem.simulate import fibonacci_sphere_points
 from headfem.solver import PcgConfig
 
@@ -38,6 +41,41 @@ class TestMeshFiles:
         hio.save_tet_mesh(t, prefix)
         again = hio.load_tet_mesh(prefix)
         np.testing.assert_array_equal(again.sigma, sig)
+
+    @pytest.mark.parametrize("sigma", [[0.33], [[0.3, 0.2, 0.1, 0.01, 0.0, 0.02]]])
+    def test_one_element_round_trip(self, tmp_path, sigma):
+        # A single tensor row used to load as shape (6,) and fail the
+        # element-count check.
+        one = TetMesh(np.eye(4, 3, k=-1), [[0, 1, 2, 3]], [0], np.array(sigma))
+        hio.save_tet_mesh(one, str(tmp_path / "one"))
+        again = hio.load_tet_mesh(str(tmp_path / "one"))
+        np.testing.assert_array_equal(again.sigma, one.sigma)
+
+    @settings(max_examples=25, deadline=None)
+    @given(h=st.floats(0.03, 0.06), keep=st.integers(1, 400),
+           tensor=st.booleans(), smoothed=st.booleans(),
+           seed=st.integers(0, 2**31 - 1))
+    def test_round_trip_property(self, h, keep, tensor, smoothed, seed):
+        # Any element subset of a plain or smoothed two-shell mesh, with
+        # random scalar or tensor sigma, reads back bit for bit.
+        seg = Segmentation([Compartment(icosphere(0.05, 1), 0.33, active=True),
+                            Compartment(icosphere(0.1, 1), 0.43)])
+        full = generate_mesh(seg, h)
+        if smoothed:
+            full = smooth_mesh(full, 1, 0.3)
+        used, tetra = np.unique(full.tetra[:keep], return_inverse=True)
+        rng = np.random.default_rng(seed)
+        m = len(tetra.reshape(-1, 4))
+        sigma = rng.uniform(0.01, 2.0, (m, 6) if tensor else m)
+        mesh = TetMesh(full.nodes[used], tetra.reshape(-1, 4),
+                       full.labels[:keep], sigma)
+        with tempfile.TemporaryDirectory() as tmp:
+            hio.save_tet_mesh(mesh, f"{tmp}/m")
+            again = hio.load_tet_mesh(f"{tmp}/m")
+        for name in ("nodes", "tetra", "labels", "sigma"):
+            a, b = getattr(again, name), getattr(mesh, name)
+            assert a.shape == b.shape and a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
 
 
 class TestLeadfieldFiles:

@@ -11,6 +11,7 @@ from headfem.meshgen import (
     SourceSpace,
     TetMesh,
     _apply_priorities,
+    _nearest_normals,
     generate_mesh,
     place_sources,
     smooth_mesh,
@@ -195,6 +196,40 @@ class TestPlaceSources:
         radial = src.positions / np.linalg.norm(src.positions, axis=1, keepdims=True)
         assert np.all(np.einsum("ij,ij->i", src.orientations, radial) > 0)
 
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 300),
+           h=st.floats(0.15, 0.3))
+    def test_constrained_matches_per_source_loop(self, seed, n, h):
+        # Two active compartments, the inner one made of two disjoint
+        # spheres: the batched pass picks bit for bit the normals of a loop
+        # of nearest_triangle calls over each source's surfaces.
+        seg = Segmentation([
+            Compartment([icosphere(0.3, 2, center=(-0.4, 0, 0)),
+                         icosphere(0.3, 1, center=(0.4, 0, 0))], 1.0,
+                        active=True),
+            Compartment(icosphere(1.0, 2), 0.5, active=True)])
+        mesh = generate_mesh(seg, h)
+        src = place_sources(mesh, seg, n, mode="constrained", seed=seed)
+        np.testing.assert_array_equal(src.orientations,
+                                      _per_source_orientations(mesh, seg, src))
+
+    def test_nearest_normals_tie_rules(self):
+        # Dyadic points make distances exact.  The cube [0,1]^3 and the box
+        # [1,2]x[0,1]^2 share the face x = 1 with opposite outward normals:
+        # at equal distance the earlier surface wins.  The cube center is
+        # equidistant to all 12 cube triangles: the lowest index wins.
+        cube, box = box_surface(), box_surface((1, 0, 0), (2, 1, 1))
+        pts = np.array([[0.875, 0.5, 0.25], [1.125, 0.25, 0.5],
+                        [0.5, 0.5, 0.5], [0.25, 0.125, 0.5]])
+        for surfaces in ([cube, box], [box, cube]):
+            got = _nearest_normals(surfaces, pts)
+            np.testing.assert_array_equal(got,
+                                          _per_point_normals(surfaces, pts))
+            first = 1.0 if surfaces[0] is cube else -1.0
+            np.testing.assert_array_equal(got[:2], [[first, 0, 0]] * 2)
+        j, _ = cube.nearest_triangles(pts[2:3])
+        assert j[0] == cube.nearest_triangle(pts[2])[0] == 0
+
     def test_same_seed_reproducible(self, nested_sphere_segmentation):
         mesh = generate_mesh(nested_sphere_segmentation, 0.3)
         a = place_sources(mesh, nested_sphere_segmentation, 10, seed=3)
@@ -232,3 +267,23 @@ class TestPlaceSources:
         assert src.orientations is None
         assert src.mode == "unconstrained"
         assert src.n_components == 3
+
+
+def _per_point_normals(surfaces, points):
+    """Reference: one nearest_triangle call per (point, surface); a later
+    surface wins only when strictly nearer."""
+    out = np.empty((len(points), 3))
+    for i, p in enumerate(points):
+        best = (np.inf, None, None)
+        for surf in surfaces:
+            j, d = surf.nearest_triangle(p)
+            if d < best[0]:
+                best = (d, surf, j)
+        out[i] = best[1].normals[best[2]]
+    return out
+
+
+def _per_source_orientations(mesh, seg, src):
+    return np.concatenate([
+        _per_point_normals(seg.compartments[mesh.labels[e]].surfaces, p[None])
+        for p, e in zip(src.positions, src.element_ids)])
