@@ -19,6 +19,7 @@ from .geometry import (
     icosphere,
     load_surface_mesh,
     load_surface_mesh_asc,
+    nearest_center,
     point_in_compartment,
     save_surface_mesh,
 )
@@ -45,7 +46,6 @@ from .leadfield import (
     electrode_response,
 )
 from .inverse import (
-    Decomposition,
     HyperModel,
     IasState,
     ias_map,

@@ -12,7 +12,8 @@ mesh) from ``--output`` or else the project's ``[output] dir``, and builds
 them only when no artifact there is current.  An artifact is current when
 its manifest records today's configuration hash, the sha256 of every
 surface file the configuration names (``inputs``) and of every artifact
-file, the lead-field sidecar included.
+file, the lead-field sidecar included.  ``invert`` refuses a lead field
+whose manifest does not record today's ``inputs`` and file hashes.
 """
 
 from __future__ import annotations
@@ -103,9 +104,13 @@ def _output_hashes(out, stage):
             for key, name in _ARTIFACTS[stage][1].items()}
 
 
-def _stale_reason(directory, stage, cfg, inputs):
-    """Why the ``stage`` artifact in ``directory`` cannot be reused, or None."""
-    manifest, files = _ARTIFACTS[stage]
+def _stale_reason(directory, stage, inputs, digest=None, files=None):
+    """Why the ``stage`` artifact in ``directory`` does not verify, or None.
+    ``files`` (output key -> path) defaults to the stage's files there;
+    ``digest``, when given, must be the recorded configuration hash."""
+    manifest, names = _ARTIFACTS[stage]
+    files = files or {key: os.path.join(directory, name)
+                      for key, name in names.items()}
     try:
         with open(os.path.join(directory, manifest)) as fh:
             recorded = json.load(fh)
@@ -116,33 +121,34 @@ def _stale_reason(directory, stage, cfg, inputs):
     if not (isinstance(recorded, dict)
             and isinstance(recorded.get("outputs"), dict)):
         return "unparsable manifest"
-    if recorded.get("config_sha256") != cfg.digest:
+    if digest is not None and recorded.get("config_sha256") != digest:
         return "config changed"
     if recorded.get("inputs") != inputs:
         return "input changed"
-    for key, name in files.items():
-        path = os.path.join(directory, name)
+    for key, path in files.items():
         if (not os.path.isfile(path)
                 or recorded["outputs"].get(key) != hio.sha256_file(path)):
             return "hash mismatch"
     return None
 
 
-def _find_artifact(cfg, out, stage, inputs):
+def _find_artifact(cfg, out, stage, inputs, unsaved=None):
     """The directory of a reusable ``stage`` artifact, or None.
 
     Looks in the command's output directory ``out``, then in the project's
     ``[output] dir``, and logs one line: which directory was reused, or
-    why each was stale.
+    why each was stale (after the warning ``unsaved``, if given).
     """
     reasons = []
     for directory in dict.fromkeys(
             os.path.abspath(d) for d in (out, _resolve(cfg, cfg.output_dir))):
-        reason = _stale_reason(directory, stage, cfg, inputs)
+        reason = _stale_reason(directory, stage, inputs, cfg.digest)
         if reason is None:
             logger.info("%s: reused %s", stage, directory)
             return directory
         reasons.append(f"{directory}: {reason}")
+    if unsaved:
+        logger.warning(unsaved)
     logger.info("%s: built (%s)", stage, "; ".join(reasons))
     return None
 
@@ -194,9 +200,11 @@ def _build_leadfield(cfg, mesh):
 
 
 def _leadfield(cfg, out, inputs, mesh=None):
-    """The project lead field, read from a verified artifact or built on
-    ``mesh`` (by default the project mesh)."""
-    found = _find_artifact(cfg, out, "leadfield", inputs)
+    """The project lead field, read from a verified artifact or built in
+    memory on ``mesh`` (by default the project mesh)."""
+    found = _find_artifact(cfg, out, "leadfield", inputs, unsaved=(
+        "leadfield: the lead field built now is not saved "
+        "(`headfem leadfield` writes one)"))
     if found is None:
         return _build_leadfield(
             cfg, mesh if mesh is not None else _mesh(cfg, out, inputs))
@@ -316,19 +324,23 @@ def cmd_invert(cfg, args):
         raise FileNotFoundError(f"lead field not found: {lf_path}")
     if not os.path.exists(args.data):
         raise FileNotFoundError(f"data file not found: {args.data}")
+    # No configuration hash: [inversion] may change between inversions.
+    reason = _stale_reason(os.path.dirname(lf_path), "leadfield",
+                           _input_hashes(cfg), files={
+                               "leadfield": lf_path,
+                               "leadfield_sidecar": f"{lf_path}.json"})
+    if reason is not None:
+        raise DataError(f"lead field {lf_path} does not verify ({reason}); "
+                        "`headfem leadfield` writes a current one")
     lf, side = hio.load_leadfield(lf_path)
     y = hio.load_dataset(args.data)
-    if lf.modality == "eit":
-        if lf.background_data is None:
-            raise DataError("EIT lead field carries no background data")
-        if y.size != lf.background_data.size:
-            raise DataError(
-                f"data length {y.size} != lead field rows "
-                f"{lf.background_data.size}")
-        y = y - lf.background_data
     if y.size != lf.matrix.shape[0]:
         raise DataError(f"data length {y.size} != lead field rows "
                         f"{lf.matrix.shape[0]}")
+    if lf.modality == "eit":
+        if lf.background_data is None:
+            raise DataError("EIT lead field carries no background data")
+        y = y - lf.background_data
 
     inv = cfg.inversion
     seed = args.seed if args.seed is not None else inv["seed"]
@@ -347,12 +359,8 @@ def cmd_invert(cfg, args):
         comp = 1 if (lf.orientations is not None or lf.modality == "eit") else 3
         in_roi = np.linalg.norm(positions - inv["roi_center"][None, :],
                                 axis=1) <= inv["roi_radius"]
-        dof_idx = np.flatnonzero(in_roi)
-        cols = (np.concatenate([comp * dof_idx + c for c in range(comp)])
-                if comp > 1 else dof_idx)
-        cols.sort()
         x = ias_map(L_hat, y_hat, hyper, nu=nu, n_iter=inv["iterations"],
-                    roi=cols)
+                    roi=np.flatnonzero(np.repeat(in_roi, comp)))
     elif inv["method"] == "multires":
         if lf.modality == "eeg" and lf.orientations is None:
             raise DataError("multiresolution mode needs one column per DOF "

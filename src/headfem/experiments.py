@@ -111,9 +111,8 @@ def eeg_hypermodel_experiment(params=None, progress=None):
     # ROI: union of the two balls, restricted column set.
     in_roi = {name: np.linalg.norm(lf.positions - pos[None, :], axis=1)
               <= params.roi_radius for name, pos in targets.items()}
-    union = np.flatnonzero(in_roi["deep"] | in_roi["superficial"])
-    roi_cols = np.concatenate([3 * union + c for c in range(3)])
-    roi_cols.sort()
+    union = in_roi["deep"] | in_roi["superficial"]
+    roi_cols = np.flatnonzero(np.repeat(union, 3))
 
     L_hat, _, _ = normalize_problem(lf.matrix, y0)
     rows = []

@@ -31,6 +31,7 @@ import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from .errors import AssemblyError, ElectrodeError, LocationError
+from .geometry import nearest_center
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +171,9 @@ class ElectrodeSet:
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
         bfaces, _ = mesh.boundary_triangles()
         cent = mesh.nodes[bfaces].mean(axis=1)
-        d = np.linalg.norm(cent[:, None, :] - centers[None, :, :], axis=2)
-        nearest = np.argmin(d, axis=1)
-        covered = d[np.arange(len(cent)), nearest] <= radius
-        ids = [np.flatnonzero(covered & (nearest == k)) for k in range(len(centers))]
+        nearest, dist = nearest_center(cent, centers)
+        ids = [np.flatnonzero((dist <= radius) & (nearest == k))
+               for k in range(len(centers))]
         for k, t in enumerate(ids):
             if t.size == 0:
                 raise ElectrodeError(

@@ -426,6 +426,24 @@ def _dot3(a, b):
     return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
 
 
+def nearest_center(points, centers):
+    """Index of the center nearest to each of (k, 3) ``points`` (the lowest
+    on ties) and its distance, in row chunks of at most 2**15 pairs.
+    Distances are sqrt((dx*dx + dy*dy) + dz*dz), the bits of
+    ``np.linalg.norm(axis=-1)``, so exact ties on a lattice resolve alike."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    c = np.asarray(centers, dtype=float).reshape(-1, 3).T[:, None, :]
+    rows = max(1, (1 << 15) // c.shape[2])
+    index = np.empty(len(points), dtype=np.int64)
+    dist = np.empty(len(points))
+    for lo in range(0, len(points), rows):
+        d = points[lo:lo + rows].T[:, :, None] - c          # (3, k, m)
+        r = np.sqrt((d[0] * d[0] + d[1] * d[1]) + d[2] * d[2])
+        index[lo:lo + rows] = r.argmin(axis=1)
+        dist[lo:lo + rows] = r.min(axis=1)
+    return index, dist
+
+
 class Compartment:
     """One tissue compartment: a set of closed sub-surfaces sharing one
     conductivity, priority and active flag."""

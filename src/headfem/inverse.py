@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .errors import (
     DecompositionError,
@@ -27,6 +28,7 @@ from .errors import (
     RoiError,
     UndefinedMetricError,
 )
+from .geometry import nearest_center
 
 
 @dataclass(frozen=True)
@@ -146,26 +148,9 @@ def ias_map(L, y, hyper, nu, n_iter, roi=None):
 # ---------------------------------------------------------------------------
 # randomized multiresolution decompositions
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Nearest-center partition of the DOFs into ``n_subsets`` subsets."""
-
-    centers: np.ndarray
-    assignment: np.ndarray
-
-    @property
-    def n_subsets(self):
-        return len(self.centers)
-
-
-def nearest_center_assignment(positions, centers):
-    d = np.linalg.norm(positions[:, None, :] - centers[None, :, :], axis=2)
-    return np.argmin(d, axis=1)
-
-
 def make_decomposition(positions, n_subsets, rng, max_retries=50):
-    """Random partition: centers drawn uniformly from the DOF positions
-    (without replacement), every DOF assigned to its nearest center.
+    """Subset index of every DOF in a random nearest-center partition whose
+    centers are drawn uniformly from the DOF positions (without replacement).
 
     Anchoring centers at DOF positions keeps each subset non-empty (a
     center always claims its own DOF); ``n_subsets`` equal to the DOF count
@@ -177,17 +162,13 @@ def make_decomposition(positions, n_subsets, rng, max_retries=50):
     if not (1 <= n_subsets <= n):
         raise DecompositionError(
             f"need 1 <= n_subsets <= {n}, got {n_subsets}")
-    idx = rng.choice(n, size=n_subsets, replace=False)
-    centers = positions[idx]
-    assignment = nearest_center_assignment(positions, centers)
+    centers = positions[rng.choice(n, size=n_subsets, replace=False)]
     for _ in range(max_retries):
-        counts = np.bincount(assignment, minlength=n_subsets)
-        empty = np.flatnonzero(counts == 0)
+        assignment, _ = nearest_center(positions, centers)
+        empty = np.flatnonzero(np.bincount(assignment, minlength=n_subsets) == 0)
         if empty.size == 0:
-            return Decomposition(centers=centers, assignment=assignment)
-        centers = centers.copy()
+            return assignment
         centers[empty] = positions[rng.choice(n, size=empty.size, replace=False)]
-        assignment = nearest_center_assignment(positions, centers)
     raise DecompositionError("empty subset persisted after re-sampling")
 
 
@@ -197,11 +178,9 @@ def multires_ias(L, y, positions, hyper, nu, n_iter, n_subsets,
 
     For each of ``n_decompositions`` randomized partitions the lead-field
     columns of every subset are summed into one coarse column, ``n_iter``
-    IAS steps run on the coarse problem (hyperparameters restart at
-    theta0; the previous expanded estimate, reduced by subset means,
-    seeds the iteration as the initial guess), and the coarse estimate is
-    copied back to every member DOF.  The reconstruction is the mean of
-    the expanded estimates.
+    IAS steps run on the coarse problem from theta = theta0, and the
+    coarse estimate is copied back to every member DOF.  The
+    reconstruction is the mean of the expanded estimates.
     """
     L = np.asarray(L, dtype=float)
     positions = np.asarray(positions, dtype=float)
@@ -209,21 +188,16 @@ def multires_ias(L, y, positions, hyper, nu, n_iter, n_subsets,
         raise ParameterError("one position per lead-field column required")
     rng = np.random.default_rng(seed)
     n = L.shape[1]
-    x_expanded = np.zeros(n)
     total = np.zeros(n)
     for _ in range(int(n_decompositions)):
-        dec = make_decomposition(positions, n_subsets, rng)
-        member = [np.flatnonzero(dec.assignment == s) for s in range(n_subsets)]
-        Lr = np.stack([L[:, m].sum(axis=1) for m in member], axis=1)
-        x0 = np.array([x_expanded[m].mean() for m in member])
-        state = IasState(x=x0, theta=np.full(n_subsets, float(hyper.theta0)),
-                         nu=float(nu))
+        a = make_decomposition(positions, n_subsets, rng)
+        # Row s of the one-hot matrix sums the columns of subset s.
+        onehot = sp.csr_matrix((np.ones(n), (a, np.arange(n))))
+        Lr = np.ascontiguousarray((onehot @ L.T).T)
+        state = initial_state(n_subsets, hyper, nu)
         for _ in range(int(n_iter)):
             state = ias_step(Lr, y, state, hyper)
-        x_expanded = np.zeros(n)
-        for s, m in enumerate(member):
-            x_expanded[m] = state.x[s]
-        total += x_expanded
+        total += state.x[a]
     return total / n_decompositions
 
 

@@ -24,9 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .errors import CurrentPatternError, DofError, SingularSystemError
 from .fem import stiffness_blocks
+from .geometry import nearest_center
 from .solver import PcgConfig, transfer_matrix
 
 
@@ -96,11 +98,7 @@ def build_dof_map(mesh, compartments, n_dofs, seed=0):
     chosen = rng.choice(cand, size=n_dofs, replace=False, p=vols / vols.sum())
     centroids = mesh.centroids()
     centers = centroids[chosen]
-    chunk = max(1, 1_000_000 // n_dofs)    # rows per (rows, n_dofs, 3) block
-    owner = np.concatenate([
-        np.argmin(np.linalg.norm(centroids[cand[lo:lo + chunk], None, :]
-                                 - centers[None, :, :], axis=2), axis=1)
-        for lo in range(0, cand.size, chunk)])
+    owner, _ = nearest_center(centroids[cand], centers)
     sets = tuple(cand[owner == k] for k in range(n_dofs))
     return EitDofMap(element_sets=sets, centers=centers)
 
@@ -194,12 +192,15 @@ def _dof_sensitivities(sys, dofs, U, T):
     """Per-DOF electrode sensitivities q_{m,p} = T' K_m u_p for all patterns.
 
     Element-local products are evaluated in one vectorized sweep and
-    scattered into the DOF bins, so the cost is one pass over the
-    perturbable elements per pattern.
+    summed into the DOF bins by a one-hot sparse product, so the cost is
+    one pass over the perturbable elements per pattern.
     """
     mesh = sys.mesh
     all_elems = np.concatenate([np.asarray(e) for e in dofs.element_sets])
-    owner = np.concatenate([np.full(len(e), k) for k, e in enumerate(dofs.element_sets)])
+    # Row k of the one-hot matrix picks the elements of DOF k, in order.
+    E = all_elems.size
+    onehot = sp.csr_matrix((np.ones(E), np.arange(E), np.cumsum(
+        [0] + [len(e) for e in dofs.element_sets])), shape=(dofs.n_dofs, E))
     blocks = stiffness_blocks(mesh, sigma=1.0, elements=all_elems)  # (E,4,4)
     conn = mesh.tetra[all_elems]                                    # (E,4)
     # Grounding rows/columns are sigma-independent; zero their derivative.
@@ -216,8 +217,7 @@ def _dof_sensitivities(sys, dofs, U, T):
     for p in range(P):
         ue = U[:, p][conn]                                          # (E,4)
         s = np.einsum("eij,ej->ei", blocks, ue)                     # K_m u per element
-        contrib = np.einsum("eil,ei->el", Tg, s)                    # (E,L)
-        np.add.at(Q[p], owner, contrib)
+        Q[p] = onehot @ np.einsum("eil,ei->el", Tg, s)              # DOF sums
     return Q
 
 

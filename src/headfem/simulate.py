@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyAnomalyError, LocationError, ParameterError
-from .geometry import Compartment, Segmentation, icosphere
+from .geometry import Compartment, Segmentation, icosphere, nearest_center
 from .leadfield import eit_forward
 from .solver import PcgConfig
 
@@ -161,7 +161,7 @@ def dipole_signal(leadfield, dipoles):
                 f"dipole at {pos} outside the source-space bounding region")
         ori = np.asarray(ori, dtype=float)
         ori = ori / np.linalg.norm(ori)
-        s = int(np.argmin(np.linalg.norm(positions - pos[None, :], axis=1)))
+        s = int(nearest_center(pos, positions)[0][0])
         if constrained:
             x[s] += moment * float(ori @ leadfield.orientations[s])
         else:

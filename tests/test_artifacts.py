@@ -214,3 +214,80 @@ def test_output_dir_first_then_project_dir(tmp_path, calls, logged):
     run(path, "simulate", "--output", "data0")
     assert lookups(logged)[-2] == (f"leadfield: built ({data0}: hash mismatch; "
                                    f"{out}: no manifest)")
+
+
+def invert(path, *extra):
+    return cli.main(["invert", "--config", str(path), "--data",
+                     str(path.parent / "out" / "data.csv"), *extra])
+
+
+def test_invert_refuses_a_leadfield_of_an_edited_surface(tmp_path, capsys):
+    path = write_sphere_project(tmp_path)
+    run(path, "leadfield")
+    surface = tmp_path / "head_nodes.dat"
+    np.savetxt(surface, 1.1 * np.loadtxt(surface))
+    run(path, "simulate")
+    assert invert(path) == 2
+    assert "input changed" in capsys.readouterr().err
+
+
+def test_invert_accepts_an_edited_inversion_section(tmp_path):
+    # The manifest's configuration hash covers [inversion] too; invert
+    # compares only the inputs and the file hashes.
+    path = write_sphere_project(tmp_path)
+    run(path, "leadfield")
+    run(path, "simulate")
+    path.write_text(path.read_text().replace("iterations = 3",
+                                             "iterations = 4"))
+    assert invert(path) == 0
+
+
+def flip_byte(path):
+    raw = bytearray(path.read_bytes())
+    raw[len(raw) // 2] ^= 1
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("damage, reason", [
+    (lambda out: flip_byte(out / "leadfield.bin"), "hash mismatch"),
+    (lambda out: flip_byte(out / "leadfield.bin.json"), "hash mismatch"),
+    (lambda out: (out / "leadfield_manifest.json").unlink(), "no manifest"),
+    (lambda out: (out / "leadfield_manifest.json").write_text("{"),
+     "unparsable manifest"),
+], ids=["bin", "sidecar", "no-manifest", "unparsable"])
+def test_invert_refuses_an_unverified_leadfield(tmp_path, capsys, damage,
+                                                reason):
+    path = write_sphere_project(tmp_path)
+    run(path, "leadfield")
+    run(path, "simulate")
+    damage(tmp_path / "out")
+    assert invert(path) == 2
+    assert f"({reason})" in capsys.readouterr().err
+
+
+def test_invert_reads_the_manifest_beside_its_leadfield(tmp_path):
+    path = write_sphere_project(tmp_path)
+    run(path, "leadfield")
+    run(path, "simulate")
+    shutil.copytree(tmp_path / "out", tmp_path / "copy")
+    (tmp_path / "out" / "leadfield_manifest.json").unlink()
+    assert invert(path, "--leadfield",
+                  str(tmp_path / "copy" / "leadfield.bin")) == 0
+    assert invert(path) == 2
+
+
+def warnings(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.name == "headfem.cli" and r.levelno == logging.WARNING]
+
+
+def test_simulate_warns_when_its_leadfield_is_not_saved(tmp_path, logged):
+    path = write_sphere_project(tmp_path)
+    run(path, "simulate")
+    [message] = warnings(logged)
+    assert "not saved" in message and "headfem leadfield" in message
+    assert not (tmp_path / "out" / "leadfield.bin").exists()
+    logged.clear()
+    run(path, "leadfield")
+    run(path, "simulate")
+    assert warnings(logged) == []

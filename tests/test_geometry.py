@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headfem import geometry
 from headfem.errors import FormatError, TopologyError
@@ -11,6 +13,7 @@ from headfem.geometry import (
     icosphere,
     load_surface_mesh,
     load_surface_mesh_asc,
+    nearest_center,
     point_in_compartment,
     save_surface_mesh,
 )
@@ -211,3 +214,34 @@ class TestGenerators:
         j, d = cube_surface.nearest_triangle(np.array([0.5, 0.5, 2.0]))
         assert d == pytest.approx(1.0)
         assert np.allclose(cube_surface.normals[j], [0, 0, 1])
+
+
+class TestNearestCenter:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), lattice=st.booleans(),
+           n_points=st.integers(1, 12),
+           n_centers=st.one_of(st.integers(1, 50),
+                               st.sampled_from([2**13 + 1, 2**14 + 3])))
+    def test_matches_per_point_loop(self, seed, lattice, n_points,
+                                    n_centers):
+        # 2**13 + 1 centers make row chunks of 3 points, 2**14 + 3 of one,
+        # so up to 12 points cross chunk boundaries.  Integer lattices
+        # force exact distance ties.
+        rng = np.random.default_rng(seed)
+        if lattice:
+            points = rng.integers(-3, 4, size=(n_points, 3)).astype(float)
+            centers = rng.integers(-3, 4, size=(n_centers, 3)).astype(float)
+        else:
+            points = rng.normal(size=(n_points, 3))
+            centers = rng.normal(size=(n_centers, 3))
+        index, dist = nearest_center(points, centers)
+        for i, p in enumerate(points):
+            d = np.linalg.norm(centers - p, axis=1)
+            j = int(np.argmin(d))            # the first of tied minima
+            assert index[i] == j
+            assert dist[i] == d[j]
+
+    def test_single_point(self):
+        index, dist = nearest_center([0.0, 0.0, 1.0],
+                                     [[0, 0, 2.0], [0, 0, 0.0], [3, 0, 0]])
+        assert index.tolist() == [0] and dist.tolist() == [1.0]

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headfem.errors import (
+    DecompositionError,
     ParameterError,
     RoiError,
     UndefinedMetricError,
 )
 from headfem.inverse import (
-    Decomposition,
     HyperModel,
     IasState,
     ias_map,
@@ -15,7 +17,6 @@ from headfem.inverse import (
     initial_state,
     make_decomposition,
     multires_ias,
-    nearest_center_assignment,
     normalize_problem,
     roi_metrics,
 )
@@ -89,6 +90,22 @@ class TestIasStep:
         with pytest.raises(ParameterError):
             ias_step(np.ones((2, 2)), np.ones(2), state, h)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["G", "IG"]))
+    def test_result_does_not_depend_on_the_estimate(self, seed, family):
+        # The x update reads theta only, so no initial guess can seed it.
+        rng = np.random.default_rng(seed)
+        m, n = rng.integers(1, 12), rng.integers(1, 30)
+        L = rng.normal(size=(m, n))
+        y = rng.normal(size=m)
+        theta = rng.uniform(1e-3, 2.0, size=n)
+        h = HyperModel(family, theta0=1e-2)
+        a = ias_step(L, y, IasState(x=np.zeros(n), theta=theta, nu=0.2), h)
+        b = ias_step(L, y, IasState(x=rng.normal(size=n) * 1e3, theta=theta,
+                                    nu=0.2), h)
+        np.testing.assert_array_equal(a.x, b.x)
+        np.testing.assert_array_equal(a.theta, b.theta)
+
 
 class TestIasMap:
     def test_zero_data_zero_estimate(self):
@@ -146,6 +163,21 @@ class TestIasMap:
                     roi=np.array([], dtype=int))
 
 
+def multires_reference(L, y, positions, hyper, nu, n_iter, n_subsets,
+                       n_decompositions, seed):
+    """Multiresolution averaging written out subset by subset."""
+    rng = np.random.default_rng(seed)
+    total = np.zeros(L.shape[1])
+    for _ in range(n_decompositions):
+        a = make_decomposition(positions, n_subsets, rng)
+        members = [np.flatnonzero(a == s) for s in range(n_subsets)]
+        Lr = np.stack([L[:, m].sum(axis=1) for m in members], axis=1)
+        x = ias_map(Lr, y, hyper, nu, n_iter)
+        for s, m in enumerate(members):
+            total[m] += x[s]
+    return total / n_decompositions
+
+
 class TestMultires:
     def _problem(self, n=12, m=6, seed=0):
         rng = np.random.default_rng(seed)
@@ -157,32 +189,54 @@ class TestMultires:
     def test_identity_decomposition_matches_ias_map(self):
         L, y, positions = self._problem()
         h = HyperModel("IG", theta0=1e-2)
-        xa = multires_ias(L, y, positions, h, nu=0.2, n_iter=3,
-                          n_subsets=L.shape[1], n_decompositions=1, seed=3)
         xb = ias_map(L, y, h, nu=0.2, n_iter=3)
-        np.testing.assert_allclose(xa, xb, rtol=1e-12)
+        for n_decompositions in (1, 5):
+            xa = multires_ias(L, y, positions, h, nu=0.2, n_iter=3,
+                              n_subsets=L.shape[1],
+                              n_decompositions=n_decompositions, seed=3)
+            np.testing.assert_allclose(xa, xb, rtol=1e-12)
 
-    def test_averaging_identical_estimates_is_identity(self):
-        x = np.random.default_rng(1).normal(size=20)
-        np.testing.assert_allclose(np.mean([x] * 7, axis=0), x, rtol=1e-15)
-
-    def test_nearest_center_assignment_exhaustive(self):
-        rng = np.random.default_rng(4)
-        dofs = rng.uniform(size=(10, 3))
-        centers = rng.uniform(size=(3, 3))
-        got = nearest_center_assignment(dofs, centers)
-        for i, p in enumerate(dofs):
-            d = [np.linalg.norm(p - c) for c in centers]
-            assert got[i] == int(np.argmin(d))
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), lattice=st.booleans(),
+           family=st.sampled_from(["G", "IG"]))
+    def test_matches_subset_loop(self, seed, lattice, family):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 80)), int(rng.integers(1, 16))
+        L = rng.normal(size=(m, n))
+        y = rng.normal(size=m)
+        if lattice:         # distinct grid points: many exact distance ties
+            grid = np.stack(np.meshgrid(*[np.arange(5.0)] * 3), -1)
+            positions = rng.permutation(grid.reshape(-1, 3))[:n]
+        else:
+            positions = rng.uniform(-1, 1, size=(n, 3))
+        h = HyperModel(family, theta0=1e-2)
+        args = dict(nu=0.3, n_iter=int(rng.integers(1, 4)),
+                    n_subsets=int(rng.integers(1, n + 1)),
+                    n_decompositions=int(rng.integers(1, 6)), seed=seed)
+        np.testing.assert_allclose(
+            multires_ias(L, y, positions, h, **args),
+            multires_reference(L, y, positions, h, **args), rtol=1e-12)
 
     def test_decomposition_has_no_empty_subset(self):
         rng = np.random.default_rng(9)
         positions = rng.uniform(size=(50, 3))
         for s in (1, 5, 25, 50):
-            dec = make_decomposition(positions, s, rng)
-            counts = np.bincount(dec.assignment, minlength=s)
+            assignment = make_decomposition(positions, s, rng)
+            counts = np.bincount(assignment, minlength=s)
             assert np.all(counts > 0)
-            assert dec.n_subsets == s
+            assert counts.size == s
+
+    def test_coincident_positions_redraw_or_raise(self):
+        # Coincident DOFs tie to the lower center and leave the other's
+        # subset empty until it is re-drawn; with fewer distinct positions
+        # than subsets no re-draw can succeed.
+        rng = np.random.default_rng(3)
+        positions = np.repeat(rng.uniform(size=(4, 3)), 3, axis=0)
+        for _ in range(20):
+            counts = np.bincount(make_decomposition(positions, 4, rng))
+            assert counts.tolist() == [3, 3, 3, 3]
+        with pytest.raises(DecompositionError):
+            make_decomposition(positions, 5, rng)
 
     def test_seed_reproducible(self):
         L, y, positions = self._problem(seed=7)
