@@ -44,6 +44,7 @@ for family, theta0 in (("G", 1e-5), ("IG", 1e-9)):
     x = ias_map(L_hat, y_hat, hyper, nu=0.02, n_iter=15, roi=cols)
     print(f"\n{family} hyperprior (theta0 = {theta0:g}):")
     for name, pos in targets.items():
-        pos_err, ang_err = roi_metrics(x, sources, pos, 0.015, (pos, ori))
+        pos_err, ang_err = roi_metrics(x, sources.positions, pos, 0.015,
+                                       pos, ori)
         print(f"  {name:11s}: position error {pos_err:5.2f} mm, "
               f"orientation error {ang_err:5.2f} deg")

@@ -39,11 +39,9 @@ from .errors import (
 from .fem import ElectrodeSet, assemble_cem_system
 from .inverse import (
     HyperModel,
-    center_of_mass,
     ias_map,
     multires_ias,
     normalize_problem,
-    orientation_error_deg,
     roi_metrics,
 )
 from .leadfield import (
@@ -53,7 +51,7 @@ from .leadfield import (
     eit_forward,
     eit_leadfield,
 )
-from .meshgen import SourceSpace, generate_mesh, place_sources, smooth_mesh
+from .meshgen import generate_mesh, place_sources, smooth_mesh
 from .simulate import NoiseSpec, dipole_signal, perturb_sigma_ball
 from .solver import PcgConfig
 
@@ -380,8 +378,7 @@ def cmd_invert(cfg, args):
 
     metrics = None
     if cfg.truth and "position" in cfg.truth:
-        metrics = _truth_metrics(cfg, lf, x, mode)
-        hio.write_json(os.path.join(out, "metrics.json"), metrics)
+        metrics = _write_metrics(cfg, out, positions, x, lf.orientations)
         outputs["metrics"] = hio.sha256_file(os.path.join(out, "metrics.json"))
 
     hio.write_manifest(
@@ -401,22 +398,20 @@ def cmd_invert(cfg, args):
     return 0
 
 
-def _truth_metrics(cfg, lf, x, mode):
-    truth_pos = cfg.truth["position"]
-    roi_radius = cfg.truth["roi_radius"]
-    if lf.modality == "eit" or "orientation" not in cfg.truth:
-        in_roi = np.linalg.norm(lf.positions - truth_pos[None, :],
-                                axis=1) <= roi_radius
-        pick = in_roi if in_roi.any() else slice(None)
-        com = center_of_mass(np.abs(x[pick]), lf.positions[pick])
-        return {"position_error_mm": 1e3 * float(np.linalg.norm(com - truth_pos)),
-                "angle_error_deg": None}
-    space = SourceSpace(positions=lf.positions, orientations=lf.orientations,
-                        element_ids=np.zeros(len(lf.positions), dtype=int),
-                        mode=mode)
-    pos_err, ang_err = roi_metrics(x, space, truth_pos, roi_radius,
-                                   (truth_pos, cfg.truth["orientation"]))
-    return {"position_error_mm": pos_err, "angle_error_deg": ang_err}
+def _write_metrics(cfg, out, positions, x, orientations=None):
+    """Score ``x`` against ``[truth]`` with :func:`roi_metrics` and write
+    ``metrics.json``; a zero mean orientation vector gives a null angle."""
+    truth = cfg.truth
+    common = (x, positions, truth["position"], truth["roi_radius"],
+              truth["position"])
+    try:
+        pos_err, angle = roi_metrics(*common, truth.get("orientation"),
+                                     orientations)
+    except UndefinedMetricError:
+        pos_err, angle = roi_metrics(*common)   # all-zero amplitudes re-raise
+    metrics = {"position_error_mm": pos_err, "angle_error_deg": angle}
+    hio.write_json(os.path.join(out, "metrics.json"), metrics)
+    return metrics
 
 
 def cmd_experiment(cfg, args):
@@ -495,32 +490,8 @@ def cmd_metrics(cfg, args):
         raise ConfigError("metrics requires --reconstruction")
     if cfg.truth is None or "position" not in cfg.truth:
         raise ConfigError("metrics requires a [truth] section with a position")
-    import csv as _csv
-
-    with open(args.reconstruction, newline="") as fh:
-        r = _csv.reader(fh)
-        header = next(r)
-        rows = [[float(v) for v in row] for row in r]
-    arr = np.array(rows)
-    positions = arr[:, 1:4]
-    values = arr[:, 4:]
-    truth_pos = cfg.truth["position"]
-    roi_radius = cfg.truth["roi_radius"]
-    in_roi = np.linalg.norm(positions - truth_pos[None, :],
-                            axis=1) <= roi_radius
-    pick = in_roi if in_roi.any() else np.ones(len(positions), dtype=bool)
-    amp = np.linalg.norm(values, axis=1)
-    com = center_of_mass(amp[pick], positions[pick])
-    metrics = {"position_error_mm":
-               1e3 * float(np.linalg.norm(com - truth_pos)),
-               "angle_error_deg": None}
-    if values.shape[1] == 3 and "orientation" in cfg.truth:
-        try:
-            metrics["angle_error_deg"] = orientation_error_deg(
-                values[pick].sum(axis=0), cfg.truth["orientation"])
-        except UndefinedMetricError:
-            pass                    # zero mean vector: the angle stays null
-    hio.write_json(os.path.join(out, "metrics.json"), metrics)
+    metrics = _write_metrics(cfg, out, *hio.load_reconstruction(
+        args.reconstruction))
     print(f"metrics: position_error_mm={metrics['position_error_mm']:.3f}")
     return 0
 

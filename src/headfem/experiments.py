@@ -128,7 +128,7 @@ def eeg_hypermodel_experiment(params=None, progress=None):
                         roi=roi_cols)
             for name, pos in targets.items():
                 pos_err, ang_err = roi_metrics(
-                    x, src, pos, params.roi_radius, (pos, ori))
+                    x, src.positions, pos, params.roi_radius, pos, ori)
                 rows.append({
                     "case": case, "hypermodel": fam, "theta0": theta0,
                     "source": name, "realization": r,

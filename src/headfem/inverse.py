@@ -245,37 +245,43 @@ def orientation_error_deg(vector, reference):
     return float(np.degrees(np.arccos(cosang)))
 
 
-def roi_metrics(reconstruction, source_space, roi_center, roi_radius,
-                true_dipole):
+def roi_metrics(x, positions, roi_center, roi_radius, true_position,
+                true_orientation=None, orientations=None):
     """Position (mm) and orientation (degrees) error of the amplitude
-    weighted center of mass inside a ball-shaped ROI.
+    weighted center of mass of the DOFs within ``roi_radius`` of
+    ``roi_center`` (an inclusive ball).
 
-    ``true_dipole`` is a (position, orientation) pair.  Cartesian
-    reconstructions carry 3 entries per source (the component vector both
-    weights and orients); constrained reconstructions one signed amplitude
-    along the stored source normal.
+    ``x`` carries 1 or 3 components per position.  The amplitude is |x|
+    for 1 component and the norm of the component vector for 3; the
+    orientation vector is ``x * orientations`` for 1 component and the
+    component vector for 3.  The angle is None without a
+    ``true_orientation``, or for 1 component without ``orientations``.
+
+    Raises :class:`RoiError` when the ball holds no DOF and
+    :class:`UndefinedMetricError` when every amplitude in it, or the sum
+    of its orientation vectors, is zero.
     """
-    positions = np.asarray(source_space.positions, dtype=float)
-    x = np.asarray(reconstruction, dtype=float).ravel()
-    true_pos, true_ori = true_dipole
-    true_pos = np.asarray(true_pos, dtype=float)
-    true_ori = np.asarray(true_ori, dtype=float)
-
-    if source_space.mode == "constrained":
-        if x.size != len(positions):
-            raise ParameterError("expected one amplitude per source")
-        vec = x[:, None] * np.asarray(source_space.orientations, dtype=float)
-    else:
-        if x.size != 3 * len(positions):
-            raise ParameterError("expected 3 components per source")
+    positions = np.asarray(positions, dtype=float)
+    x = np.asarray(x, dtype=float).ravel()
+    comp = x.size // max(len(positions), 1)
+    if comp not in (1, 3) or x.size != comp * len(positions):
+        raise ParameterError("expected 1 or 3 components per position")
+    if comp == 3:
         vec = x.reshape(-1, 3)
-    amp = np.linalg.norm(vec, axis=1)
+        amp = np.linalg.norm(vec, axis=1)
+    else:
+        vec = None if orientations is None else (
+            x[:, None] * np.asarray(orientations, dtype=float))
+        amp = np.abs(x)
 
     center = np.asarray(roi_center, dtype=float)
     in_roi = np.linalg.norm(positions - center[None, :], axis=1) <= roi_radius
     if not in_roi.any():
         raise RoiError("ROI contains no source DOFs")
     com = center_of_mass(amp[in_roi], positions[in_roi])
-    pos_err_mm = 1e3 * float(np.linalg.norm(com - true_pos))
-
-    return pos_err_mm, orientation_error_deg(vec[in_roi].sum(axis=0), true_ori)
+    pos_err_mm = 1e3 * float(np.linalg.norm(
+        com - np.asarray(true_position, dtype=float)))
+    if true_orientation is None or vec is None:
+        return pos_err_mm, None
+    return pos_err_mm, orientation_error_deg(
+        vec[in_roi].sum(axis=0), np.asarray(true_orientation, dtype=float))

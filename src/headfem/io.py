@@ -172,6 +172,17 @@ def save_reconstruction(path, positions, values, mode):
     write_csv(path, header, rows)
 
 
+def load_reconstruction(path):
+    """(positions, values) of a :func:`save_reconstruction` file; the 1 or
+    3 values per position come back flat, in the order they were given."""
+    with open(path, newline="") as fh:
+        r = csv.reader(fh)
+        header = next(r)
+        arr = np.array([[float(v) for v in row] for row in r]).reshape(
+            -1, len(header))
+    return arr[:, 1:4], arr[:, 4:].ravel()
+
+
 # ---------------------------------------------------------------------------
 # manifests
 

@@ -28,16 +28,12 @@ class PcgConfig:
 
     tolerance: float = 1e-8
     max_iterations: int | None = None
-    preconditioner: str = "ldp"
 
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ParameterError("tolerance must be positive")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ParameterError("max_iterations must be >= 1")
-        if self.preconditioner not in ("ldp", "none"):
-            raise ParameterError(
-                f"unknown preconditioner '{self.preconditioner}'")
 
     def resolve_max_iterations(self, n):
         if self.max_iterations is not None:
@@ -72,7 +68,7 @@ def pcg_solve(A, b, cfg=PcgConfig()):
     norm_b = np.linalg.norm(b)
     if norm_b == 0:
         return np.zeros(n), 0, 0.0
-    d = ldp(A) if cfg.preconditioner == "ldp" else np.ones(n)
+    d = ldp(A)
     max_iter = cfg.resolve_max_iterations(n)
 
     x = np.zeros(n)

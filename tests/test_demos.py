@@ -1,5 +1,6 @@
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -21,3 +22,12 @@ def test_demo_runs(script, tmp_path):
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert not any(tmp_path.iterdir()), "demo left files in the temp dir"
+
+
+def test_readme_python_blocks_run():
+    # A renamed or removed public name fails here, not in a reader's shell.
+    blocks = re.findall(r"```python\n(.*?)```",
+                        (ROOT / "README.md").read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

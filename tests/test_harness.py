@@ -297,6 +297,55 @@ class TestCliInvertAndMetrics:
         assert metrics["angle_error_deg"] is None
         assert metrics["position_error_mm"] == pytest.approx(10.0)
 
+    def test_truth_without_orientation_writes_null_angle(self, tmp_path):
+        # Unconstrained EEG carries 3 values per source; without a true
+        # orientation the position error is still defined.
+        path = self._pipeline(tmp_path, extra=(
+            "[truth]\nposition = 0.0 0.0 0.05\nroi_radius = 0.05\n"))
+        out = tmp_path / "out"
+        assert main(["invert", "--config", str(path),
+                     "--data", str(out / "data.csv")]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["angle_error_deg"] is None
+        assert metrics["position_error_mm"] < 40.0
+
+    @pytest.mark.parametrize("orientation", ["orientation = 1 0 0\n", ""])
+    def test_empty_truth_ball_exit_3(self, tmp_path, capsys, orientation):
+        # No DOF within roi_radius of the truth: no whole-head fallback.
+        path = self._pipeline(tmp_path, extra=(
+            "[truth]\nposition = 0.0 0.0 0.05\n" + orientation
+            + "roi_radius = 1e-6\n"))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["invert", "--config", str(path),
+                     "--data", str(out / "data.csv")]) == 3
+        assert main(["metrics", "--config", str(path), "--reconstruction",
+                     str(out / "reconstruction.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("error:") == 2 and "Traceback" not in err
+        assert not (out / "metrics.json").exists()
+
+    @pytest.mark.parametrize("modality,truth", [
+        ("eeg", "position = 0.0 0.0 0.05\norientation = 1 0 0\n"
+                "roi_radius = 0.05\n"),
+        ("eeg", "position = 0.0 0.0 0.05\nroi_radius = 0.05\n"),
+        ("eit", "position = 0.0 0.0 0.04\nroi_radius = 0.09\n"),
+    ])
+    def test_invert_and_metrics_write_the_same_bytes(self, tmp_path,
+                                                     modality, truth):
+        path = write_sphere_project(tmp_path, modality=modality, n_sources=40,
+                                    extra="[truth]\n" + truth)
+        out = tmp_path / "out"
+        for command in ("leadfield", "simulate"):
+            assert main([command, "--config", str(path)]) == 0
+        assert main(["invert", "--config", str(path),
+                     "--data", str(out / "data.csv")]) == 0
+        assert main(["metrics", "--config", str(path),
+                     "--output", str(tmp_path / "scored"), "--reconstruction",
+                     str(out / "reconstruction.csv")]) == 0
+        assert ((tmp_path / "scored" / "metrics.json").read_bytes()
+                == (out / "metrics.json").read_bytes())
+
     def test_eit_invert_multires(self, tmp_path):
         inv = ("[inversion]\nmethod = multires\nsubsets = 4\n"
                "decompositions = 3\nnu = 0.12\ntheta0 = 1e-3")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from headfem.errors import (
@@ -12,6 +12,7 @@ from headfem.errors import (
 from headfem.inverse import (
     HyperModel,
     IasState,
+    center_of_mass,
     ias_map,
     ias_step,
     initial_state,
@@ -20,7 +21,6 @@ from headfem.inverse import (
     normalize_problem,
     roi_metrics,
 )
-from headfem.meshgen import SourceSpace
 
 
 class TestHyperModel:
@@ -259,68 +259,157 @@ class TestMultires:
 
 
 class TestRoiMetrics:
-    def _space(self, positions, orientations=None, mode="unconstrained"):
-        return SourceSpace(positions=np.asarray(positions, dtype=float),
-                           orientations=orientations,
-                           element_ids=np.zeros(len(positions), dtype=int),
-                           mode=mode)
-
     def test_single_nonzero_dof(self):
-        space = self._space([[0, 0, 0], [0.05, 0, 0]])
+        positions = np.array([[0, 0, 0], [0.05, 0, 0]])
         x = np.zeros(6)
         x[3] = 1.0  # source 1, x-component
-        pos_err, ang_err = roi_metrics(x, space, np.array([0.04, 0, 0]), 0.03,
-                                       (np.array([0.03, 0.0, 0.0]),
-                                        np.array([1.0, 0.0, 0.0])))
+        pos_err, ang_err = roi_metrics(x, positions, np.array([0.04, 0, 0]),
+                                       0.03, np.array([0.03, 0.0, 0.0]),
+                                       np.array([1.0, 0.0, 0.0]))
         assert pos_err == pytest.approx(20.0)  # 0.02 m
         assert ang_err == pytest.approx(0.0, abs=1e-9)
 
     def test_two_equal_amplitudes_midpoint(self):
-        space = self._space([[0, 0, 0], [0.02, 0, 0]])
+        positions = np.array([[0, 0, 0], [0.02, 0, 0]])
         x = np.array([0, 0, 1.0, 0, 0, 1.0])
-        pos_err, _ = roi_metrics(x, space, np.array([0.01, 0, 0]), 0.05,
-                                 (np.array([0.01, 0.0, 0.0]),
-                                  np.array([0.0, 0.0, 1.0])))
+        pos_err, _ = roi_metrics(x, positions, np.array([0.01, 0, 0]), 0.05,
+                                 np.array([0.01, 0.0, 0.0]),
+                                 np.array([0.0, 0.0, 1.0]))
         assert pos_err == pytest.approx(0.0, abs=1e-9)
 
     def test_parallel_and_antiparallel(self):
-        space = self._space([[0, 0, 0]])
+        positions = np.zeros((1, 3))
         truth = (np.zeros(3), np.array([0.0, 1.0, 0.0]))
-        _, ang = roi_metrics(np.array([0, 1.0, 0]), space, np.zeros(3), 0.01, truth)
+        _, ang = roi_metrics(np.array([0, 1.0, 0]), positions, np.zeros(3),
+                             0.01, *truth)
         assert ang == pytest.approx(0.0, abs=1e-9)
-        _, ang = roi_metrics(np.array([0, -1.0, 0]), space, np.zeros(3), 0.01, truth)
+        _, ang = roi_metrics(np.array([0, -1.0, 0]), positions, np.zeros(3),
+                             0.01, *truth)
         assert ang == pytest.approx(180.0)
 
     def test_constrained_mode(self):
         ori = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-        space = self._space([[0, 0, 0], [0.01, 0, 0]], orientations=ori,
-                            mode="constrained")
+        positions = np.array([[0, 0, 0], [0.01, 0, 0]])
         x = np.array([2.0, 0.0])
-        pos_err, ang = roi_metrics(x, space, np.zeros(3), 0.05,
-                                   (np.zeros(3), np.array([0.0, 0.0, 1.0])))
+        pos_err, ang = roi_metrics(x, positions, np.zeros(3), 0.05,
+                                   np.zeros(3), np.array([0.0, 0.0, 1.0]),
+                                   orientations=ori)
         assert pos_err == pytest.approx(0.0, abs=1e-9)
         assert ang == pytest.approx(0.0, abs=1e-9)
 
     def test_all_zero_amplitudes(self):
-        space = self._space([[0, 0, 0]])
         with pytest.raises(UndefinedMetricError):
-            roi_metrics(np.zeros(3), space, np.zeros(3), 0.01,
-                        (np.zeros(3), np.array([1.0, 0, 0])))
+            roi_metrics(np.zeros(3), np.zeros((1, 3)), np.zeros(3), 0.01,
+                        np.zeros(3), np.array([1.0, 0, 0]))
 
     def test_zero_mean_vector_raises(self):
         # Opposite dipoles: nonzero amplitudes, so the center of mass is
         # defined, but their mean orientation vector is zero.
-        space = self._space([[0, 0, 0], [0.01, 0, 0]])
+        positions = np.array([[0, 0, 0], [0.01, 0, 0]])
         x = np.array([1.0, 0, 0, -1.0, 0, 0])
         with pytest.raises(UndefinedMetricError):
-            roi_metrics(x, space, np.zeros(3), 0.05,
-                        (np.zeros(3), np.array([1.0, 0, 0])))
+            roi_metrics(x, positions, np.zeros(3), 0.05,
+                        np.zeros(3), np.array([1.0, 0, 0]))
 
     def test_empty_roi(self):
-        space = self._space([[1.0, 0, 0]])
         with pytest.raises(RoiError):
-            roi_metrics(np.ones(3), space, np.zeros(3), 0.01,
-                        (np.zeros(3), np.array([1.0, 0, 0])))
+            roi_metrics(np.ones(3), np.array([[1.0, 0, 0]]), np.zeros(3), 0.01,
+                        np.zeros(3), np.array([1.0, 0, 0]))
+
+    @pytest.mark.parametrize("size,n", [(0, 2), (4, 2), (7, 2), (8, 2),
+                                        (0, 0), (3, 0)])
+    def test_components_must_be_1_or_3(self, size, n):
+        with pytest.raises(ParameterError):
+            roi_metrics(np.ones(size), np.zeros((n, 3)), np.zeros(3), 0.01,
+                        np.zeros(3))
+
+    def test_angle_needs_truth_and_orientations(self):
+        positions = np.zeros((1, 3))
+        assert roi_metrics(np.array([0, 1.0, 0]), positions, np.zeros(3),
+                           0.01, np.zeros(3))[1] is None
+        assert roi_metrics(np.array([2.0]), positions, np.zeros(3), 0.01,
+                           np.zeros(3), np.array([1.0, 0, 0]))[1] is None
+
+
+class TestRoiMetricsProperties:
+    """Integer components keep every orientation sum exact, so only the
+    center of mass and the scaled sums round."""
+
+    def _case(self, seed, comp):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        positions = rng.uniform(-0.1, 0.1, size=(n, 3))
+        x = rng.integers(-8, 9, size=comp * n).astype(float)
+        orientations = (rng.integers(-3, 4, size=(n, 3)).astype(float)
+                        if comp == 1 else None)
+        ball = (positions[rng.integers(n)], rng.uniform(0.0, 0.2))
+        truth = (rng.uniform(-0.1, 0.1, 3),
+                 rng.integers(-3, 4, 3).astype(float))
+        return x, positions, orientations, ball, truth
+
+    def _score(self, x, positions, orientations, ball, truth):
+        try:
+            return roi_metrics(x, positions, *ball, *truth,
+                               orientations=orientations)
+        except UndefinedMetricError:
+            return None
+
+    def _assert_close(self, got, want):
+        assert got[0] == pytest.approx(want[0], rel=1e-12)
+        assert got[1] == pytest.approx(want[1], rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), comp=st.sampled_from([1, 3]))
+    def test_dof_permutation_invariant(self, seed, comp):
+        x, positions, orientations, ball, truth = self._case(seed, comp)
+        want = self._score(x, positions, orientations, ball, truth)
+        assume(want is not None)
+        perm = np.random.default_rng(seed + 1).permutation(len(positions))
+        got = self._score(x.reshape(len(positions), comp)[perm].ravel(),
+                          positions[perm],
+                          None if orientations is None else orientations[perm],
+                          ball, truth)
+        self._assert_close(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), comp=st.sampled_from([1, 3]),
+           c=st.floats(1e-3, 1e3))
+    def test_positive_scaling_invariant(self, seed, comp, c):
+        x, positions, orientations, ball, truth = self._case(seed, comp)
+        want = self._score(x, positions, orientations, ball, truth)
+        # Near 0 or 180 degrees arccos turns a rounding of the scaled sum
+        # into a large relative change of the angle.
+        assume(want is not None and 10.0 < want[1] < 170.0)
+        self._assert_close(
+            self._score(c * x, positions, orientations, ball, truth), want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), axis=st.integers(0, 2))
+    def test_one_component_equals_its_embedding_on_one_axis(self, seed, axis):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        positions = rng.uniform(-0.1, 0.1, size=(n, 3))
+        x = rng.normal(size=n)
+        x3 = np.zeros((n, 3))
+        x3[:, axis] = x
+        ball = (positions[rng.integers(n)], rng.uniform(0.0, 0.2))
+        truth = (rng.uniform(-0.1, 0.1, 3), rng.normal(size=3))
+        one = roi_metrics(x, positions, *ball, *truth,
+                          orientations=np.eye(3)[[axis] * n])
+        assert roi_metrics(x3, positions, *ball, *truth) == one
+        assert roi_metrics(x, positions, *ball, truth[0])[0] == one[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_ball_holding_every_dof_is_the_whole_center_of_mass(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        positions = rng.uniform(-0.1, 0.1, size=(n, 3))
+        x = rng.normal(size=n)
+        truth = rng.uniform(-0.1, 0.1, 3)
+        pos_err, _ = roi_metrics(x, positions, truth, 1.0, truth)
+        assert pos_err == 1e3 * float(np.linalg.norm(
+            center_of_mass(np.abs(x), positions) - truth))
 
 
 class TestNormalize:

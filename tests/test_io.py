@@ -142,6 +142,19 @@ class TestDatasets:
         assert (tmp_path / "u.csv").read_text().splitlines()[0] == \
             "dof_id,x,y,z,qx,qy,qz"
 
+    @pytest.mark.parametrize("comp,mode", [(1, "constrained"),
+                                           (3, "unconstrained")])
+    def test_reconstruction_round_trip(self, tmp_path, comp, mode):
+        rng = np.random.default_rng(comp)
+        pos = rng.normal(scale=0.1, size=(7, 3))
+        values = rng.normal(scale=1e-9, size=comp * 7)
+        values[0] = -0.0
+        path = tmp_path / "r.csv"
+        hio.save_reconstruction(path, pos, values, mode)
+        pos_back, values_back = hio.load_reconstruction(path)
+        assert pos_back.tobytes() == pos.tobytes()
+        assert values_back.tobytes() == values.tobytes()
+
 
 class TestManifests:
     def test_manifest_deterministic(self, tmp_path):

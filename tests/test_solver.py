@@ -79,23 +79,11 @@ class TestPcg:
             _, it, _ = pcg_solve(A, b, PcgConfig(tolerance=1e-10))
             assert it <= n + 5
 
-    def test_preconditioned_matches_unpreconditioned(self):
-        # Both solvers must agree within 10x the residual tolerance.
-        n = 60
-        A = sp.csr_matrix(random_spd(n, seed=9))
-        b = np.random.default_rng(9).normal(size=n)
-        tol = 1e-10
-        x_p, _, _ = pcg_solve(A, b, PcgConfig(tolerance=tol))
-        x_u, _, _ = pcg_solve(A, b, PcgConfig(tolerance=tol, preconditioner="none"))
-        assert np.linalg.norm(x_p - x_u) <= 10 * tol * np.linalg.norm(x_p)
-
     def test_config_validation(self):
         with pytest.raises(ParameterError):
             PcgConfig(tolerance=0.0)
         with pytest.raises(ParameterError):
             PcgConfig(max_iterations=0)
-        with pytest.raises(ParameterError):
-            PcgConfig(preconditioner="amg")
 
 
 class TestTransferMatrix:
