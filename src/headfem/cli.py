@@ -369,17 +369,19 @@ def cmd_invert(cfg, args):
     else:
         x = ias_map(L_hat, y_hat, hyper, nu=nu, n_iter=inv["iterations"])
     x = x * x_scale
+    # Score before the first write: a failed score leaves no reconstruction
+    # without a manifest.
+    metrics = None
+    if cfg.truth and "position" in cfg.truth:
+        metrics = _score(cfg, positions, x, lf.orientations)
 
     rec_path = os.path.join(out, "reconstruction.csv")
     mode = "constrained" if (lf.orientations is not None
                              or lf.modality == "eit") else "unconstrained"
     hio.save_reconstruction(rec_path, positions, x, mode)
     outputs = {"reconstruction": hio.sha256_file(rec_path)}
-
-    metrics = None
-    if cfg.truth and "position" in cfg.truth:
-        metrics = _write_metrics(cfg, out, positions, x, lf.orientations)
-        outputs["metrics"] = hio.sha256_file(os.path.join(out, "metrics.json"))
+    if metrics:
+        outputs["metrics"] = _write_metrics(out, metrics)
 
     hio.write_manifest(
         os.path.join(out, "reconstruction_manifest.json"), "invert",
@@ -398,9 +400,9 @@ def cmd_invert(cfg, args):
     return 0
 
 
-def _write_metrics(cfg, out, positions, x, orientations=None):
-    """Score ``x`` against ``[truth]`` with :func:`roi_metrics` and write
-    ``metrics.json``; a zero mean orientation vector gives a null angle."""
+def _score(cfg, positions, x, orientations=None):
+    """Score ``x`` against ``[truth]`` with :func:`roi_metrics`; a zero
+    mean orientation vector gives a null angle."""
     truth = cfg.truth
     common = (x, positions, truth["position"], truth["roi_radius"],
               truth["position"])
@@ -409,9 +411,14 @@ def _write_metrics(cfg, out, positions, x, orientations=None):
                                      orientations)
     except UndefinedMetricError:
         pos_err, angle = roi_metrics(*common)   # all-zero amplitudes re-raise
-    metrics = {"position_error_mm": pos_err, "angle_error_deg": angle}
-    hio.write_json(os.path.join(out, "metrics.json"), metrics)
-    return metrics
+    return {"position_error_mm": pos_err, "angle_error_deg": angle}
+
+
+def _write_metrics(out, metrics):
+    """Write ``metrics.json`` and return its sha256."""
+    path = os.path.join(out, "metrics.json")
+    hio.write_json(path, metrics)
+    return hio.sha256_file(path)
 
 
 def cmd_experiment(cfg, args):
@@ -490,8 +497,8 @@ def cmd_metrics(cfg, args):
         raise ConfigError("metrics requires --reconstruction")
     if cfg.truth is None or "position" not in cfg.truth:
         raise ConfigError("metrics requires a [truth] section with a position")
-    metrics = _write_metrics(cfg, out, *hio.load_reconstruction(
-        args.reconstruction))
+    metrics = _score(cfg, *hio.load_reconstruction(args.reconstruction))
+    _write_metrics(out, metrics)
     print(f"metrics: position_error_mm={metrics['position_error_mm']:.3f}")
     return 0
 

@@ -430,17 +430,28 @@ def nearest_center(points, centers):
     """Index of the center nearest to each of (k, 3) ``points`` (the lowest
     on ties) and its distance, in row chunks of at most 2**15 pairs.
     Distances are sqrt((dx*dx + dy*dy) + dz*dz), the bits of
-    ``np.linalg.norm(axis=-1)``, so exact ties on a lattice resolve alike."""
+    ``np.linalg.norm(axis=-1)``, so exact ties on a lattice resolve alike.
+    Two (rows, m) buffers are allocated once and reused by every chunk."""
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    c = np.asarray(centers, dtype=float).reshape(-1, 3).T[:, None, :]
-    rows = max(1, (1 << 15) // c.shape[2])
+    c = np.asarray(centers, dtype=float).reshape(-1, 3).T
+    rows = max(1, (1 << 15) // c.shape[1])
     index = np.empty(len(points), dtype=np.int64)
     dist = np.empty(len(points))
+    r_buf = np.empty((min(rows, len(points)), c.shape[1]))
+    t_buf = np.empty_like(r_buf)
     for lo in range(0, len(points), rows):
-        d = points[lo:lo + rows].T[:, :, None] - c          # (3, k, m)
-        r = np.sqrt((d[0] * d[0] + d[1] * d[1]) + d[2] * d[2])
-        index[lo:lo + rows] = r.argmin(axis=1)
-        dist[lo:lo + rows] = r.min(axis=1)
+        p = points[lo:lo + rows]
+        r, t = r_buf[:len(p)], t_buf[:len(p)]
+        np.subtract(p[:, :1], c[0], out=r)
+        r *= r
+        for k in (1, 2):
+            np.subtract(p[:, k:k + 1], c[k], out=t)
+            t *= t
+            r += t
+        np.sqrt(r, out=r)
+        j = r.argmin(axis=1)
+        index[lo:lo + len(p)] = j
+        dist[lo:lo + len(p)] = r[np.arange(len(p)), j]
     return index, dist
 
 

@@ -6,11 +6,15 @@ closed-form minimizer
 
     x = D^(1/2) L_s' (L_s L_s' + nu^2 I)^-1 y,   L_s = L D^(1/2),
 
-with D = diag(theta), a dense symmetric solve whose size is the number of
-measurements; with x fixed, theta follows the gamma or inverse-gamma
-hyperprior update.  A multiresolution variant repeats the iteration on
-randomized coarse partitions of the DOFs and averages the re-expanded
-estimates, which suppresses partition artifacts.
+with D = diag(theta).  By the push-through identity the same x is
+D^(1/2) (L_s' L_s + nu^2 I)^-1 L_s' y, so each step factors whichever of
+the two dense symmetric systems is smaller: measurements by measurements
+for the full problem, unknowns by unknowns for a coarse multiresolution
+problem with fewer subsets than measurements.  With x fixed, theta
+follows the gamma or inverse-gamma hyperprior update.  A multiresolution
+variant repeats the iteration on randomized coarse partitions of the DOFs
+and averages the re-expanded estimates, which suppresses partition
+artifacts.
 """
 
 from __future__ import annotations
@@ -97,8 +101,15 @@ def initial_state(n_dofs, hyper, nu):
 def ias_step(L, y, state, hyper):
     """One alternating update: x from the current theta, then theta from x.
 
-    The x update solves the measurement-sized symmetric system
-    (L_s L_s' + nu^2 I) w = y and maps back with x = D^(1/2) L_s' w.
+    The x update factors the smaller of two equal symmetric systems.  With
+    as many unknowns as measurements or more it solves the measurement
+    system (L_s L_s' + nu^2 I) w = y and maps back with x = D^(1/2) L_s' w;
+    with fewer unknowns (a coarse multiresolution problem) it solves the
+    parameter system (L_s' L_s + nu^2 I) z = L_s' y and sets
+    x = D^(1/2) z.  Both give the same x by the push-through identity
+    L_s' (L_s L_s' + nu^2 I)^-1 = (L_s' L_s + nu^2 I)^-1 L_s'.  The
+    nonzero eigenvalues of L_s L_s' and L_s' L_s agree and the rest are
+    zero, so the smaller system is never worse conditioned than the larger.
     """
     L = np.asarray(L, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -107,14 +118,16 @@ def ias_step(L, y, state, hyper):
             f"shape mismatch: L {L.shape}, y {y.size}, x {state.x.size}")
     d_half = np.sqrt(np.abs(state.theta))
     Ls = L * d_half[None, :]
-    K = Ls @ Ls.T
+    measurement = L.shape[0] <= L.shape[1]
+    K = Ls @ Ls.T if measurement else Ls.T @ Ls
     K[np.diag_indices_from(K)] += state.nu**2
     try:
         c, low = sla.cho_factor(K)
-        w = sla.cho_solve((c, low), y)
+        w = sla.cho_solve((c, low), y if measurement else Ls.T @ y)
     except sla.LinAlgError as exc:
-        raise NumericalError(f"measurement-space solve failed: {exc}")
-    x = d_half * (Ls.T @ w)
+        space = "measurement" if measurement else "parameter"
+        raise NumericalError(f"{space}-space solve failed: {exc}")
+    x = d_half * (Ls.T @ w if measurement else w)
     theta = hyper.update_theta(x)
     return replace(state, x=x, theta=theta, k=state.k + 1)
 

@@ -151,13 +151,33 @@ def save_dataset(path, data, n_electrodes, column_label="pattern"):
     write_csv(path, header, rows)
 
 
-def load_dataset(path):
+def _read_numeric_csv(path, first=0):
+    """Float array of columns ``first`` on of the rows below the header
+    line; an empty file, a short or long row, or a cell that is not a
+    number raises :class:`FormatError` naming the file, line and column."""
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
-        rows = list(r)
-    data = np.array([[float(v) for v in row[1:]] for row in rows])
-    return data.ravel(order="F")
+        header = next(r, None)
+        if header is None:
+            raise FormatError(f"{path}: empty file")
+        data = []
+        for row in r:
+            if len(row) != len(header):
+                raise FormatError(f"{path}: line {r.line_num} has {len(row)} "
+                                  f"cells, the header {len(header)}")
+            values = []
+            for col, v in enumerate(row[first:], start=first + 1):
+                try:
+                    values.append(float(v))
+                except ValueError:
+                    raise FormatError(f"{path}: line {r.line_num}, column "
+                                      f"{col}: {v!r} is not a number") from None
+            data.append(values)
+    return np.array(data).reshape(len(data), len(header) - first)
+
+
+def load_dataset(path):
+    return _read_numeric_csv(path, first=1).ravel(order="F")
 
 
 def save_reconstruction(path, positions, values, mode):
@@ -175,11 +195,7 @@ def save_reconstruction(path, positions, values, mode):
 def load_reconstruction(path):
     """(positions, values) of a :func:`save_reconstruction` file; the 1 or
     3 values per position come back flat, in the order they were given."""
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        arr = np.array([[float(v) for v in row] for row in r]).reshape(
-            -1, len(header))
+    arr = _read_numeric_csv(path)
     return arr[:, 1:4], arr[:, 4:].ravel()
 
 

@@ -312,10 +312,15 @@ class TestCliInvertAndMetrics:
     @pytest.mark.parametrize("orientation", ["orientation = 1 0 0\n", ""])
     def test_empty_truth_ball_exit_3(self, tmp_path, capsys, orientation):
         # No DOF within roi_radius of the truth: no whole-head fallback.
-        path = self._pipeline(tmp_path, extra=(
+        # The reconstruction comes from a passing invert of the same
+        # project before its [truth] section was added.
+        path = self._pipeline(tmp_path)
+        out = tmp_path / "out"
+        assert main(["invert", "--config", str(path),
+                     "--data", str(out / "data.csv")]) == 0
+        write_sphere_project(tmp_path, n_sources=40, extra=(
             "[truth]\nposition = 0.0 0.0 0.05\n" + orientation
             + "roi_radius = 1e-6\n"))
-        out = tmp_path / "out"
         capsys.readouterr()
         assert main(["invert", "--config", str(path),
                      "--data", str(out / "data.csv")]) == 3
@@ -324,6 +329,48 @@ class TestCliInvertAndMetrics:
         err = capsys.readouterr().err
         assert err.count("error:") == 2 and "Traceback" not in err
         assert not (out / "metrics.json").exists()
+
+    def test_failed_score_writes_no_reconstruction(self, tmp_path, capsys):
+        # invert scores [truth] before its first write: an exit 3 leaves
+        # no reconstruction without a manifest beside it.
+        path = self._pipeline(tmp_path, extra=(
+            "[truth]\nposition = 0.0 0.0 0.05\nroi_radius = 1e-6\n"))
+        out = tmp_path / "out"
+        assert main(["invert", "--config", str(path),
+                     "--data", str(out / "data.csv")]) == 3
+        assert not (out / "reconstruction.csv").exists()
+        assert not (out / "reconstruction_manifest.json").exists()
+        assert not (out / "metrics.json").exists()
+
+    def test_non_numeric_data_cell_exit_2(self, tmp_path, capsys):
+        path = self._pipeline(tmp_path)
+        out = tmp_path / "out"
+        lines = (out / "data.csv").read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[1] = "abc"
+        lines[2] = ",".join(cells)
+        (out / "bad.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["invert", "--config", str(path),
+                     "--data", str(out / "bad.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert "bad.csv" in err and "'abc'" in err
+
+    def test_non_numeric_reconstruction_cell_exit_2(self, tmp_path, capsys):
+        path = write_sphere_project(
+            tmp_path, extra="[truth]\nposition = 0.0 0.0 0.05\nroi_radius = 0.05\n")
+        rec = tmp_path / "bad.csv"
+        hio.save_reconstruction(rec, np.array([[0.0, 0.0, 0.05], [0.0, 0.04, 0.0]]),
+                                np.array([1.0, 2.0]), "constrained")
+        rec.write_text(rec.read_text().replace(",2.0\n", ",abc\n"))
+        capsys.readouterr()
+        assert main(["metrics", "--config", str(path),
+                     "--reconstruction", str(rec)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert "bad.csv" in err and "'abc'" in err
+        assert not (tmp_path / "out" / "metrics.json").exists()
 
     @pytest.mark.parametrize("modality,truth", [
         ("eeg", "position = 0.0 0.0 0.05\norientation = 1 0 0\n"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,26 @@ from headfem.inverse import (
     normalize_problem,
     roi_metrics,
 )
+
+
+def measurement_space_x(L, y, theta, nu):
+    """The x update written as the measurement-space formula
+    D^(1/2) L_s' (L_s L_s' + nu^2 I)^-1 y, operation for operation."""
+    d_half = np.sqrt(np.abs(theta))
+    Ls = L * d_half[None, :]
+    K = Ls @ Ls.T
+    K[np.diag_indices_from(K)] += nu**2
+    return d_half * (Ls.T @ sla.cho_solve(sla.cho_factor(K), y))
+
+
+def measurement_space_map(L, y, hyper, nu, n_iter):
+    """``ias_map`` with every x update taken by the measurement-space
+    formula, whatever the shape of L."""
+    theta = np.full(L.shape[1], hyper.theta0)
+    for _ in range(n_iter):
+        x = measurement_space_x(L, y, theta, nu)
+        theta = hyper.update_theta(x)
+    return x
 
 
 class TestHyperModel:
@@ -78,6 +99,44 @@ class TestIasStep:
             x_ref = np.linalg.solve(L.T @ L / nu**2 + np.diag(1.0 / theta),
                                     L.T @ y / nu**2)
             np.testing.assert_allclose(out.x, x_ref, rtol=1e-8, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           shape=st.sampled_from(["m < n", "m = n", "m > n"]),
+           family=st.sampled_from(["G", "IG"]))
+    def test_both_forms_match_normal_equations(self, seed, shape, family):
+        # m <= n factors the measurement system, m > n the parameter
+        # system; both must give the normal-equations minimizer, and the
+        # parameter form the measurement-space formula.
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 40))
+        n = {"m < n": m + int(rng.integers(1, 40)), "m = n": m,
+             "m > n": int(rng.integers(1, m))}[shape]
+        L = rng.normal(size=(m, n))
+        y = rng.normal(size=m)
+        theta = np.exp(rng.uniform(np.log(1e-3), np.log(2.0), size=n))
+        nu = 0.3
+        out = ias_step(L, y, IasState(x=np.zeros(n), theta=theta, nu=nu),
+                       HyperModel(family, theta0=1e-2))
+        x_ref = np.linalg.solve(L.T @ L / nu**2 + np.diag(1.0 / theta),
+                                L.T @ y / nu**2)
+        np.testing.assert_allclose(out.x, x_ref, rtol=1e-8, atol=1e-12)
+        if m > n:
+            np.testing.assert_allclose(
+                out.x, measurement_space_x(L, y, theta, nu), rtol=1e-10)
+
+    def test_wide_step_is_the_measurement_formula_bit_for_bit(self):
+        # m <= n (every EEG and CLI lead field) keeps the measurement-space
+        # solve exactly as before.
+        rng = np.random.default_rng(4)
+        for m, n in ((32, 450), (16, 16)):
+            L = rng.normal(size=(m, n))
+            y = rng.normal(size=m)
+            theta = rng.uniform(1e-3, 2.0, size=n)
+            out = ias_step(L, y, IasState(x=np.zeros(n), theta=theta, nu=0.2),
+                           HyperModel("IG", theta0=1e-3))
+            np.testing.assert_array_equal(
+                out.x, measurement_space_x(L, y, theta, 0.2))
 
     def test_nu_zero_rejected(self):
         h = HyperModel("G")
@@ -164,15 +223,16 @@ class TestIasMap:
 
 
 def multires_reference(L, y, positions, hyper, nu, n_iter, n_subsets,
-                       n_decompositions, seed):
-    """Multiresolution averaging written out subset by subset."""
+                       n_decompositions, seed, map_fn=ias_map):
+    """Multiresolution averaging written out subset by subset, each coarse
+    problem solved by ``map_fn``."""
     rng = np.random.default_rng(seed)
     total = np.zeros(L.shape[1])
     for _ in range(n_decompositions):
         a = make_decomposition(positions, n_subsets, rng)
         members = [np.flatnonzero(a == s) for s in range(n_subsets)]
         Lr = np.stack([L[:, m].sum(axis=1) for m in members], axis=1)
-        x = ias_map(Lr, y, hyper, nu, n_iter)
+        x = map_fn(Lr, y, hyper, nu, n_iter)
         for s, m in enumerate(members):
             total[m] += x[s]
     return total / n_decompositions
@@ -216,6 +276,23 @@ class TestMultires:
         np.testing.assert_allclose(
             multires_ias(L, y, positions, h, **args),
             multires_reference(L, y, positions, h, **args), rtol=1e-12)
+
+    def test_matches_measurement_space_at_desk_shapes(self):
+        # The EIT desk inversion: 240 measurements, 600 lattice-tied DOFs,
+        # 100 subsets, so every coarse step factors the 100 x 100
+        # parameter system instead of the 240 x 240 measurement system.
+        rng = np.random.default_rng(17)
+        grid = np.stack(np.meshgrid(*[np.arange(10.0)] * 3), -1)
+        positions = 0.007 * rng.permutation(grid.reshape(-1, 3))[:600]
+        L, y, _ = normalize_problem(rng.normal(size=(240, 600)),
+                                    rng.normal(size=240))
+        h = HyperModel("IG", beta=1.5, theta0=1e-3)
+        args = dict(nu=0.12, n_iter=2, n_subsets=100, n_decompositions=20,
+                    seed=5)
+        x = multires_ias(L, y, positions, h, **args)
+        x_ref = multires_reference(L, y, positions, h, **args,
+                                   map_fn=measurement_space_map)
+        assert np.abs(x - x_ref).max() <= 1e-9 * np.abs(x_ref).max()
 
     def test_decomposition_has_no_empty_subset(self):
         rng = np.random.default_rng(9)

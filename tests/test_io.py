@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from headfem import io as hio
+from headfem.errors import FormatError
 from headfem.fem import ElectrodeSet, assemble_cem_system, volume_stiffness
 from headfem.geometry import Compartment, Segmentation, icosphere
 from headfem.leadfield import eeg_leadfield
@@ -154,6 +155,22 @@ class TestDatasets:
         pos_back, values_back = hio.load_reconstruction(path)
         assert pos_back.tobytes() == pos.tobytes()
         assert values_back.tobytes() == values.tobytes()
+
+
+    @pytest.mark.parametrize("load", [hio.load_dataset,
+                                      hio.load_reconstruction])
+    @pytest.mark.parametrize("text,reason", [
+        ("", "empty file"),
+        ("a,b,c\n0,1.0,2.0\n1,3.0\n", "line 3 has 2 cells"),
+        ("a,b,c\n0,1.0,2.0\n1,3.0,abc\n", "line 3, column 3: 'abc'"),
+    ])
+    def test_malformed_csv_raises_format_error(self, tmp_path, load, text,
+                                               reason):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=reason) as info:
+            load(path)
+        assert str(path) in str(info.value)
 
 
 class TestManifests:
