@@ -20,7 +20,12 @@ the number of crossings to its right (parity voxelization, Nooruddin &
 Turk, IEEE TVCG 9(2), 2003).  Points this cannot decide for certain go
 through ``SurfaceMesh.contains``: those on a line within a band (1e-6 of the
 surface diameter) of a triangle edge, vertex or x-parallel triangle, and
-those within the band of a crossed triangle's plane.
+those within the band of a crossed triangle's plane.  A line is tested only
+against the triangles whose (y, z) box, widened to cover the band, holds it:
+the lines are sorted by (y, z), so ``searchsorted`` finds them (sort and
+sweep, Ericson, Real-Time Collision Detection, 2005, ch. 7; the widening is
+derived in ``SurfaceMesh._line_parity``), and the cost follows these pairs
+instead of lines x triangles.
 """
 
 from __future__ import annotations
@@ -274,8 +279,18 @@ class SurfaceMesh:
         return parity.astype(bool), suspect, onsurf
 
     def _line_parity(self, yz, line, x):
-        """Per-point (inside, unsure, rays cast) for points ``(x, yz[line])``
-        from one +x ray per line; ``inside`` is False where ``unsure``."""
+        """Per-point (inside, unsure) for points ``(x, yz[line])`` from one
+        +x ray per line of the (y, z)-sorted ``yz``, the rays cast and the
+        line-triangle pairs tested; ``inside`` is False where ``unsure``.
+
+        Only the lines in a triangle's (y, z) box widened by ``widen`` are
+        tested (sort and sweep, Ericson, Real-Time Collision Detection, 2005,
+        ch. 7).  A line matters if it is inside the projected triangle offset
+        outward by the band; the offset moves a vertex of angle t by band /
+        sin(t/2) <= 2 band / sin(t) = 2 band |a| |b| / |n_x| (a, b its edges,
+        |n_x| twice the projected area).  So widen = 2 band max|edge|^2 /
+        |n_x|, or the band for x-parallel triangles, times 1 + 1e-6.
+        """
         band = _LINE_BAND * (self._diameter or 1.0)
         lo, hi = self.bbox[0, 1:] - band, self.bbox[1, 1:] + band
         cand = np.flatnonzero(np.all((yz >= lo) & (yz <= hi), axis=1))
@@ -290,47 +305,69 @@ class SurfaceMesh:
         # line grazes one within the band of its plane (widened by the tilt
         # of a nearly parallel one) and of its (y, z) box.
         edges = np.stack([e2, e1, e2 - e1])
+        length = np.hypot(edges[..., 1], edges[..., 2])
         with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.where(par, 0.0, np.sign(nx)) / np.hypot(edges[..., 1],
-                                                          edges[..., 2])
+            g = np.where(par, 0.0, np.sign(nx)) / length
             reach = band * np.linalg.norm(n, axis=1) / np.abs(nx)
-        corners = self.nodes[self.triangles[par]]
-        par_lo = corners[:, :, 1:].min(axis=1) - band
-        par_hi = corners[:, :, 1:].max(axis=1) + band
-        par_n = n[par, 1:]
-        par_slack = (band * np.linalg.norm(par_n, axis=1)
-                     + np.abs(nx[par]) * np.ptp(corners[:, :, 0], axis=1))
+            widen = band * (1 + 1e-6) * np.where(
+                par, 1.0, 2 * length.max(axis=0) ** 2 / np.abs(nx))
+        c = self.nodes[self.triangles.T]
+        box_lo, box_hi = c.min(axis=0), c.max(axis=0)
+        slack = (band * np.linalg.norm(n[:, 1:], axis=1)
+                 + np.abs(nx) * (box_hi[:, 0] - box_lo[:, 0]))
+        box_lo, box_hi = box_lo[:, 1:], box_hi[:, 1:]
 
+        # Candidate pairs, in chunks of triangles whose y-slabs hold at most
+        # 100,000 lines: per triangle the distinct line ys in its widened
+        # box, then per (triangle, y) the lines with z in it.  A (y, z) pair
+        # read as one complex number sorts as ``yz`` does.
+        wlo, whi = box_lo - widen[:, None], box_hi + widen[:, None]
+        key, ys = yz[cand].view(complex)[:, 0], yz[cand, 0]
+        slab = np.cumsum(np.r_[0, np.searchsorted(ys, whi[:, 0], side="right")
+                               - np.searchsorted(ys, wlo[:, 0])])
+        ys = np.unique(ys)
+        row0 = np.searchsorted(ys, wlo[:, 0])
+        rows = np.searchsorted(ys, whi[:, 0], side="right") - row0
         unsure_line = np.zeros(len(yz), dtype=bool)
-        # Crossings (line, x, reach), in line order: ascending ``cand`` and
-        # row-major ``nonzero``.
-        cl, cx, cr = [np.zeros(0, dtype=np.int64)], [np.zeros(0)], [np.zeros(0)]
-        chunk = max(1, 100_000 // len(v0))
-        for start in range(0, cand.size, chunk):
-            li = cand[start:start + chunk]
+        cl, cx, cr = [], [], []         # crossings (line, x, reach)
+        pairs = t0 = 0
+        while t0 < len(v0):
+            t1 = max(t0 + 1, int(np.searchsorted(slab, slab[t0] + 100_000,
+                                                 side="right")) - 1)
+            t = np.repeat(np.arange(t0, t1), rows[t0:t1])
+            y = ys[_runs(row0[t0:t1], rows[t0:t1])]
+            lohi = np.column_stack([y, wlo[t, 1], y, whi[t, 1]]).view(complex)
+            first = np.searchsorted(key, lohi[:, 0])
+            count = np.searchsorted(key, lohi[:, 1], side="right") - first
+            li, t, t0 = cand[_runs(first, count)], np.repeat(t, count), t1
+            pairs += li.size
             q = yz[li]
-            dy = q[:, :1] - v0[:, 1]
-            dz = q[:, 1:] - v0[:, 2]
-            cu = dy * e2[:, 2] - dz * e2[:, 1]
-            cv = dz * e1[:, 1] - dy * e1[:, 2]
-            m = np.minimum(np.minimum(cu * g[0], cv * g[1]), (nx - cu - cv) * g[2])
+            dy = q[:, 0] - v0[t, 1]
+            dz = q[:, 1] - v0[t, 2]
+            cu = dy * e2[t, 2] - dz * e2[t, 1]
+            cv = dz * e1[t, 1] - dy * e1[t, 2]
+            m = np.minimum(np.minimum(cu * g[0, t], cv * g[1, t]),
+                           (nx[t] - cu - cv) * g[2, t])
             cross = m > band
-            near_plane = np.abs(dy[:, par] * par_n[:, 0]
-                                + dz[:, par] * par_n[:, 1]) <= par_slack
-            in_box = np.all((q[:, None] >= par_lo) & (q[:, None] <= par_hi),
-                            axis=2)
-            unsure_line[li] = (np.any(~par & (m >= -band) & ~cross, axis=1)
-                               | np.any(near_plane & in_box, axis=1))
-            r, t = np.nonzero(cross)
+            unsure_line[li[~par[t] & (m >= -band) & ~cross]] = True
+            r, tr = np.flatnonzero(cross), t[cross]
             cl.append(li[r])
-            cx.append(v0[t, 0] - (n[t, 1] * dy[r, t] + n[t, 2] * dz[r, t]) / nx[t])
-            cr.append(reach[t])
+            cx.append(v0[tr, 0] - (n[tr, 1] * dy[r] + n[tr, 2] * dz[r]) / nx[tr])
+            cr.append(reach[tr])
+            r, tr = np.flatnonzero(par[t]), t[par[t]]
+            near_plane = np.abs(dy[r] * n[tr, 1] + dz[r] * n[tr, 2]) <= slack[tr]
+            in_box = np.all((q[r] >= box_lo[tr] - band)
+                            & (q[r] <= box_hi[tr] + band), axis=1)
+            unsure_line[li[r[near_plane & in_box]]] = True
 
-        # Point p lies left of crossing c if x_c - x_p > reach_c, and within
-        # the band if |x_c - x_p| <= reach_c.
-        cl, cx, cr = (np.concatenate(a) for a in (cl, cx, cr))
-        first = np.searchsorted(cl, line)
-        count = np.searchsorted(cl, line, side="right") - first
+        # Crossings in line order (triangles ascending within a line).  Point
+        # p lies left of crossing c if x_c - x_p > reach_c, and within the
+        # band if |x_c - x_p| <= reach_c.
+        order = np.argsort(np.concatenate(cl), kind="stable")
+        cl, cx, cr = (np.concatenate(a)[order] for a in (cl, cx, cr))
+        lines = np.arange(len(yz))
+        first = np.searchsorted(cl, lines)[line]
+        count = np.searchsorted(cl, lines, side="right")[line] - first
         right = np.zeros(len(x), dtype=np.int64)
         unsure = unsure_line[line]
         for k in range(int(count.max(initial=0))):
@@ -339,7 +376,7 @@ class SurfaceMesh:
             d = cx[j] - x[on]
             right[on] += d > cr[j]
             unsure[on] |= np.abs(d) <= cr[j]
-        return (right & 1).astype(bool) & ~unsure, unsure, cand.size
+        return (right & 1).astype(bool) & ~unsure, unsure, cand.size, pairs
 
     def nearest_triangle(self, point):
         """Index of the triangle closest to ``point`` and its distance."""
@@ -370,6 +407,12 @@ class SurfaceMesh:
     def __repr__(self):
         return (f"SurfaceMesh('{self.name}', {len(self.nodes)} nodes, "
                 f"{len(self.triangles)} triangles)")
+
+
+def _runs(start, count):
+    """The ranges ``start[i] .. start[i] + count[i] - 1``, concatenated."""
+    ends = np.cumsum(count)
+    return np.repeat(start + count - ends, count) + np.arange(ends[-1:].sum())
 
 
 def _point_triangle_sqdist(p, v0, e1, e2):
@@ -548,7 +591,8 @@ def locate_on_lines(seg, points):
     """``seg.locate(points)`` from one +x ray per x-line of the points.
 
     Returns the labels, the rays cast (lines within a surface's bounding box,
-    summed over surfaces) and the points passed to ``SurfaceMesh.contains``.
+    summed over surfaces), the points passed to ``SurfaceMesh.contains`` and
+    the line-triangle pairs tested (summed over surfaces).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     # (y, z) read as one complex number: exact, and sorted lexicographically.
@@ -556,19 +600,20 @@ def locate_on_lines(seg, points):
                          return_inverse=True)
     yz = yz.view(float).reshape(-1, 2)
     labels = np.full(len(pts), -1, dtype=np.int64)
-    n_rays = n_fallback = 0
+    n_rays = n_fallback = n_pairs = 0
     for k, comp in enumerate(seg.compartments):
         hit = np.zeros(len(pts), dtype=bool)
         for surf in comp.surfaces:
-            inside, unsure, rays = surf._line_parity(yz, line, pts[:, 0])
+            inside, unsure, rays, pairs = surf._line_parity(yz, line, pts[:, 0])
             ask = np.flatnonzero(unsure & ~hit & (labels < 0))
             if ask.size:
                 inside[ask] = surf.contains(pts[ask])
             hit |= inside
             n_rays += rays
             n_fallback += ask.size
+            n_pairs += pairs
         labels[hit & (labels < 0)] = k
-    return labels, n_rays, n_fallback
+    return labels, n_rays, n_fallback, n_pairs
 
 
 def point_in_compartment(seg, point):

@@ -265,11 +265,12 @@ def generate_mesh(seg, h):
     tetra = corners[:, _KUHN_TETS].reshape(-1, 4)   # (ncubes*6, 4)
 
     centroids = grid_nodes[tetra].mean(axis=1)
-    point_label, n_rays, n_fallback = locate_on_lines(
+    point_label, n_rays, n_fallback, n_pairs = locate_on_lines(
         seg, np.concatenate([centroids, grid_nodes]))
     cent_label = point_label[:len(centroids)]
-    logger.debug("labeled %d points: %d x-rays cast, %d points sent to the "
-                 "per-point fallback", len(point_label), n_rays, n_fallback)
+    logger.debug("labeled %d points: %d x-rays cast, %d line-triangle pairs "
+                 "tested, %d points sent to the per-point fallback",
+                 len(point_label), n_rays, n_pairs, n_fallback)
     keep = cent_label >= 0
     if not keep.any():
         raise EmptyMeshError(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from headfem.errors import (
@@ -104,10 +104,14 @@ class TestIasStep:
     @given(seed=st.integers(0, 2**32 - 1),
            shape=st.sampled_from(["m < n", "m = n", "m > n"]),
            family=st.sampled_from(["G", "IG"]))
+    @example(seed=465602, shape="m > n", family="G")
     def test_both_forms_match_normal_equations(self, seed, shape, family):
         # m <= n factors the measurement system, m > n the parameter
         # system; both must give the normal-equations minimizer, and the
-        # parameter form the measurement-space formula.
+        # parameter form the measurement-space formula.  The two forms
+        # round differently, so they are compared normwise: at seed 465602
+        # the entry -1.04e-5 differs by 1.3e-10 relative, while
+        # max|dx| / max|x| is 2.7e-14.
         rng = np.random.default_rng(seed)
         m = int(rng.integers(2, 40))
         n = {"m < n": m + int(rng.integers(1, 40)), "m = n": m,
@@ -122,8 +126,8 @@ class TestIasStep:
                                 L.T @ y / nu**2)
         np.testing.assert_allclose(out.x, x_ref, rtol=1e-8, atol=1e-12)
         if m > n:
-            np.testing.assert_allclose(
-                out.x, measurement_space_x(L, y, theta, nu), rtol=1e-10)
+            x_ms = measurement_space_x(L, y, theta, nu)
+            assert np.abs(out.x - x_ms).max() <= 1e-10 * np.abs(x_ms).max()
 
     def test_wide_step_is_the_measurement_formula_bit_for_bit(self):
         # m <= n (every EEG and CLI lead field) keeps the measurement-space

@@ -1,5 +1,7 @@
 """The line labeler must reproduce the per-point oracle ``Segmentation.locate``
-on grid nodes and Kuhn centroids, including grazing and on-surface cases."""
+on grid nodes and Kuhn centroids, including grazing and on-surface cases, and
+its candidate-pair search must give the same per-point results as the dense
+test of every line against every triangle."""
 
 import itertools
 
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from headfem.experiments import EitHemorrhageParams, layered_sphere_segmentation
 from headfem.geometry import (
+    _LINE_BAND,
     Compartment,
     Segmentation,
     SurfaceMesh,
@@ -40,7 +43,7 @@ def grid_over(seg, h, shift):
 
 
 def assert_matches_oracle(seg, pts):
-    labels, n_rays, n_fallback = locate_on_lines(seg, pts)
+    labels, n_rays, n_fallback, _ = locate_on_lines(seg, pts)
     np.testing.assert_array_equal(labels, seg.locate(pts))
     assert 0 <= n_fallback <= len(pts)
     return n_rays, n_fallback
@@ -102,7 +105,7 @@ def test_flat_surface_parallel_to_x():
     flat = SurfaceMesh(nodes, [[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]])
     seg = Segmentation([Compartment(flat, 1.0)])
     pts = kuhn_points(np.array([-1.5, -1.5, -1.0]), (6, 6, 4), 0.5)
-    labels, _, n_fallback = locate_on_lines(seg, pts)
+    labels, _, n_fallback, _ = locate_on_lines(seg, pts)
     np.testing.assert_array_equal(labels, seg.locate(pts))
     assert np.any(labels == 0) and n_fallback >= np.count_nonzero(labels == 0)
 
@@ -122,12 +125,13 @@ def test_generate_mesh_logs_rays_and_fallback(caplog):
     with caplog.at_level("DEBUG", logger="headfem.meshgen"):
         generate_mesh(seg, 0.25)
     assert "x-rays cast" in caplog.text and "per-point fallback" in caplog.text
+    assert "line-triangle pairs tested" in caplog.text
 
 
 def test_empty_point_set():
     seg = Segmentation([Compartment(icosphere(1.0, 1), 1.0)])
-    labels, n_rays, n_fallback = locate_on_lines(seg, np.zeros((0, 3)))
-    assert labels.shape == (0,) and n_rays == n_fallback == 0
+    labels, n_rays, n_fallback, n_pairs = locate_on_lines(seg, np.zeros((0, 3)))
+    assert labels.shape == (0,) and n_rays == n_fallback == n_pairs == 0
 
 
 def test_eit_desk_mesh_labels_match_oracle():
@@ -141,3 +145,192 @@ def test_eit_desk_mesh_labels_match_oracle():
     keep = np.where(nl >= 0, nl, top[:, None]).min(axis=1) == top
     assert keep.sum() > 0.5 * mesh.n_elements     # thin shells: many straddle
     np.testing.assert_array_equal(mesh.labels[keep], oracle[keep])
+
+
+# ---------------------------------------------------------------------------
+# Candidate pairs against the dense line-triangle test
+
+
+def dense_line_parity(surf, yz, line, x):
+    """``SurfaceMesh._line_parity`` as one dense block over every (line,
+    triangle) pair: per-point (inside, unsure, rays cast)."""
+    band = _LINE_BAND * (surf._diameter or 1.0)
+    lo, hi = surf.bbox[0, 1:] - band, surf.bbox[1, 1:] + band
+    cand = np.flatnonzero(np.all((yz >= lo) & (yz <= hi), axis=1))
+
+    v0, e1, e2, n = surf._v0, surf._e1, surf._e2, surf._raw_normals
+    nx = n[:, 0]
+    scale2 = np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1)
+    par = np.abs(nx) <= 1e-12 * scale2
+    edges = np.stack([e2, e1, e2 - e1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.where(par, 0.0, np.sign(nx)) / np.hypot(edges[..., 1],
+                                                      edges[..., 2])
+        reach = band * np.linalg.norm(n, axis=1) / np.abs(nx)
+    corners = surf.nodes[surf.triangles[par]]
+    par_lo = corners[:, :, 1:].min(axis=1) - band
+    par_hi = corners[:, :, 1:].max(axis=1) + band
+    par_n = n[par, 1:]
+    par_slack = (band * np.linalg.norm(par_n, axis=1)
+                 + np.abs(nx[par]) * np.ptp(corners[:, :, 0], axis=1))
+
+    unsure_line = np.zeros(len(yz), dtype=bool)
+    cl, cx, cr = [np.zeros(0, dtype=np.int64)], [np.zeros(0)], [np.zeros(0)]
+    chunk = max(1, 100_000 // len(v0))
+    for start in range(0, cand.size, chunk):
+        li = cand[start:start + chunk]
+        q = yz[li]
+        dy = q[:, :1] - v0[:, 1]
+        dz = q[:, 1:] - v0[:, 2]
+        cu = dy * e2[:, 2] - dz * e2[:, 1]
+        cv = dz * e1[:, 1] - dy * e1[:, 2]
+        m = np.minimum(np.minimum(cu * g[0], cv * g[1]), (nx - cu - cv) * g[2])
+        cross = m > band
+        near_plane = np.abs(dy[:, par] * par_n[:, 0]
+                            + dz[:, par] * par_n[:, 1]) <= par_slack
+        in_box = np.all((q[:, None] >= par_lo) & (q[:, None] <= par_hi),
+                        axis=2)
+        unsure_line[li] = (np.any(~par & (m >= -band) & ~cross, axis=1)
+                           | np.any(near_plane & in_box, axis=1))
+        r, t = np.nonzero(cross)
+        cl.append(li[r])
+        cx.append(v0[t, 0] - (n[t, 1] * dy[r, t] + n[t, 2] * dz[r, t]) / nx[t])
+        cr.append(reach[t])
+
+    cl, cx, cr = (np.concatenate(a) for a in (cl, cx, cr))
+    first = np.searchsorted(cl, line)
+    count = np.searchsorted(cl, line, side="right") - first
+    right = np.zeros(len(x), dtype=np.int64)
+    unsure = unsure_line[line]
+    for k in range(int(count.max(initial=0))):
+        on = np.flatnonzero(count > k)
+        j = first[on] + k
+        d = cx[j] - x[on]
+        right[on] += d > cr[j]
+        unsure[on] |= np.abs(d) <= cr[j]
+    return (right & 1).astype(bool) & ~unsure, unsure, cand.size
+
+
+def assert_pruned_matches_dense(surf, pts):
+    """Same (inside, unsure, rays) from the candidate pairs as from the
+    dense block; returns the pairs tested."""
+    yz, line = np.unique(np.ascontiguousarray(pts[:, 1:]).view(complex)[:, 0],
+                         return_inverse=True)
+    yz = yz.view(float).reshape(-1, 2)
+    *pruned, pairs = surf._line_parity(yz, line, pts[:, 0])
+    dense = dense_line_parity(surf, yz, line, pts[:, 0])
+    for a, b in zip(pruned, dense):
+        np.testing.assert_array_equal(a, b)
+    assert pairs <= dense[2] * len(surf.triangles)
+    return pairs
+
+
+def transformed(surf, seed, scale, center):
+    """``surf`` rotated by a random rotation, scaled and moved."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return SurfaceMesh(surf.nodes @ q.T * scale + center, surf.triangles)
+
+
+def on_lines(yz, xs):
+    """Points on the x-lines through ``yz``, at every x in ``xs``."""
+    yz = np.asarray(yz, dtype=float).reshape(-1, 2)
+    return np.column_stack([np.repeat(xs, len(yz)), np.tile(yz, (len(xs), 1))])
+
+
+def vertex_and_edge_lines(surf):
+    """(y, z) of the lines through every vertex and through points on every
+    edge: they graze the surface exactly or within rounding."""
+    a = surf.nodes[surf.triangles][:, :, 1:]
+    b = np.roll(a, -1, axis=1)
+    s = np.array([0.25, 0.5, 0.75])[:, None, None, None]
+    return np.vstack([surf.nodes[:, 1:], ((1 - s) * a + s * b).reshape(-1, 2)])
+
+
+@settings_
+@given(sub=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(0.05, 5.0), center=st.tuples(coord, coord, coord),
+       cells=st.floats(3.0, 9.0), shift=st.tuples(unit, unit, unit))
+def test_pruned_matches_dense_on_rotated_icospheres(sub, seed, scale, center,
+                                                    cells, shift):
+    surf = transformed(icosphere(1.0, sub), seed, scale, center)
+    seg = Segmentation([Compartment(surf, 1.0)])
+    pts = grid_over(seg, 2 * scale / cells, shift)
+    lo, hi = surf.bbox
+    pts = np.vstack([pts, on_lines(vertex_and_edge_lines(surf),
+                                   np.linspace(lo[0], hi[0], 5))])
+    assert_pruned_matches_dense(surf, pts)
+
+
+@settings_
+@given(h=st.floats(0.05, 0.5), lo=st.tuples(coord, coord, coord),
+       size=st.tuples(*[st.integers(1, 4)] * 3), sub=st.integers(1, 2),
+       seed=st.integers(0, 2**32 - 1))
+def test_pruned_matches_dense_through_vertices_and_edges(h, lo, size, sub,
+                                                          seed):
+    # Box faces on grid planes (x-parallel triangles, lines along edges
+    # and through corners), and an icosphere whose vertices and edge points
+    # carry lines of their own.
+    lo = np.asarray(lo)
+    n = np.asarray(size) + 2
+    box = box_surface(lo + h, lo + h * (n + 1))
+    pts = kuhn_points(lo, n + 2, h)
+    assert_pruned_matches_dense(box, pts)
+    sphere = transformed(icosphere(1.0, sub), seed, h * n.min() / 2,
+                         lo + h * (n + 2) / 2)
+    x = np.linspace(sphere.bbox[0, 0], sphere.bbox[1, 0], 7)
+    assert_pruned_matches_dense(
+        sphere, np.vstack([pts, on_lines(vertex_and_edge_lines(sphere), x)]))
+
+
+def sliver_surface(sub, flat, turn):
+    """An icosphere flattened to ``flat`` in z and turned about the x axis:
+    its faces are nearly x-parallel and project to skinny (y, z)
+    triangles, whose sharp vertices lie inside the surface's box."""
+    c, s = np.cos(turn), np.sin(turn)
+    rot = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    ico = icosphere(1.0, sub)
+    return SurfaceMesh(ico.nodes * [1.0, 1.0, flat] @ rot.T, ico.triangles)
+
+
+@settings_
+@given(sub=st.integers(1, 2), flat=st.floats(1e-4, 1e-2),
+       turn=st.floats(0.0, np.pi), reach=st.lists(st.floats(0.05, 1.5),
+                                                   max_size=2))
+def test_pruned_matches_dense_near_sliver_vertices(sub, flat, turn, reach):
+    # Lines on the outward bisector of each projected vertex, up to 1.5
+    # times band / sin(angle / 2) away: the dense test flags those closer
+    # than that, which for the sharp vertices lie far outside the
+    # triangle's box widened by the band alone.
+    surf = sliver_surface(sub, flat, turn)
+    band = _LINE_BAND * surf._diameter
+    p = surf.nodes[surf.triangles][:, :, 1:]
+    lines = []
+    for k in range(3):
+        v, a, b = p[:, k], p[:, (k + 1) % 3], p[:, (k + 2) % 3]
+        u = (a - v) / np.linalg.norm(a - v, axis=1, keepdims=True)
+        w = (b - v) / np.linalg.norm(b - v, axis=1, keepdims=True)
+        out = -(u + w) / np.linalg.norm(u + w, axis=1, keepdims=True)
+        sin_half = np.linalg.norm(u - w, axis=1, keepdims=True) / 2
+        lines += [v + f * band / sin_half * out for f in [0.5, *reach]]
+    lines = np.vstack(lines)
+    assert_pruned_matches_dense(surf, on_lines(lines, np.linspace(-1, 1, 5)))
+
+
+def test_pairs_tested_fall_far_below_lines_times_triangles():
+    # EIT desk shells at subdivision 5 (20,480 triangles each) on the desk
+    # grid: the candidate pairs are under 1 % of the dense block.
+    p = EitHemorrhageParams()
+    seg = layered_sphere_segmentation(p.radii, p.conductivities, p.priorities,
+                                      (0,), 5)
+    pts = grid_over(seg, p.resolution, (0.0, 0.0, 0.0))
+    yz = np.unique(pts[:, 1:].copy().view(complex)[:, 0])
+    yz = yz.view(float).reshape(-1, 2)
+    for comp in seg.compartments:
+        surf = comp.surfaces[0]
+        *_, rays, pairs = surf._line_parity(yz, np.zeros(0, dtype=np.int64),
+                                            np.zeros(0))
+        assert rays > 1000
+        assert pairs < 0.01 * rays * len(surf.triangles)
