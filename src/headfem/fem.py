@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from .errors import AssemblyError, ElectrodeError, LocationError
 from .geometry import nearest_center
@@ -318,6 +317,7 @@ def locate_elements(mesh, points, tol=1e-9):
     """Element containing each point: the first of its 32 nearest-centroid
     candidates that passes the barycentric test, else the lowest-index
     element that does.  Raises LocationError for points outside the mesh."""
+    from scipy.spatial import cKDTree   # here: no pipeline path needs it
     points = np.atleast_2d(np.asarray(points, dtype=float))
     tree = cKDTree(mesh.centroids())
     k = min(mesh.n_elements, 32)

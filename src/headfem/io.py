@@ -9,6 +9,9 @@ Conventions shared by every artifact:
 * Tabular outputs are RFC-4180 CSV; floats use ``repr`` (shortest
   round-trip form), so reruns are byte-identical.
 * JSON manifests are written with sorted keys and no timestamps.
+* Numeric text goes through :func:`_write_rows`: one ``.tolist()`` per
+  array gives Python floats and ints (numpy 2's ``np.float64(...)`` repr
+  never reaches a file), and one ``%`` row template formats each block.
 """
 
 from __future__ import annotations
@@ -18,15 +21,17 @@ import hashlib
 import json
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .errors import FormatError
 from .meshgen import TetMesh
 
 
-def _fmt(x):
-    return f"{x:.17g}"
+def _write_rows(fh, template, table):
+    """Write each row of the array ``table`` (1-D: one cell per row)
+    through the ``%`` row ``template``, one call per 65,536 rows."""
+    for block in np.split(table, range(1 << 16, len(table), 1 << 16)):
+        fh.write(template * len(block) % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -35,22 +40,13 @@ def _fmt(x):
 def save_tet_mesh(mesh, prefix):
     """Write ``<prefix>_nodes.dat``, ``_tetra.dat``, ``_labels.dat`` and
     ``_sigma.dat`` (indices and labels one-based)."""
-    with open(f"{prefix}_nodes.dat", "w") as fh:
-        for x, y, z in mesh.nodes:
-            fh.write(f"{_fmt(x)} {_fmt(y)} {_fmt(z)}\n")
-    with open(f"{prefix}_tetra.dat", "w") as fh:
-        for row in mesh.tetra + 1:
-            fh.write(" ".join(str(i) for i in row) + "\n")
-    with open(f"{prefix}_labels.dat", "w") as fh:
-        for lab in mesh.labels + 1:
-            fh.write(f"{lab}\n")
-    with open(f"{prefix}_sigma.dat", "w") as fh:
-        if mesh.is_tensor:
-            for row in mesh.sigma:
-                fh.write(" ".join(_fmt(v) for v in row) + "\n")
-        else:
-            for v in mesh.sigma:
-                fh.write(f"{_fmt(v)}\n")
+    for part, table, cell in (("nodes", mesh.nodes, "%.17g"),
+                              ("tetra", mesh.tetra + 1, "%d"),
+                              ("labels", mesh.labels + 1, "%d"),
+                              ("sigma", mesh.sigma, "%.17g")):
+        cols = table.shape[1] if table.ndim == 2 else 1
+        with open(f"{prefix}_{part}.dat", "w") as fh:
+            _write_rows(fh, " ".join([cell] * cols) + "\n", table)
 
 
 def load_tet_mesh(prefix):
@@ -119,6 +115,7 @@ def _field_array(field):
 
 def export_matrix_market(path, matrix):
     """Sparse matrices in Matrix Market coordinate format."""
+    import scipy.io     # loaded here: no pipeline path exports a matrix
     scipy.io.mmwrite(str(path), sp.coo_matrix(matrix))
 
 
@@ -126,8 +123,7 @@ def save_leadfield_csv(lf, path):
     """Plain-text alternative to the binary export (one row per electrode
     sample, one column per DOF)."""
     header = [f"dof{j}" for j in range(lf.matrix.shape[1])]
-    write_csv(path, ["row"] + header,
-              [[i] + list(row) for i, row in enumerate(lf.matrix)])
+    _write_table(path, ["row"] + header, lf.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -142,13 +138,20 @@ def write_csv(path, header, rows):
                         else v for v in row])
 
 
+def _write_table(path, header, table):
+    """:func:`write_csv` bytes for ``header`` and the rows of ``table``, each
+    behind its zero-based row index (in the table's dtype, printed by "%d")."""
+    table = np.column_stack([np.arange(len(table)), table])
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        _write_rows(fh, "%d" + ",%r" * (table.shape[1] - 1) + "\r\n", table)
+
+
 def save_dataset(path, data, n_electrodes, column_label="pattern"):
     """Electrode-by-column dataset (columns are patterns or time steps)."""
-    data = np.asarray(data, dtype=float)
-    cols = data.reshape(n_electrodes, -1, order="F")
+    cols = np.asarray(data, dtype=float).reshape(n_electrodes, -1, order="F")
     header = ["electrode"] + [f"{column_label}{j}" for j in range(cols.shape[1])]
-    rows = [[i] + list(cols[i]) for i in range(n_electrodes)]
-    write_csv(path, header, rows)
+    _write_table(path, header, cols)
 
 
 def _read_numeric_csv(path, first=0):
@@ -184,12 +187,10 @@ def save_reconstruction(path, positions, values, mode):
     values = np.asarray(values, dtype=float)
     if mode == "constrained" or values.size == len(positions):
         header = ["dof_id", "x", "y", "z", "amplitude"]
-        rows = [[i, *positions[i], values[i]] for i in range(len(positions))]
     else:
-        comp = values.reshape(-1, 3)
         header = ["dof_id", "x", "y", "z", "qx", "qy", "qz"]
-        rows = [[i, *positions[i], *comp[i]] for i in range(len(positions))]
-    write_csv(path, header, rows)
+    _write_table(path, header, np.column_stack(
+        [positions, values.reshape(len(positions), len(header) - 4)]))
 
 
 def load_reconstruction(path):
@@ -209,8 +210,7 @@ def canonical_json(obj):
 
 def write_json(path, obj):
     with open(path, "w") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2))
-        fh.write("\n")
+        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def sha256_text(text):

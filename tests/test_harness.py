@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -432,3 +434,18 @@ class TestCliExperiment:
         assert (out / "reconstruction_unaveraged.csv").exists()
         seeds = (out / "hemorrhage_seeds.csv").read_text().splitlines()
         assert len(seeds) == 1 + 2
+
+
+def test_cli_import_skips_scipy_modules_no_pipeline_path_uses():
+    # scipy.spatial (which pulls in scipy.special) and scipy.io serve only
+    # fem.locate_elements and io.export_matrix_market, which import them.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hio.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, headfem.cli; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "headfem.cli" in loaded
+    assert not loaded & {"scipy.spatial", "scipy.special", "scipy.io"}

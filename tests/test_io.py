@@ -1,11 +1,15 @@
+import csv
 import json
+import os
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from headfem import io as hio
 from headfem.errors import FormatError
@@ -187,3 +191,184 @@ class TestManifests:
 
     def test_canonical_json_sorted(self):
         assert hio.canonical_json({"b": 1, "a": 2}) == '{"a":2,"b":1}'
+
+
+# ---------------------------------------------------------------------------
+# The per-cell writers that the array writers replaced, kept as the byte
+# reference: every new writer must produce exactly their files.
+
+def _fmt(x):
+    return f"{x:.17g}"
+
+
+def reference_save_tet_mesh(mesh, prefix):
+    with open(f"{prefix}_nodes.dat", "w") as fh:
+        for x, y, z in mesh.nodes:
+            fh.write(f"{_fmt(x)} {_fmt(y)} {_fmt(z)}\n")
+    with open(f"{prefix}_tetra.dat", "w") as fh:
+        for row in mesh.tetra + 1:
+            fh.write(" ".join(str(i) for i in row) + "\n")
+    with open(f"{prefix}_labels.dat", "w") as fh:
+        for lab in mesh.labels + 1:
+            fh.write(f"{lab}\n")
+    with open(f"{prefix}_sigma.dat", "w") as fh:
+        if mesh.is_tensor:
+            for row in mesh.sigma:
+                fh.write(" ".join(_fmt(v) for v in row) + "\n")
+        else:
+            for v in mesh.sigma:
+                fh.write(f"{_fmt(v)}\n")
+
+
+def reference_write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
+                        else v for v in row])
+
+
+def reference_save_leadfield_csv(lf, path):
+    header = [f"dof{j}" for j in range(lf.matrix.shape[1])]
+    reference_write_csv(path, ["row"] + header,
+                        [[i] + list(row) for i, row in enumerate(lf.matrix)])
+
+
+def reference_save_dataset(path, data, n_electrodes, column_label="pattern"):
+    data = np.asarray(data, dtype=float)
+    cols = data.reshape(n_electrodes, -1, order="F")
+    header = ["electrode"] + [f"{column_label}{j}" for j in range(cols.shape[1])]
+    rows = [[i] + list(cols[i]) for i in range(n_electrodes)]
+    reference_write_csv(path, header, rows)
+
+
+def reference_save_reconstruction(path, positions, values, mode):
+    values = np.asarray(values, dtype=float)
+    if mode == "constrained" or values.size == len(positions):
+        header = ["dof_id", "x", "y", "z", "amplitude"]
+        rows = [[i, *positions[i], values[i]] for i in range(len(positions))]
+    else:
+        comp = values.reshape(-1, 3)
+        header = ["dof_id", "x", "y", "z", "qx", "qy", "qz"]
+        rows = [[i, *positions[i], *comp[i]] for i in range(len(positions))]
+    reference_write_csv(path, header, rows)
+
+
+# Values at the edges of the text forms: signed zero, the smallest
+# subnormal, the largest float, the 1e16 switch of repr to an exponent and
+# the 1e-4 / 1e-5 one, and values that need all 17 significant digits.
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 1e16,
+          9999999999999998.0, 1e-4, 9.999999999999999e-05, 1e-05,
+          1.0000000000000001e-05, 0.1, 1 / 3, 2.0 ** 52 + 1, -123456.789,
+          float("inf"), float("nan")]
+
+
+def float_arrays(shape):
+    """float64 or float32 arrays of ``shape``, the edge values that the
+    dtype holds mixed in."""
+    def of(dtype):
+        edges = [v for v in _EDGES if v == 0 or not np.isfinite(v)
+                 or abs(v) <= float(np.finfo(dtype).max) and dtype(v) != 0]
+        return hnp.arrays(dtype, shape, elements=st.one_of(
+            st.sampled_from(edges), st.floats(width=np.finfo(dtype).bits)))
+    return st.sampled_from([np.float64, np.float32]).flatmap(of)
+
+
+def same_bytes(write, reference):
+    """Call ``write`` and ``reference`` with a path (or prefix) in one
+    temporary directory; every file they write must match byte for byte."""
+    with tempfile.TemporaryDirectory() as tmp:
+        write(f"{tmp}/new")
+        reference(f"{tmp}/ref")
+        names = sorted(n[3:] for n in os.listdir(tmp) if n.startswith("new"))
+        assert names
+        for name in names:
+            with open(f"{tmp}/new{name}", "rb") as a, \
+                    open(f"{tmp}/ref{name}", "rb") as b:
+                assert a.read() == b.read(), name
+
+
+rows_ = st.integers(0, 40)
+array_settings = settings(max_examples=60, deadline=None)
+
+
+class TestWritersMatchReference:
+    @array_settings
+    @given(data=st.data(), n_nodes=rows_, n_elements=rows_,
+           tensor=st.booleans(), int32=st.booleans())
+    def test_tet_mesh(self, data, n_nodes, n_elements, tensor, int32):
+        dtype = np.int32 if int32 else np.int64
+        mesh = SimpleNamespace(
+            nodes=data.draw(float_arrays((n_nodes, 3))),
+            tetra=data.draw(hnp.arrays(dtype, (n_elements, 4))),
+            labels=data.draw(hnp.arrays(dtype, n_elements,
+                                        elements=st.integers(0, 9))),
+            sigma=data.draw(float_arrays((n_elements, 6) if tensor
+                                         else n_elements)),
+            is_tensor=tensor)
+        same_bytes(lambda p: hio.save_tet_mesh(mesh, p),
+                   lambda p: reference_save_tet_mesh(mesh, p))
+
+    @array_settings
+    @given(data=st.data(), n_rows=rows_, n_cols=st.integers(1, 12))
+    def test_leadfield_csv(self, data, n_rows, n_cols):
+        lf = SimpleNamespace(matrix=data.draw(float_arrays((n_rows, n_cols))))
+        same_bytes(lambda p: hio.save_leadfield_csv(lf, p),
+                   lambda p: reference_save_leadfield_csv(lf, p))
+
+    @array_settings
+    @given(data=st.data(), n_electrodes=st.integers(1, 12),
+           n_cols=st.integers(1, 6), label=st.sampled_from(["pattern", "t"]))
+    def test_dataset(self, data, n_electrodes, n_cols, label):
+        y = data.draw(float_arrays(n_electrodes * n_cols))
+        same_bytes(lambda p: hio.save_dataset(p, y, n_electrodes, label),
+                   lambda p: reference_save_dataset(p, y, n_electrodes, label))
+
+    @array_settings
+    @given(data=st.data(), n=rows_,
+           mode=st.sampled_from(["constrained", "unconstrained"]))
+    def test_reconstruction(self, data, n, mode):
+        positions = data.draw(float_arrays((n, 3)))
+        comp = 1 if mode == "constrained" else 3
+        values = data.draw(float_arrays(comp * n))
+        same_bytes(
+            lambda p: hio.save_reconstruction(p, positions, values, mode),
+            lambda p: reference_save_reconstruction(p, positions, values, mode))
+
+    def test_blocks_join_without_seams(self):
+        # Two full 65,536-row format blocks and a short third one.
+        n = 2 * 65536 + 3
+        rng = np.random.default_rng(7)
+        mesh = SimpleNamespace(nodes=rng.normal(size=(n, 3)),
+                               tetra=rng.integers(0, n, (n, 4)),
+                               labels=rng.integers(0, 5, n),
+                               sigma=rng.uniform(0.01, 2.0, n), is_tensor=False)
+        same_bytes(lambda p: hio.save_tet_mesh(mesh, p),
+                   lambda p: reference_save_tet_mesh(mesh, p))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.lists(st.one_of(
+        st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+        st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans(),
+        st.none(), st.sampled_from(["a,b", "plain", 'say "x"']),
+        st.sampled_from(_EDGES)), min_size=2, max_size=6), max_size=5))
+    def test_write_csv_mixed_rows(self, rows):
+        # Floats of every width print as the repr of their Python float,
+        # None as an empty cell, and a cell holding a comma or a quote is
+        # quoted with its quotes doubled.
+        def cell(v):
+            if v is None:
+                return ""
+            text = repr(float(v)) if isinstance(v, (float, np.floating)) \
+                else str(v)
+            if any(c in text for c in ',"\r\n'):
+                return '"' + text.replace('"', '""') + '"'
+            return text
+
+        with tempfile.TemporaryDirectory() as tmp:
+            hio.write_csv(f"{tmp}/t.csv", ["a", "b,c"], rows)
+            with open(f"{tmp}/t.csv", "rb") as fh:
+                got = fh.read().decode()
+        assert got == "".join(",".join(map(cell, row)) + "\r\n"
+                              for row in [["a", "b,c"], *rows])

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from headfem.errors import CurrentPatternError, DofError, SingularSystemError
 from headfem.fem import ElectrodeSet, assemble_A, assemble_B_C_R, assemble_cem_system
@@ -234,7 +237,31 @@ class TestDofMap:
             np.testing.assert_array_equal(es, np.flatnonzero(owner == k))
 
 
+@pytest.fixture(scope="module")
+def reciprocity_system():
+    mesh, _, sys, _ = small_sphere_system(n_electrodes=6, h=0.05)
+    return sys, build_dof_map(mesh, [0], n_dofs=5, seed=6)
+
+
+zero_sum_patterns = hnp.arrays(np.float64, 6, elements=st.floats(-1.0, 1.0)) \
+    .map(lambda v: v - v.mean()).filter(lambda v: np.abs(v).max() > 1e-3)
+
+
 class TestEitLeadfield:
+    @settings(max_examples=20, deadline=None)
+    @given(I=zero_sum_patterns, m=zero_sum_patterns)
+    def test_reciprocity(self, reciprocity_system, I, m):
+        # Geselowitz (IEEE TBME 18, 1971): driving I and measuring m gives
+        # the sensitivity of driving m and measuring I, m' J_I = I' J_m.
+        sys, dofs = reciprocity_system
+        cfg = PcgConfig(tolerance=1e-10)
+        J = eit_leadfield(sys, dofs, np.column_stack([I, m]), cfg).matrix
+        J_I, J_m = J[:6], J[6:]
+        scale = np.linalg.norm(m) * np.linalg.norm(J_I, axis=0) + \
+            np.linalg.norm(I) * np.linalg.norm(J_m, axis=0)
+        np.testing.assert_array_less(np.abs(m @ J_I - I @ J_m),
+                                     cfg.tolerance * scale + 1e-300)
+
     def test_finite_difference_oracle(self):
         # Central differences of the direct-solve forward map validate every
         # lead-field entry to 1e-3 relative at step 1e-6 * sigma.

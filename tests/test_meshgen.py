@@ -124,6 +124,31 @@ class TestGenerateMesh:
         with pytest.raises(EmptyMeshError):
             generate_mesh(seg, 2.5)  # all centroids miss both blobs
 
+    @settings(max_examples=25, deadline=None)
+    @given(h=st.floats(0.01, 2.0), cells=st.tuples(*[st.integers(1, 6)] * 3),
+           lo=st.tuples(*[st.floats(-10.0, 10.0)] * 3))
+    def test_kuhn_mesh_of_grid_aligned_box(self, h, cells, lo):
+        # A box of whole grid cells meshes into 6/h^3 positive elements per
+        # unit volume, and the mesh is conforming: every face is on one
+        # element (the box surface, two per cell square) or exactly two.
+        n = np.array(cells)
+        lo = np.array(lo)
+        hi = lo + h * n
+        mesh = generate_mesh(Segmentation([Compartment(
+            box_surface(lo, hi), 1.0)]), h)
+        assert np.all(mesh.volumes > 0)
+        assert mesh.n_elements == 6 * np.prod(n)
+        np.testing.assert_allclose(
+            mesh.n_elements * h**3 / np.prod(hi - lo), 6.0, rtol=1e-9)
+        faces, element_faces, face_elements = mesh.face_table()
+        counts = np.bincount(element_faces.ravel(), minlength=len(faces))
+        assert counts.max() <= 2
+        np.testing.assert_array_equal(face_elements[:, 1] >= 0, counts == 2)
+        assert np.all(face_elements[counts == 2, 0]
+                      < face_elements[counts == 2, 1])
+        nx, ny, nz = n
+        assert np.sum(counts == 1) == 4 * (nx * ny + ny * nz + nz * nx)
+
     def test_bad_resolution(self, unit_cube_segmentation):
         with pytest.raises(ParameterError):
             generate_mesh(unit_cube_segmentation, 0.0)
