@@ -6,26 +6,27 @@ module imports and validates those surfaces and answers the central
 geometric query of the mesh generator: which compartment contains a given
 point.
 
-Containment is decided by ray-casting parity with a fixed ray direction;
-rays that graze an edge, vertex or coplanar triangle are detected and
-retried with the next direction from a fixed list, so the result does not
-depend on luck.  Points lying exactly on a surface count as inside by
-convention.  ``Segmentation.locate`` applies this test point by point and
-is the reference labeling.
+``Segmentation.locate`` labels points with one +x ray per x-line of the
+points (points of a line share bit-identical y and z): one ray per line and
+surface finds every crossing, and a point's parity is the number of
+crossings to its right (parity voxelization, Nooruddin & Turk, IEEE TVCG
+9(2), 2003).  Grid nodes and Kuhn centroids fill few lines with many
+points each; a scattered point set costs one line per point.  Points this
+cannot decide for certain go to its fallback, ``SurfaceMesh.contains``:
+those on a line within a band (1e-6 of the surface diameter) of a triangle
+edge, vertex or x-parallel triangle, and those within the band of a crossed
+triangle's plane.  A line is tested only against the triangles whose (y, z)
+box, widened to cover the band, holds it: the lines are sorted by (y, z),
+so ``searchsorted`` finds them (sort and sweep, Ericson, Real-Time
+Collision Detection, 2005, ch. 7; the widening is derived in
+``SurfaceMesh._line_parity``), and the cost follows these pairs instead of
+lines x triangles.
 
-``locate_on_lines`` gives the same labels faster for points that share
-x-lines (bit-identical y and z), such as grid nodes and Kuhn centroids: one
-+x ray per line and surface finds every crossing, and a point's parity is
-the number of crossings to its right (parity voxelization, Nooruddin &
-Turk, IEEE TVCG 9(2), 2003).  Points this cannot decide for certain go
-through ``SurfaceMesh.contains``: those on a line within a band (1e-6 of the
-surface diameter) of a triangle edge, vertex or x-parallel triangle, and
-those within the band of a crossed triangle's plane.  A line is tested only
-against the triangles whose (y, z) box, widened to cover the band, holds it:
-the lines are sorted by (y, z), so ``searchsorted`` finds them (sort and
-sweep, Ericson, Real-Time Collision Detection, 2005, ch. 7; the widening is
-derived in ``SurfaceMesh._line_parity``), and the cost follows these pairs
-instead of lines x triangles.
+``SurfaceMesh.contains`` decides containment point by point, by ray-casting
+parity with a fixed ray direction; rays that graze an edge, vertex or
+coplanar triangle are detected and retried with the next direction from a
+fixed list, so the result does not depend on luck.  Points lying exactly on
+a surface count as inside by convention.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ _RAY_DIRECTIONS /= np.linalg.norm(_RAY_DIRECTIONS, axis=1, keepdims=True)
 
 _MAX_COMPARTMENTS = 27
 
-# Uncertainty band of ``locate_on_lines``, relative to the surface diameter.
+# Uncertainty band of ``Segmentation.locate``, relative to the surface
+# diameter.
 _LINE_BAND = 1e-6
 
 # Default tissue conductivities (S/m).  White matter, grey matter, skull and
@@ -526,17 +528,6 @@ class Compartment:
     def is_tensor(self):
         return not np.isscalar(self.conductivity)
 
-    def contains(self, points):
-        """Union of the sub-surface interiors."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(len(pts), dtype=bool)
-        for s in self.surfaces:
-            rest = ~out
-            if not rest.any():
-                break
-            out[rest] = s.contains(pts[rest])
-        return bool(out[0]) if np.asarray(points).ndim == 1 else out
-
     def __repr__(self):
         return f"Compartment('{self.name}', priority={self.priority}, active={self.active})"
 
@@ -573,47 +564,37 @@ class Segmentation:
         """Label each point with the innermost enclosing compartment.
 
         Returns an int array with the compartment index, or -1 for points
-        outside every compartment.
+        outside every compartment.  One DEBUG record on ``headfem.geometry``
+        gives the points, the rays cast (lines within a surface's bounding
+        box, summed over surfaces), the line-triangle pairs tested (summed
+        over surfaces) and the points passed to ``SurfaceMesh.contains``.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        # (y, z) read as one complex number: exact, and sorted
+        # lexicographically.
+        yz, line = np.unique(
+            np.ascontiguousarray(pts[:, 1:]).view(complex)[:, 0],
+            return_inverse=True)
+        yz = yz.view(float).reshape(-1, 2)
         labels = np.full(len(pts), -1, dtype=np.int64)
-        open_ = np.arange(len(pts))
+        n_rays = n_fallback = n_pairs = 0
         for k, comp in enumerate(self.compartments):
-            if open_.size == 0:
-                break
-            hit = comp.contains(pts[open_])
-            labels[open_[hit]] = k
-            open_ = open_[~hit]
+            hit = np.zeros(len(pts), dtype=bool)
+            for surf in comp.surfaces:
+                inside, unsure, rays, pairs = surf._line_parity(yz, line,
+                                                                pts[:, 0])
+                ask = np.flatnonzero(unsure & ~hit & (labels < 0))
+                if ask.size:
+                    inside[ask] = surf.contains(pts[ask])
+                hit |= inside
+                n_rays += rays
+                n_fallback += ask.size
+                n_pairs += pairs
+            labels[hit & (labels < 0)] = k
+        logger.debug("labeled %d points: %d x-rays cast, %d line-triangle "
+                     "pairs tested, %d points sent to the per-point fallback",
+                     len(pts), n_rays, n_pairs, n_fallback)
         return labels
-
-
-def locate_on_lines(seg, points):
-    """``seg.locate(points)`` from one +x ray per x-line of the points.
-
-    Returns the labels, the rays cast (lines within a surface's bounding box,
-    summed over surfaces), the points passed to ``SurfaceMesh.contains`` and
-    the line-triangle pairs tested (summed over surfaces).
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    # (y, z) read as one complex number: exact, and sorted lexicographically.
-    yz, line = np.unique(np.ascontiguousarray(pts[:, 1:]).view(complex)[:, 0],
-                         return_inverse=True)
-    yz = yz.view(float).reshape(-1, 2)
-    labels = np.full(len(pts), -1, dtype=np.int64)
-    n_rays = n_fallback = n_pairs = 0
-    for k, comp in enumerate(seg.compartments):
-        hit = np.zeros(len(pts), dtype=bool)
-        for surf in comp.surfaces:
-            inside, unsure, rays, pairs = surf._line_parity(yz, line, pts[:, 0])
-            ask = np.flatnonzero(unsure & ~hit & (labels < 0))
-            if ask.size:
-                inside[ask] = surf.contains(pts[ask])
-            hit |= inside
-            n_rays += rays
-            n_fallback += ask.size
-            n_pairs += pairs
-        labels[hit & (labels < 0)] = k
-    return labels, n_rays, n_fallback, n_pairs
 
 
 def point_in_compartment(seg, point):

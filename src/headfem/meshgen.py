@@ -10,24 +10,20 @@ compartment with the lowest priority value.  Elements outside every
 compartment are dropped.
 
 Grid nodes and the centroids of each Kuhn tetrahedron type (offsets that
-permute (3/4, 1/2, 1/4) h) lie on shared x-lines, so both are labeled by
-``geometry.locate_on_lines``: one +x ray per line and surface, with the few
-undecided points sent to the per-point test.  The labels equal
-``Segmentation.locate``, the reference.
+permute (3/4, 1/2, 1/4) h) lie on shared x-lines, so
+``Segmentation.locate`` labels them all with one +x ray per line and
+surface, and sends the few undecided points to its per-point fallback,
+``SurfaceMesh.contains``.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, EmptyMeshError, ParameterError
-from .geometry import locate_on_lines
-
-logger = logging.getLogger(__name__)
 
 
 def _kuhn_table():
@@ -265,12 +261,8 @@ def generate_mesh(seg, h):
     tetra = corners[:, _KUHN_TETS].reshape(-1, 4)   # (ncubes*6, 4)
 
     centroids = grid_nodes[tetra].mean(axis=1)
-    point_label, n_rays, n_fallback, n_pairs = locate_on_lines(
-        seg, np.concatenate([centroids, grid_nodes]))
+    point_label = seg.locate(np.concatenate([centroids, grid_nodes]))
     cent_label = point_label[:len(centroids)]
-    logger.debug("labeled %d points: %d x-rays cast, %d line-triangle pairs "
-                 "tested, %d points sent to the per-point fallback",
-                 len(point_label), n_rays, n_pairs, n_fallback)
     keep = cent_label >= 0
     if not keep.any():
         raise EmptyMeshError(

@@ -9,6 +9,28 @@ from headfem.geometry import (
     icosphere,
 )
 
+
+def reference_locate(seg, points):
+    """Per-point labels: each compartment's sub-surfaces are tested with
+    ``SurfaceMesh.contains``, innermost compartment first, -1 outside every
+    one.  The reference for the line labeler ``Segmentation.locate``."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    labels = np.full(len(pts), -1, dtype=np.int64)
+    open_ = np.arange(len(pts))
+    for k, comp in enumerate(seg.compartments):
+        if open_.size == 0:
+            break
+        hit = np.zeros(open_.size, dtype=bool)
+        for s in comp.surfaces:
+            rest = ~hit
+            if not rest.any():
+                break
+            hit[rest] = s.contains(pts[open_[rest]])
+        labels[open_[hit]] = k
+        open_ = open_[~hit]
+    return labels
+
+
 # Regular tetrahedron: the smallest closed surface.
 TET_NODES = np.array([
     [1.0, 1.0, 1.0],

@@ -32,6 +32,8 @@ from headfem.meshgen import generate_mesh, place_sources
 from headfem.simulate import fibonacci_sphere_points
 from headfem.solver import PcgConfig, pcg_solve
 
+from conftest import reference_locate
+
 
 def report(number, ok, detail):
     status = "PASS" if ok else "FAIL"
@@ -205,7 +207,7 @@ def test_criterion_8_mesh_generation():
         mesh = generate_mesh(seg, h)
         expected = round(6 / h**3)
         all_pos = bool(np.all(mesh.volumes > 0))
-        oracle = seg.locate(mesh.centroids())
+        oracle = reference_locate(seg, mesh.centroids())
         agree = bool(np.all(oracle == mesh.labels))
         ok = ok and mesh.n_elements == expected and all_pos and agree
         details.append(f"h={h}: {mesh.n_elements}/{expected}")

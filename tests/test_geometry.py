@@ -18,7 +18,7 @@ from headfem.geometry import (
     save_surface_mesh,
 )
 
-from conftest import TET_NODES, TET_TRIS
+from conftest import TET_NODES, TET_TRIS, reference_locate
 
 
 def _write(path, lines):
@@ -167,6 +167,8 @@ class TestContainment:
         rng = np.random.default_rng(3)
         pts = rng.uniform(-1.2, 1.2, size=(60, 3))
         batch = nested_sphere_segmentation.locate(pts)
+        np.testing.assert_array_equal(
+            batch, reference_locate(nested_sphere_segmentation, pts))
         for p, expect in zip(pts, batch):
             got = point_in_compartment(nested_sphere_segmentation, p)
             assert (got if got is not None else -1) == expect
@@ -177,9 +179,9 @@ class TestCompartment:
         left = icosphere(0.3, 1, center=(-0.5, 0, 0), name="lh")
         right = icosphere(0.3, 1, center=(0.5, 0, 0), name="rh")
         comp = Compartment((left, right), 0.33, name="cortex")
-        assert comp.contains(np.array([-0.5, 0.0, 0.0]))
-        assert comp.contains(np.array([0.5, 0.0, 0.0]))
-        assert not comp.contains(np.array([0.0, 0.0, 0.0]))
+        pts = np.array([[-0.5, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(Segmentation([comp]).locate(pts),
+                                      [0, 0, -1])
 
     def test_compartment_cap(self):
         s = icosphere(1.0, 0)

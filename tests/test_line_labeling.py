@@ -1,11 +1,14 @@
-"""The line labeler must reproduce the per-point oracle ``Segmentation.locate``
-on grid nodes and Kuhn centroids, including grazing and on-surface cases, and
-its candidate-pair search must give the same per-point results as the dense
-test of every line against every triangle."""
+"""The line labeler ``Segmentation.locate`` must reproduce the per-point
+reference ``reference_locate`` on grid nodes and Kuhn centroids, including
+grazing and on-surface cases, and its candidate-pair search must give the
+same per-point results as the dense test of every line against every
+triangle."""
 
 import itertools
+import unittest
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,9 +20,10 @@ from headfem.geometry import (
     SurfaceMesh,
     box_surface,
     icosphere,
-    locate_on_lines,
 )
 from headfem.meshgen import generate_mesh
+
+from conftest import reference_locate
 
 _KUHN_OFFSETS = np.array(list(itertools.permutations((0.75, 0.5, 0.25))))
 
@@ -42,9 +46,20 @@ def grid_over(seg, h, shift):
     return kuhn_points(lo, n_cells, h)
 
 
+def locate_counted(seg, pts):
+    """``seg.locate(pts)`` and the (rays, pairs, fallback) counts of its
+    DEBUG record."""
+    with unittest.TestCase().assertLogs("headfem.geometry", "DEBUG") as log:
+        labels = seg.locate(pts)
+    (rec,) = [r for r in log.records if r.levelname == "DEBUG"]
+    n_points, *counts = rec.args
+    assert n_points == len(pts)
+    return labels, *counts
+
+
 def assert_matches_oracle(seg, pts):
-    labels, n_rays, n_fallback, _ = locate_on_lines(seg, pts)
-    np.testing.assert_array_equal(labels, seg.locate(pts))
+    labels, n_rays, _, n_fallback = locate_counted(seg, pts)
+    np.testing.assert_array_equal(labels, reference_locate(seg, pts))
     assert 0 <= n_fallback <= len(pts)
     return n_rays, n_fallback
 
@@ -105,8 +120,8 @@ def test_flat_surface_parallel_to_x():
     flat = SurfaceMesh(nodes, [[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]])
     seg = Segmentation([Compartment(flat, 1.0)])
     pts = kuhn_points(np.array([-1.5, -1.5, -1.0]), (6, 6, 4), 0.5)
-    labels, _, n_fallback, _ = locate_on_lines(seg, pts)
-    np.testing.assert_array_equal(labels, seg.locate(pts))
+    labels, _, _, n_fallback = locate_counted(seg, pts)
+    np.testing.assert_array_equal(labels, reference_locate(seg, pts))
     assert np.any(labels == 0) and n_fallback >= np.count_nonzero(labels == 0)
 
 
@@ -122,7 +137,7 @@ def test_points_off_any_grid():
 
 def test_generate_mesh_logs_rays_and_fallback(caplog):
     seg = Segmentation([Compartment(box_surface(), 1.0)])
-    with caplog.at_level("DEBUG", logger="headfem.meshgen"):
+    with caplog.at_level("DEBUG", logger="headfem.geometry"):
         generate_mesh(seg, 0.25)
     assert "x-rays cast" in caplog.text and "per-point fallback" in caplog.text
     assert "line-triangle pairs tested" in caplog.text
@@ -130,8 +145,31 @@ def test_generate_mesh_logs_rays_and_fallback(caplog):
 
 def test_empty_point_set():
     seg = Segmentation([Compartment(icosphere(1.0, 1), 1.0)])
-    labels, n_rays, n_fallback, n_pairs = locate_on_lines(seg, np.zeros((0, 3)))
+    labels, n_rays, n_pairs, n_fallback = locate_counted(seg, np.zeros((0, 3)))
     assert labels.shape == (0,) and n_rays == n_fallback == n_pairs == 0
+
+
+@settings_
+@given(k=st.integers(2, 5), sub=st.integers(1, 2),
+       radius=st.floats(0.1, 0.2),
+       center=st.tuples(*[st.floats(-0.05, 0.05)] * 3),
+       lo=st.tuples(*[st.integers(-4, -2)] * 3),
+       hi=st.tuples(*[st.integers(2, 4)] * 3),
+       s=st.tuples(*[st.integers(-8, 8)] * 3))
+def test_labels_invariant_under_whole_grid_steps(k, sub, radius, center, lo,
+                                                 hi, s):
+    # Surfaces on the 2**-20 lattice, box corners and grid on multiples of
+    # h = 2**-k: shifting both by s h changes no coordinate difference, so
+    # no label may change.
+    h, lo, hi = 2.0**-k, np.asarray(lo) / 8, np.asarray(hi) / 8
+    shift = np.asarray(s) * h
+    ico = icosphere(radius, sub, center=center)
+    nodes = np.round(ico.nodes * 2**20) / 2**20
+    seg, moved = (Segmentation([
+        Compartment(SurfaceMesh(nodes + d, ico.triangles), 0.3),
+        Compartment(box_surface(lo + d, hi + d), 1.0)]) for d in (0.0, shift))
+    pts = grid_over(seg, h, (1, 1, 1))
+    np.testing.assert_array_equal(seg.locate(pts), moved.locate(pts + shift))
 
 
 def test_eit_desk_mesh_labels_match_oracle():
@@ -139,8 +177,8 @@ def test_eit_desk_mesh_labels_match_oracle():
     seg = layered_sphere_segmentation(p.radii, p.conductivities, p.priorities,
                                       (0,), p.subdivisions)
     mesh = generate_mesh(seg, p.resolution)
-    oracle = seg.locate(mesh.centroids())
-    nl = seg.locate(mesh.nodes)[mesh.tetra]
+    oracle = reference_locate(seg, mesh.centroids())
+    nl = reference_locate(seg, mesh.nodes)[mesh.tetra]
     top = nl.max(axis=1)
     keep = np.where(nl >= 0, nl, top[:, None]).min(axis=1) == top
     assert keep.sum() > 0.5 * mesh.n_elements     # thin shells: many straddle
@@ -295,6 +333,7 @@ def sliver_surface(sub, flat, turn):
     return SurfaceMesh(ico.nodes * [1.0, 1.0, flat] @ rot.T, ico.triangles)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings_
 @given(sub=st.integers(1, 2), flat=st.floats(1e-4, 1e-2),
        turn=st.floats(0.0, np.pi), reach=st.lists(st.floats(0.05, 1.5),
@@ -303,19 +342,26 @@ def test_pruned_matches_dense_near_sliver_vertices(sub, flat, turn, reach):
     # Lines on the outward bisector of each projected vertex, up to 1.5
     # times band / sin(angle / 2) away: the dense test flags those closer
     # than that, which for the sharp vertices lie far outside the
-    # triangle's box widened by the band alone.
+    # triangle's box widened by the band alone.  A vertex with a projected
+    # edge of zero length (an x-parallel edge) or a projected angle of 0 or
+    # pi has no bisector and is skipped.
     surf = sliver_surface(sub, flat, turn)
     band = _LINE_BAND * surf._diameter
     p = surf.nodes[surf.triangles][:, :, 1:]
     lines = []
     for k in range(3):
-        v, a, b = p[:, k], p[:, (k + 1) % 3], p[:, (k + 2) % 3]
-        u = (a - v) / np.linalg.norm(a - v, axis=1, keepdims=True)
-        w = (b - v) / np.linalg.norm(b - v, axis=1, keepdims=True)
-        out = -(u + w) / np.linalg.norm(u + w, axis=1, keepdims=True)
+        v = p[:, k]
+        a, b = p[:, (k + 1) % 3] - v, p[:, (k + 2) % 3] - v
+        la, lb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+        keep = (la > 0) & (lb > 0)
+        v, u, w = v[keep], a[keep] / la[keep, None], b[keep] / lb[keep, None]
+        bisect = np.linalg.norm(u + w, axis=1, keepdims=True)
         sin_half = np.linalg.norm(u - w, axis=1, keepdims=True) / 2
-        lines += [v + f * band / sin_half * out for f in [0.5, *reach]]
+        keep = (bisect[:, 0] > 0) & (sin_half[:, 0] > 0)
+        v, out = v[keep], -(u + w)[keep] / bisect[keep]
+        lines += [v + f * band / sin_half[keep] * out for f in [0.5, *reach]]
     lines = np.vstack(lines)
+    assert np.all(np.isfinite(lines))
     assert_pruned_matches_dense(surf, on_lines(lines, np.linspace(-1, 1, 5)))
 
 

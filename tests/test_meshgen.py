@@ -18,6 +18,8 @@ from headfem.meshgen import (
     tet_volumes,
 )
 
+from conftest import reference_locate
+
 
 class TestGenerateMesh:
     @pytest.mark.parametrize("h,expected", [(1.0, 6), (0.5, 48), (0.25, 384)])
@@ -45,7 +47,7 @@ class TestGenerateMesh:
             Compartment(c.surfaces, c.conductivity, priority=0, active=c.active)
             for c in nested_sphere_segmentation.compartments])
         mesh = generate_mesh(seg, 0.3)
-        oracle = seg.locate(mesh.centroids())
+        oracle = reference_locate(seg, mesh.centroids())
         np.testing.assert_array_equal(mesh.labels, oracle)
 
     def test_priority_overrides_straddling_elements(self):
@@ -59,13 +61,13 @@ class TestGenerateMesh:
         ])
         mesh = generate_mesh(seg, 0.5)
         centroids = mesh.centroids()
-        nl = seg.locate(mesh.nodes)[mesh.tetra]
+        nl = reference_locate(seg, mesh.nodes)[mesh.tetra]
         straddle = np.array([len(set(int(v) for v in row if v >= 0)) > 1
                              for row in nl])
         inside_a = centroids[:, 0] < 0.75
         assert np.all(mesh.labels[straddle & inside_a] == 1)
         # Non-straddling elements keep their centroid label.
-        oracle = seg.locate(centroids)
+        oracle = reference_locate(seg, centroids)
         np.testing.assert_array_equal(mesh.labels[~straddle], oracle[~straddle])
 
     @settings(max_examples=200, deadline=None)
