@@ -23,7 +23,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -372,7 +372,7 @@ def cmd_invert(cfg, args):
     # Score before the first write: a failed score leaves no reconstruction
     # without a manifest.
     metrics = None
-    if cfg.truth and "position" in cfg.truth:
+    if cfg.truth is not None and cfg.truth["position"] is not None:
         metrics = _score(cfg, positions, x, lf.orientations)
 
     rec_path = os.path.join(out, "reconstruction.csv")
@@ -407,7 +407,7 @@ def _score(cfg, positions, x, orientations=None):
     common = (x, positions, truth["position"], truth["roi_radius"],
               truth["position"])
     try:
-        pos_err, angle = roi_metrics(*common, truth.get("orientation"),
+        pos_err, angle = roi_metrics(*common, truth["orientation"],
                                      orientations)
     except UndefinedMetricError:
         pos_err, angle = roi_metrics(*common)   # all-zero amplitudes re-raise
@@ -421,21 +421,29 @@ def _write_metrics(out, metrics):
     return hio.sha256_file(path)
 
 
+# [experiment] key -> field of the experiment's parameter dataclass.
+_EXPERIMENT_FIELDS = {"realizations": "realizations", "n_seeds": "n_seeds",
+                      "resolution": "resolution", "electrodes": "n_electrodes",
+                      "sources": "n_sources", "dofs": "n_dofs",
+                      "iterations": "n_iter"}
+
+
+def _experiment_params(cfg, params):
+    """``params`` with the ``[experiment]`` keys it has a field for."""
+    names = {f.name for f in fields(params)}
+    return replace(params, **{
+        attr: cfg.experiment[key] for key, attr in _EXPERIMENT_FIELDS.items()
+        if attr in names and cfg.experiment[key] is not None})
+
+
 def cmd_experiment(cfg, args):
     from . import experiments as ex
 
     out = _outdir(cfg, args)
     master = args.seed if args.seed is not None else cfg.experiment["master_seed"]
     if args.name == "eeg-hypermodel":
-        params = ex.EegHypermodelParams(master_seed=master)
-        if cfg.experiment["realizations"] is not None:
-            params.realizations = cfg.experiment["realizations"]
-        for key, attr in (("resolution", "resolution"),
-                          ("electrodes", "n_electrodes"),
-                          ("sources", "n_sources"),
-                          ("iterations", "n_iter")):
-            if cfg.experiment[key] is not None:
-                setattr(params, attr, cfg.experiment[key])
+        params = _experiment_params(cfg, ex.EegHypermodelParams(
+            master_seed=master))
         rows, summary, _ = ex.eeg_hypermodel_experiment(params)
         header = ["case", "hypermodel", "theta0", "source", "realization",
                   "position_error_mm", "angle_error_deg"]
@@ -449,15 +457,8 @@ def cmd_experiment(cfg, args):
         parameters = {"name": args.name, "realizations": params.realizations,
                       "cases": [list(c) for c in params.cases]}
     elif args.name == "eit-hemorrhage":
-        params = ex.EitHemorrhageParams(master_seed=master)
-        if cfg.experiment["n_seeds"] is not None:
-            params.n_seeds = cfg.experiment["n_seeds"]
-        for key, attr in (("resolution", "resolution"),
-                          ("electrodes", "n_electrodes"),
-                          ("dofs", "n_dofs"),
-                          ("iterations", "n_iter")):
-            if cfg.experiment[key] is not None:
-                setattr(params, attr, cfg.experiment[key])
+        params = _experiment_params(cfg, ex.EitHemorrhageParams(
+            master_seed=master))
         rows, first, ctx = ex.eit_hemorrhage_experiment(params)
         header = ["seed", "com_x", "com_y", "com_z", "com_error_mm",
                   "within_radius"]
@@ -495,7 +496,7 @@ def cmd_metrics(cfg, args):
     out = _outdir(cfg, args)
     if not args.reconstruction:
         raise ConfigError("metrics requires --reconstruction")
-    if cfg.truth is None or "position" not in cfg.truth:
+    if cfg.truth is None or cfg.truth["position"] is None:
         raise ConfigError("metrics requires a [truth] section with a position")
     metrics = _score(cfg, *hio.load_reconstruction(args.reconstruction))
     _write_metrics(out, metrics)

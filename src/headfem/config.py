@@ -1,16 +1,19 @@
 """Project configuration: a single INI file drives every pipeline.
 
 Compartments are declared in ``[compartment:<name>]`` sections whose file
-order runs innermost to outermost.  Unknown sections or keys are hard
-errors reported with their line number, so a configuration that parses is
-fully understood.  The canonical JSON form of the parsed configuration is
+order runs innermost to outermost.  Every section and key is parsed from one
+table, :data:`_SCHEMA`.  Unknown sections or keys and malformed values are
+hard errors reported with their line number, so a configuration that parses
+is fully understood.  The canonical JSON form of the parsed configuration is
 hashed into every artifact manifest.
 """
 
 from __future__ import annotations
 
 import configparser
+import copy
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,38 +28,29 @@ from .geometry import (
 )
 from .io import canonical_json, sha256_text
 
-_KNOWN_KEYS = {
-    "project": {"name", "unit_scale"},
-    "compartment": {"surfaces", "conductivity", "priority", "active"},
-    "mesh": {"resolution", "smoothing_iterations", "smoothing_step"},
-    "electrodes": {"positions", "radius", "impedance", "triangles"},
-    "sources": {"count", "mode", "seed"},
-    "eit": {"dofs", "seed", "compartments", "amplitude"},
-    "modality": {"type"},
-    "solver": {"tolerance", "max_iterations"},
-    "inversion": {"method", "hypermodel", "beta", "theta0", "nu_mode", "nu",
-                  "iterations", "subsets", "decompositions", "seed",
-                  "normalize", "roi_center", "roi_radius"},
-    "simulation": {"noise_mode", "noise_level", "seed", "dipoles", "anomaly"},
-    "truth": {"position", "orientation", "roi_radius"},
-    "experiment": {"realizations", "n_seeds", "master_seed", "resolution",
-                   "electrodes", "sources", "dofs", "iterations"},
-    "output": {"dir"},
-}
-
 _REQUIRED_SECTIONS = ("mesh", "electrodes", "modality", "output")
 
 
-def _find_line(path, needle):
-    try:
-        with open(path) as fh:
-            for no, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if stripped.startswith(needle):
+def _find_line(path, section, key=None):
+    """Line number of the ``[section]`` header, or of ``key`` inside it."""
+    current = None
+    with open(path) as fh:
+        for no, line in enumerate(fh, start=1):
+            text = line.strip()
+            header = re.match(r"\[(.+)\]", text)   # configparser's header rule
+            if header:
+                current = header.group(1)
+                if key is None and current == section:
                     return no
-    except OSError:
-        pass
+            elif (key is not None and current == section and
+                  re.split(r"[=:]", text, maxsplit=1)[0].strip().lower() == key):
+                return no
     return None
+
+
+def _error(path, section, key, reason):
+    return ConfigError(
+        f"{path}:{_find_line(path, section, key)}: [{section}] {key}: {reason}")
 
 
 @dataclass
@@ -124,24 +118,137 @@ class ProjectConfig:
         raise ConfigError(f"unknown compartment '{name}'")
 
 
-def _parse_floats(text, n=None, what="value"):
-    toks = text.replace(",", " ").split()
-    try:
-        vals = [float(t) for t in toks]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {what}: {text!r}: {exc}")
-    if n is not None and len(vals) != n:
-        raise ConfigError(f"{what} needs {n} numbers, got {len(vals)}: {text!r}")
+# Value parsers: each takes the INI text and raises ValueError on bad input
+# (OverflowError for an index beyond int64).
+
+def _parse_floats(text, *counts):
+    """Numbers separated by blanks or commas, as many as one of ``counts``."""
+    vals = [float(t) for t in text.replace(",", " ").split()]
+    if counts and len(vals) not in counts:
+        raise ValueError(f"needs {' or '.join(map(str, counts))} numbers, "
+                         f"got {len(vals)}: {text!r}")
     return vals
 
 
-def _parse_bool(text, what):
+def _parse_bool(text):
     t = text.strip().lower()
     if t in ("1", "true", "yes", "on"):
         return True
     if t in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"{what} must be a boolean, got {text!r}")
+    raise ValueError(f"must be a boolean, got {text!r}")
+
+
+def _choice(*options):
+    """An enumeration, matched without regard to case."""
+    def parse(text):
+        for option in options:
+            if text.strip().lower() == option.lower():
+                return option
+        raise ValueError(f"must be one of {', '.join(options)}, got {text!r}")
+    return parse
+
+
+def _optional(parse):
+    """``parse``, except that a blank value reads as None."""
+    return lambda text: parse(text) if text.strip() else None
+
+
+def _vector(n):
+    return lambda text: np.array(_parse_floats(text, n))
+
+
+def _lines(parse):
+    """A multi-line value, one ``parse`` result per line."""
+    return lambda text: [parse(line) for line in text.strip().splitlines()]
+
+
+def _surface_entry(line):
+    entry = line.replace(";", " ").split()
+    if len(entry) not in (1, 2):
+        raise ValueError(
+            f"surface entry must be 'nodes tris' or 'file.asc', got {line!r}")
+    return entry
+
+
+def _conductivity(text):
+    if text.strip().lower() in DEFAULT_CONDUCTIVITY:
+        return DEFAULT_CONDUCTIVITY[text.strip().lower()]
+    vals = _parse_floats(text)
+    if len(vals) == 1:
+        return vals[0]
+    if len(vals) == 6:
+        return np.array(vals)
+    raise ValueError(f"must be a scalar, a 6-entry tensor row, or one of "
+                     f"{sorted(DEFAULT_CONDUCTIVITY)}")
+
+
+def _dipole(line):
+    vals = _parse_floats(line, 7)
+    return np.array(vals[:3]), np.array(vals[3:6]), vals[6]
+
+
+# section -> key -> (parser, value when absent).  ``[compartment:<name>]``
+# sections share the "compartment" entry.
+_SCHEMA = {
+    "project": {"name": (str, None), "unit_scale": (float, 1.0)},
+    "compartment": {"surfaces": (_lines(_surface_entry), None),
+                    "conductivity": (_conductivity, 0.33),
+                    "priority": (int, 0), "active": (_parse_bool, False)},
+    "mesh": {"resolution": (float, 0.01), "smoothing_iterations": (int, 0),
+             "smoothing_step": (float, 0.3)},
+    "electrodes": {
+        # One electrode per line: "x y z" or "x y z impedance".
+        "positions": (_lines(lambda line: _parse_floats(line, 3, 4)), []),
+        "radius": (float, 0.01), "impedance": (float, 1000.0),
+        # Or explicit coverage: one-based boundary-triangle indices.
+        "triangles": (_lines(lambda line: np.array(
+            [int(t) - 1 for t in line.split()], dtype=np.int64)), [])},
+    "sources": {"count": (int, 100),
+                "mode": (_choice("constrained", "unconstrained"),
+                         "unconstrained"), "seed": (int, 0)},
+    "eit": {"dofs": (int, 200), "seed": (int, 0),
+            "compartments": (str.split, []), "amplitude": (float, 1.0)},
+    "modality": {"type": (_choice("eeg", "eit"), "eeg")},
+    "solver": {"tolerance": (float, 1e-8),
+               "max_iterations": (_optional(int), None)},
+    "inversion": {
+        "method": (_choice("map", "roi", "multires"), "map"),
+        "hypermodel": (_choice("G", "IG"), "IG"),
+        "beta": (float, 1.5), "theta0": (float, 1e-3),
+        "nu_mode": (_choice("relative-max", "rms"), "relative-max"),
+        "nu": (float, 0.03), "iterations": (int, 2), "subsets": (int, 100),
+        "decompositions": (int, 20), "seed": (int, 0),
+        "normalize": (_parse_bool, True),
+        "roi_center": (_optional(_vector(3)), None),
+        "roi_radius": (float, 0.015)},
+    "simulation": {
+        "noise_mode": (_choice("relative-max", "snr-db"), "relative-max"),
+        "noise_level": (float, 0.02), "seed": (int, 0),
+        "dipoles": (_lines(_dipole), []),
+        "anomaly": (_optional(lambda text: _parse_floats(text, 5)), None)},
+    "truth": {"position": (_vector(3), None),
+              "orientation": (_vector(3), None), "roi_radius": (float, 0.015)},
+    "experiment": {"realizations": (int, None), "n_seeds": (int, None),
+                   "master_seed": (int, 0), "resolution": (float, None),
+                   "electrodes": (int, None), "sources": (int, None),
+                   "dofs": (int, None), "iterations": (int, None)},
+    "output": {"dir": (str, "out")},
+}
+
+
+def _parse_section(path, section, schema, sec):
+    """Check, parse and default the keys of one section."""
+    for key in sec:
+        if key not in schema:
+            raise _error(path, section, key, "unknown key")
+    values = {}
+    for key, (parse, default) in schema.items():
+        try:
+            values[key] = parse(sec[key]) if key in sec else copy.copy(default)
+        except (ValueError, OverflowError) as exc:
+            raise _error(path, section, key, exc) from None
+    return values
 
 
 def load_config(path):
@@ -155,230 +262,58 @@ def load_config(path):
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}")
 
-    raw = {}
-    compartments = []
+    raw, opts, compartments = {}, {}, []
     for section in parser.sections():
         base = section.split(":", 1)[0].strip().lower()
-        if base not in _KNOWN_KEYS:
-            line = _find_line(path, f"[{section}]")
-            raise ConfigError(
-                f"{path}:{line}: unknown section [{section}]")
-        known = _KNOWN_KEYS[base]
-        sec = {}
-        for key, value in parser.items(section):
-            if key not in known:
-                line = _find_line(path, key)
-                raise ConfigError(
-                    f"{path}:{line}: unknown key '{key}' in [{section}]")
-            sec[key] = value
-        raw[section] = sec
+        if base not in _SCHEMA:
+            raise ConfigError(f"{path}:{_find_line(path, section)}: "
+                              f"unknown section [{section}]")
+        raw[section] = dict(parser.items(section))
+        opts[section] = _parse_section(path, section, _SCHEMA[base],
+                                       raw[section])
         if base == "compartment":
-            name = section.split(":", 1)[1].strip() if ":" in section else section
-            compartments.append(_compartment_spec(name, sec, path))
+            compartments.append(_compartment_spec(path, section, opts[section]))
 
     for required in _REQUIRED_SECTIONS:
         if required not in raw:
             raise ConfigError(f"{path}: missing required section [{required}]")
+    for name, schema in _SCHEMA.items():     # absent sections: all defaults
+        if name not in opts:
+            opts[name] = _parse_section(path, name, schema, {})
 
-    project = raw.get("project", {})
-    mesh = _mesh_options(raw["mesh"])
-    modality = raw["modality"].get("type", "eeg").strip().lower()
-    if modality not in ("eeg", "eit"):
-        raise ConfigError(f"{path}: modality must be eeg or eit, got '{modality}'")
-
-    cfg = ProjectConfig(
-        path=str(path),
-        base_dir=os.path.dirname(os.path.abspath(path)),
-        raw=raw,
-        unit_scale=float(project.get("unit_scale", 1.0)),
-        compartments=compartments,
-        mesh=mesh,
-        electrodes=_electrode_options(raw["electrodes"]),
-        sources=_source_options(raw.get("sources", {})),
-        eit=_eit_options(raw.get("eit", {})),
-        modality=modality,
-        solver=_solver_options(raw.get("solver", {})),
-        inversion=_inversion_options(raw.get("inversion", {})),
-        simulation=_simulation_options(raw.get("simulation", {})),
-        truth=_truth_options(raw.get("truth")),
-        experiment=_experiment_options(raw.get("experiment", {})),
-        output_dir=raw["output"].get("dir", "out"),
-    )
-    return cfg
+    return ProjectConfig(
+        path=str(path), base_dir=os.path.dirname(os.path.abspath(path)),
+        raw=raw, unit_scale=opts["project"]["unit_scale"],
+        compartments=compartments, mesh=opts["mesh"],
+        electrodes=_electrode_options(path, opts["electrodes"]),
+        sources=opts["sources"], eit=opts["eit"],
+        modality=opts["modality"]["type"], solver=opts["solver"],
+        inversion=opts["inversion"], simulation=opts["simulation"],
+        truth=opts["truth"] if "truth" in raw else None,
+        experiment=opts["experiment"], output_dir=opts["output"]["dir"])
 
 
-def _compartment_spec(name, sec, path):
-    if "surfaces" not in sec:
-        raise ConfigError(f"{path}: compartment '{name}' needs a surfaces key")
-    surfaces = []
-    for line in sec["surfaces"].strip().splitlines():
-        entry = line.replace(";", " ").split()
-        if len(entry) not in (1, 2):
-            raise ConfigError(
-                f"{path}: surface entry must be 'nodes tris' or 'file.asc', "
-                f"got {line!r}")
-        surfaces.append(entry)
-    cond_text = sec.get("conductivity", "0.33").strip()
-    if cond_text.lower() in DEFAULT_CONDUCTIVITY:
-        conductivity = DEFAULT_CONDUCTIVITY[cond_text.lower()]
-    else:
-        cond_vals = _parse_floats(cond_text, what=f"conductivity of '{name}'")
-        if len(cond_vals) == 1:
-            conductivity = cond_vals[0]
-        elif len(cond_vals) == 6:
-            conductivity = np.array(cond_vals)
-        else:
-            raise ConfigError(
-                f"{path}: conductivity of '{name}' must be a scalar, a "
-                f"6-entry tensor row, or one of "
-                f"{sorted(DEFAULT_CONDUCTIVITY)}")
-    return CompartmentSpec(
-        name=name,
-        surfaces=surfaces,
-        conductivity=conductivity,
-        priority=int(sec.get("priority", 0)),
-        active=_parse_bool(sec.get("active", "false"), f"active of '{name}'"),
-    )
+def _compartment_spec(path, section, values):
+    if values["surfaces"] is None:
+        raise ConfigError(f"{path}:{_find_line(path, section)}: "
+                          f"[{section}] needs a surfaces key")
+    name = section.split(":", 1)[1].strip() if ":" in section else section
+    return CompartmentSpec(name=name, **values)
 
 
-def _mesh_options(sec):
+def _electrode_options(path, values):
+    """Positions and triangles exclude each other, and the ``impedance``
+    value fills every position line that gives none."""
+    lines, triangles = values["positions"], values["triangles"]
+    if lines and triangles:
+        raise _error(path, "electrodes", "triangles",
+                     "give either positions or triangles, not both")
+    z = values["impedance"]
     return {
-        "resolution": float(sec.get("resolution", 0.01)),
-        "smoothing_iterations": int(sec.get("smoothing_iterations", 0)),
-        "smoothing_step": float(sec.get("smoothing_step", 0.3)),
-    }
-
-
-def _electrode_options(sec):
-    positions = []
-    impedances = []
-    default_z = float(sec.get("impedance", 1000.0))
-    for line in sec.get("positions", "").strip().splitlines():
-        vals = _parse_floats(line, what="electrode position")
-        if len(vals) == 3:
-            positions.append(vals)
-            impedances.append(default_z)
-        elif len(vals) == 4:
-            positions.append(vals[:3])
-            impedances.append(vals[3])
-        else:
-            raise ConfigError(
-                f"electrode line must be 'x y z' or 'x y z impedance', "
-                f"got {line!r}")
-    # Explicit coverage: one electrode per line, one-based boundary-triangle
-    # indices (alternative to center/radius placement).
-    triangles = []
-    for line in sec.get("triangles", "").strip().splitlines():
-        try:
-            ids = [int(t) - 1 for t in line.split()]
-        except ValueError as exc:
-            raise ConfigError(f"electrode triangle list {line!r}: {exc}")
-        triangles.append(np.array(ids, dtype=np.int64))
-    if triangles and positions:
-        raise ConfigError(
-            "electrodes: give either positions or triangles, not both")
-    return {
-        "positions": np.array(positions) if positions else np.zeros((0, 3)),
-        "impedances": np.array(impedances) if impedances
-            else np.full(len(triangles), default_z),
+        "positions": np.array([v[:3] for v in lines]) if lines
+            else np.zeros((0, 3)),
+        "impedances": np.array([v[3] if len(v) == 4 else z for v in lines])
+            if lines else np.full(len(triangles), z),
         "triangles": triangles,
-        "radius": float(sec.get("radius", 0.01)),
-    }
-
-
-def _source_options(sec):
-    mode = sec.get("mode", "unconstrained").strip().lower()
-    if mode not in ("constrained", "unconstrained"):
-        raise ConfigError(f"source mode must be constrained or unconstrained, "
-                          f"got '{mode}'")
-    return {
-        "count": int(sec.get("count", 100)),
-        "mode": mode,
-        "seed": int(sec.get("seed", 0)),
-    }
-
-
-def _eit_options(sec):
-    return {
-        "dofs": int(sec.get("dofs", 200)),
-        "seed": int(sec.get("seed", 0)),
-        "compartments": sec.get("compartments", "").split(),
-        "amplitude": float(sec.get("amplitude", 1.0)),
-    }
-
-
-def _solver_options(sec):
-    max_it = sec.get("max_iterations", "").strip()
-    return {
-        "tolerance": float(sec.get("tolerance", 1e-8)),
-        "max_iterations": int(max_it) if max_it else None,
-    }
-
-
-def _inversion_options(sec):
-    method = sec.get("method", "map").strip().lower()
-    if method not in ("map", "roi", "multires"):
-        raise ConfigError(f"inversion method must be map, roi or multires, "
-                          f"got '{method}'")
-    nu_mode = sec.get("nu_mode", "relative-max").strip().lower()
-    if nu_mode not in ("relative-max", "rms"):
-        raise ConfigError(f"nu_mode must be relative-max or rms, got '{nu_mode}'")
-    roi_center = sec.get("roi_center", "").strip()
-    return {
-        "method": method,
-        "hypermodel": sec.get("hypermodel", "IG").strip().upper(),
-        "beta": float(sec.get("beta", 1.5)),
-        "theta0": float(sec.get("theta0", 1e-3)),
-        "nu_mode": nu_mode,
-        "nu": float(sec.get("nu", 0.03)),
-        "iterations": int(sec.get("iterations", 2)),
-        "subsets": int(sec.get("subsets", 100)),
-        "decompositions": int(sec.get("decompositions", 20)),
-        "seed": int(sec.get("seed", 0)),
-        "normalize": _parse_bool(sec.get("normalize", "true"), "normalize"),
-        "roi_center": np.array(_parse_floats(roi_center, 3, "roi_center"))
-            if roi_center else None,
-        "roi_radius": float(sec.get("roi_radius", 0.015)),
-    }
-
-
-def _simulation_options(sec):
-    noise_mode = sec.get("noise_mode", "relative-max").strip().lower()
-    dipoles = []
-    for line in sec.get("dipoles", "").strip().splitlines():
-        vals = _parse_floats(line, 7, "dipole")
-        dipoles.append((np.array(vals[:3]), np.array(vals[3:6]), vals[6]))
-    anomaly = sec.get("anomaly", "").strip()
-    return {
-        "noise_mode": noise_mode,
-        "noise_level": float(sec.get("noise_level", 0.02)),
-        "seed": int(sec.get("seed", 0)),
-        "dipoles": dipoles,
-        "anomaly": _parse_floats(anomaly, 5, "anomaly") if anomaly else None,
-    }
-
-
-def _truth_options(sec):
-    if sec is None:
-        return None
-    out = {}
-    if "position" in sec:
-        out["position"] = np.array(_parse_floats(sec["position"], 3, "position"))
-    if "orientation" in sec:
-        out["orientation"] = np.array(
-            _parse_floats(sec["orientation"], 3, "orientation"))
-    out["roi_radius"] = float(sec.get("roi_radius", 0.015))
-    return out
-
-
-def _experiment_options(sec):
-    return {
-        "realizations": int(sec["realizations"]) if "realizations" in sec else None,
-        "n_seeds": int(sec["n_seeds"]) if "n_seeds" in sec else None,
-        "master_seed": int(sec.get("master_seed", 0)),
-        "resolution": float(sec["resolution"]) if "resolution" in sec else None,
-        "electrodes": int(sec["electrodes"]) if "electrodes" in sec else None,
-        "sources": int(sec["sources"]) if "sources" in sec else None,
-        "dofs": int(sec["dofs"]) if "dofs" in sec else None,
-        "iterations": int(sec["iterations"]) if "iterations" in sec else None,
+        "radius": values["radius"],
     }

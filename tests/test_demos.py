@@ -31,3 +31,23 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_ini_blocks_load_and_name_every_key(tmp_path):
+    # Every schema key appears in its section as "key =", commented or not.
+    from headfem.config import _SCHEMA, load_config
+    blocks = re.findall(r"```ini\n(.*?)```",
+                        (ROOT / "README.md").read_text(), re.S)
+    assert blocks
+    for k, block in enumerate(blocks):
+        path = tmp_path / f"project{k}.ini"
+        path.write_text(block)
+        load_config(path)
+        named = {}
+        for chunk in re.split(r"^(?=\[)", block, flags=re.M)[1:]:
+            base = chunk[1:chunk.index("]")].split(":", 1)[0]
+            named.setdefault(base, set()).update(
+                re.findall(r"^[;\s]*(\w+) =", chunk, re.M))
+        for section, keys in _SCHEMA.items():
+            missing = set(keys) - named.get(section, set())
+            assert not missing, f"[{section}] lacks {sorted(missing)}"

@@ -149,6 +149,42 @@ class TestConfig:
         path = write_cube_project(tmp_path)
         assert load_config(path).digest == load_config(path).digest
 
+    def test_unknown_key_line_is_found_in_its_own_section(self, tmp_path):
+        # 'seed' on line 4 is a [sources] key; the one on line 6 is unknown.
+        path = tmp_path / "project.ini"
+        path.write_text("[mesh]\nresolution = 0.5\n[sources]\nseed = 3\n"
+                        "[solver]\nseed = 1\n")
+        with pytest.raises(ConfigError, match=r":6: \[solver\] seed: "):
+            load_config(path)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("mesh", "resolution", "abc"),
+        ("sources", "count", "1.5"),
+        ("compartment:cube", "priority", "x"),
+        ("electrodes", "radius", "x"),
+        ("inversion", "normalize", "maybe"),
+        ("inversion", "method", "lasso"),
+        ("truth", "position", "1 2"),
+        ("simulation", "noise_mode", "bogus"),
+        ("inversion", "hypermodel", "X"),
+        ("electrodes", "triangles", "99999999999999999999"),
+    ])
+    def test_malformed_value_exit_2(self, tmp_path, capsys, section, key,
+                                    value):
+        path = write_cube_project(tmp_path)
+        lines = [ln for ln in path.read_text().splitlines()
+                 if not ln.startswith(f"{key} =")]
+        if f"[{section}]" not in lines:
+            lines.append(f"[{section}]")
+        line = lines.index(f"[{section}]") + 2
+        lines.insert(line - 1, f"{key} = {value}")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value).startswith(f"{path}:{line}: [{section}] {key}: ")
+        assert main(["mesh", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+
 
 class TestCliMesh:
     def test_cube_fixture_writes_48_elements(self, tmp_path):
