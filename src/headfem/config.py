@@ -255,7 +255,8 @@ def load_config(path):
     """Parse and validate an INI project file."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(interpolation=None)
+    # No header can name "", so [DEFAULT] is an ordinary (unknown) section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path) as fh:
             parser.read_file(fh, source=str(path))

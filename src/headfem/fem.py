@@ -10,8 +10,9 @@ with linear nodal (P1) basis functions: the stiffness matrix ``A``
 boundary node), the electrode coupling blocks ``B`` and ``C``, the
 zero-mean projector ``R`` and the source matrix ``G`` built from lowest
 order H(div) face functions (the 4-function Whitney stencil per source
-element).  All P1 integrals have closed forms, so no numerical quadrature
-is involved.
+element).  Every P1 integral has a closed form, and so do the gradients:
+edge cross products over the triple product 6V (Cuvelier, Japhet &
+Scarella, BIT 56, 2016), with no quadrature and no 3 x 3 inverse.
 
 ``G`` is built for all sources at once: the faces of the source elements
 and their adjoining elements are gathered from the mesh face table
@@ -36,16 +37,20 @@ from .geometry import nearest_center
 # ---------------------------------------------------------------------------
 # element geometry
 
-def element_gradients(mesh):
-    """Volumes and P1 basis gradients, shape (m,) and (m, 4, 3)."""
-    p = mesh.nodes[mesh.tetra]
-    jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], p[:, 3] - p[:, 0]],
-                   axis=2)                       # columns are edge vectors
-    vols = np.linalg.det(jac) / 6.0
-    inv = np.linalg.inv(jac)                     # rows are grad(lambda_1..3)
-    grads = np.empty((len(p), 4, 3))
-    grads[:, 1:, :] = inv
-    grads[:, 0, :] = -inv.sum(axis=1)
+def element_gradients(mesh, elements=None):
+    """Volumes (``mesh.volumes``) and P1 basis gradients, shape (m,) and
+    (m, 4, 3), of every element or of ``elements``: with e_k = x_k - x_0,
+    grad(lambda_1..3) are e2 x e3, e3 x e1, e1 x e2 over the triple product
+    e1 . (e2 x e3) = 6 V, and grad(lambda_0) is minus their sum."""
+    tetra = mesh.tetra if elements is None else mesh.tetra[elements]
+    vols = mesh.volumes if elements is None else mesh.volumes[elements]
+    e = mesh.nodes[tetra[:, 1:]] - mesh.nodes[tetra[:, :1]]
+    grads = np.empty((len(tetra), 4, 3))
+    grads[:, 1] = np.cross(e[:, 1], e[:, 2])
+    grads[:, 2] = np.cross(e[:, 2], e[:, 0])
+    grads[:, 3] = np.cross(e[:, 0], e[:, 1])
+    grads[:, 1:] /= 6.0 * vols[:, None, None]
+    grads[:, 0] = -(grads[:, 1] + grads[:, 2] + grads[:, 3])
     return vols, grads
 
 
@@ -83,20 +88,16 @@ def stiffness_blocks(mesh, sigma=None, elements=None):
     the conductivity derivative of ``A``).  ``elements`` restricts the
     computation to a subset.
     """
-    vols, grads = element_gradients(mesh)
-    if elements is not None:
-        vols = vols[elements]
-        grads = grads[elements]
+    vols, grads = element_gradients(mesh, elements)
     if np.any(vols <= 0):
         raise AssemblyError("non-positive element volume")
     if sigma is None:
         sigma = mesh.sigma if elements is None else mesh.sigma[elements]
-    if np.isscalar(sigma):
-        return np.einsum("eik,ejk->eij", grads, grads) * (vols * sigma)[:, None, None]
-    sigma = np.asarray(sigma, dtype=float)
-    _check_conductivity(sigma)
-    if sigma.ndim == 1:
-        return np.einsum("eik,ejk->eij", grads, grads) * (vols * sigma)[:, None, None]
+    if not np.isscalar(sigma):
+        sigma = np.asarray(sigma, dtype=float)
+        _check_conductivity(sigma)
+    if np.ndim(sigma) < 2:
+        return grads @ grads.transpose(0, 2, 1) * (vols * sigma)[:, None, None]
     tens = _sigma_tensors(sigma)
     return np.einsum("eik,ekl,ejl->eij", grads, tens, grads) * vols[:, None, None]
 

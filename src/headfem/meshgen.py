@@ -49,9 +49,10 @@ _CORNER_OFFSETS = np.array([[(j >> a) & 1 for a in range(3)] for j in range(8)],
 
 
 def tet_volumes(nodes, tetra):
-    """Signed volumes under the stored node ordering."""
-    p = nodes[tetra]
-    return np.linalg.det(p[:, 1:] - p[:, :1]) / 6.0
+    """Signed volumes under the stored node ordering: the triple product
+    e1 . (e2 x e3) / 6 of the edges e_k = x_k - x_0."""
+    e = nodes[tetra[:, 1:]] - nodes[tetra[:, :1]]
+    return np.einsum("ij,ij->i", e[:, 0], np.cross(e[:, 1], e[:, 2])) / 6.0
 
 
 class TetMesh:
@@ -110,13 +111,8 @@ class TetMesh:
 
         Face k of element e is opposite local vertex k.
         """
-        t = self.tetra
-        return np.stack([
-            t[:, [1, 2, 3]],
-            t[:, [0, 3, 2]],
-            t[:, [0, 1, 3]],
-            t[:, [0, 2, 1]],
-        ], axis=1).reshape(-1, 3)
+        local = [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]]
+        return self.tetra[:, local].reshape(-1, 3)
 
     def face_table(self):
         """The faces of the mesh topology, computed once per ``tetra``.
@@ -132,16 +128,18 @@ class TetMesh:
         """
         if self._faces is None:
             key = np.sort(self.element_faces(), axis=1)
-            faces, inv = np.unique(key, axis=0, return_inverse=True)
-            inv = inv.reshape(-1)
-            order = np.argsort(inv, kind="stable")
-            counts = np.bincount(inv, minlength=len(faces))
-            starts = np.cumsum(counts) - counts
-            face_elements = np.full((len(faces), 2), -1, dtype=np.int64)
+            order = np.lexsort(key.T[::-1])  # stable: runs keep element order
+            key = key[order]
+            first = np.ones(len(key), dtype=bool)
+            first[1:] = (key[1:] != key[:-1]).any(axis=1)
+            inv = np.empty(len(key), dtype=np.int64)
+            inv[order] = np.cumsum(first) - 1
+            starts = np.flatnonzero(first)
+            second = np.diff(starts, append=len(key)) > 1
+            face_elements = np.full((len(starts), 2), -1, dtype=np.int64)
             face_elements[:, 0] = order[starts] // 4
-            second = counts > 1
             face_elements[second, 1] = order[starts[second] + 1] // 4
-            self._faces = (faces, inv.reshape(-1, 4), face_elements)
+            self._faces = (key[starts], inv.reshape(-1, 4), face_elements)
         return self._faces
 
     def boundary_triangles(self):

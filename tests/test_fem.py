@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -15,12 +16,13 @@ from headfem.fem import (
     assemble_B_C_R,
     assemble_G,
     assemble_cem_system,
+    element_gradients,
     ground_node,
     locate_elements,
     volume_stiffness,
     whitney_source_matrix,
 )
-from headfem.geometry import Compartment, Segmentation, icosphere
+from headfem.geometry import Compartment, Segmentation, box_surface, icosphere
 from headfem.leadfield import eeg_leadfield
 from headfem.meshgen import (
     SourceSpace,
@@ -28,6 +30,7 @@ from headfem.meshgen import (
     generate_mesh,
     place_sources,
     smooth_mesh,
+    tet_volumes,
 )
 from headfem.solver import PcgConfig
 
@@ -91,6 +94,66 @@ def quadrature_stiffness(nodes, sigma=1.0):
         gphys = grads @ np.linalg.inv(jac)
         K += 0.25 * vol * sigma * (gphys @ gphys.T)
     return K
+
+
+def reference_element_gradients(mesh):
+    """Volumes and P1 gradients by batched LAPACK: the determinant and the
+    inverse of the edge Jacobian, whose rows are grad(lambda_1..3).  The
+    reference for the closed form of ``element_gradients``."""
+    p = mesh.nodes[mesh.tetra]
+    jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], p[:, 3] - p[:, 0]],
+                   axis=2)
+    vols = np.linalg.det(jac) / 6.0
+    inv = np.linalg.inv(jac)
+    grads = np.empty((len(p), 4, 3))
+    grads[:, 1:, :] = inv
+    grads[:, 0, :] = -inv.sum(axis=1)
+    return vols, grads
+
+
+class TestElementGradients:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40),
+           scale=st.floats(1e-3, 1e3), shift=st.floats(-10.0, 10.0))
+    def test_closed_form_matches_lapack_reference(self, seed, m, scale, shift):
+        # Random positive tetrahedra on randomly rotated, well-shaped bases:
+        # the apex sits at a height between 1e-3 and 1 times the base size
+        # above a point of the base plane that may lie outside the base
+        # triangle, so caps and slivers occur.
+        rng = np.random.default_rng(seed)
+        rot, _ = np.linalg.qr(rng.normal(size=(m, 3, 3)))
+        base = (np.eye(3) + 0.3 * rng.normal(size=(m, 3, 3))) @ rot
+        w = rng.uniform(-1.0, 2.0, size=(m, 3))
+        w[:, 2] = 1.0 - w[:, 0] - w[:, 1]
+        normal = np.cross(base[:, 1] - base[:, 0], base[:, 2] - base[:, 0])
+        size = np.linalg.norm(base - base[:, :1], axis=2).max(axis=1)
+        height = size * 10.0 ** rng.uniform(-3.0, 0.0, size=m)
+        apex = (np.einsum("mk,mkc->mc", w, base)
+                + (height / np.linalg.norm(normal, axis=1))[:, None] * normal)
+        nodes = (np.concatenate([base, apex[:, None]], axis=1).reshape(-1, 3)
+                 * scale + shift * scale)
+        tetra = np.arange(4 * m).reshape(m, 4)
+        flip = tet_volumes(nodes, tetra) < 0
+        tetra[flip] = tetra[flip][:, [0, 2, 1, 3]]
+        mesh = TetMesh(nodes, tetra, np.zeros(m, dtype=int), np.ones(m))
+
+        vols, grads = element_gradients(mesh)
+        ref_vols, ref_grads = reference_element_gradients(mesh)
+        np.testing.assert_allclose(vols, ref_vols, rtol=1e-12, atol=0)
+        err = np.linalg.norm(grads - ref_grads, axis=(1, 2))
+        assert np.all(err <= 1e-10 * np.linalg.norm(ref_grads, axis=(1, 2)))
+        # grad(lambda_i) . (x_j - x_0) = delta_ij - delta_i0
+        p = mesh.nodes[mesh.tetra]
+        dots = np.einsum("eic,ejc->eij", grads, p - p[:, :1])
+        expect = np.eye(4) - np.eye(4)[:, :1]
+        scale_ij = np.einsum("ei,ej->eij", np.linalg.norm(grads, axis=2),
+                             np.linalg.norm(p - p[:, :1], axis=2))
+        assert np.all(np.abs(dots - expect) <= 1e-12 * scale_ij + 1e-15)
+        assert vols.tobytes() == mesh.volumes.tobytes()
+        pick = rng.permutation(m)[:rng.integers(1, m + 1)]
+        sub_vols, sub_grads = element_gradients(mesh, pick)
+        assert sub_vols.tobytes() == vols[pick].tobytes()
+        assert sub_grads.tobytes() == grads[pick].tobytes()
 
 
 class TestAssembleA:
@@ -467,7 +530,76 @@ class TestSourceModel:
         np.testing.assert_allclose(sums[two_sided], 0.0, atol=1e-14)
 
 
+def reference_face_table(mesh):
+    """The face table by ``np.unique(axis=0)`` over the row-sorted element
+    faces and a stable argsort of the inverse; the reference for the
+    one-lexsort ``TetMesh.face_table``."""
+    key = np.sort(mesh.element_faces(), axis=1)
+    faces, inv = np.unique(key, axis=0, return_inverse=True)
+    inv = inv.reshape(-1)
+    order = np.argsort(inv, kind="stable")
+    counts = np.bincount(inv, minlength=len(faces))
+    starts = np.cumsum(counts) - counts
+    face_elements = np.full((len(faces), 2), -1, dtype=np.int64)
+    face_elements[:, 0] = order[starts] // 4
+    second = counts > 1
+    face_elements[second, 1] = order[starts[second] + 1] // 4
+    return faces, inv.reshape(-1, 4), face_elements
+
+
+# The even permutations of the four local vertices keep the orientation.
+_EVEN_LOCAL_ORDERS = np.array([
+    p for p in itertools.permutations(range(4))
+    if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0])
+
+
+def _kuhn_box_mesh(data):
+    h = data.draw(st.floats(0.05, 2.0), label="h")
+    cells = np.array(data.draw(st.tuples(*[st.integers(1, 5)] * 3),
+                               label="cells"))
+    lo = np.array(data.draw(st.tuples(*[st.floats(-10.0, 10.0)] * 3),
+                            label="lo"))
+    return generate_mesh(Segmentation([Compartment(
+        box_surface(lo, lo + h * cells), 1.0)]), h)
+
+
+def _smoothed_mesh(data):
+    h = data.draw(st.floats(0.18, 0.45), label="h")
+    iterations = data.draw(st.integers(1, 3), label="iterations")
+    step = data.draw(st.floats(0.05, 0.5), label="step")
+    seg, _, _ = sphere_meshes()
+    sm = smooth_mesh(generate_mesh(seg, h), iterations, step)
+    return TetMesh(sm.nodes, sm.tetra, sm.labels, sm.sigma)
+
+
+def _permuted_mesh(data):
+    """A Kuhn box or sphere mesh with shuffled node ids, element order and
+    (orientation-keeping) local vertex order."""
+    mesh = _kuhn_box_mesh(data) if data.draw(st.booleans(), label="box") \
+        else sphere_meshes()[1]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    perm = rng.permutation(mesh.n_nodes)
+    nodes = np.empty_like(mesh.nodes)
+    nodes[perm] = mesh.nodes
+    local = _EVEN_LOCAL_ORDERS[rng.integers(0, 12, mesh.n_elements)]
+    tetra = np.take_along_axis(perm[mesh.tetra], local, axis=1)
+    order = rng.permutation(mesh.n_elements)
+    return TetMesh(nodes, tetra[order], mesh.labels[order], mesh.sigma[order])
+
+
 class TestFaceTable:
+    @pytest.mark.parametrize("make", [_kuhn_box_mesh, _smoothed_mesh,
+                                      _permuted_mesh])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_matches_unique_reference(self, make, data):
+        mesh = make(data)
+        for got, ref in zip(mesh.face_table(), reference_face_table(mesh),
+                            strict=True):
+            assert got.dtype == ref.dtype
+            np.testing.assert_array_equal(got, ref)
+
     def test_faces_and_incidence(self, nested_sphere_segmentation):
         mesh = generate_mesh(nested_sphere_segmentation, 0.35)
         faces, element_faces, face_elements = mesh.face_table()

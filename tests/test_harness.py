@@ -129,6 +129,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_default_section_rejected_at_its_line(self, tmp_path, capsys):
+        # configparser would copy [DEFAULT] keys into every section.
+        path = write_cube_project(tmp_path)
+        path.write_text("[DEFAULT]\nresolution = 0.5\n" + path.read_text())
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"{path}:1: unknown section [DEFAULT]"
+        assert main(["mesh", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+
     def test_compartment_order_preserved(self, tmp_path):
         path = write_sphere_project(tmp_path)
         cfg = load_config(path)
