@@ -14,6 +14,12 @@ element).  Every P1 integral has a closed form, and so do the gradients:
 edge cross products over the triple product 6V (Cuvelier, Japhet &
 Scarella, BIT 56, 2016), with no quadrature and no 3 x 3 inverse.
 
+The node-node matrices reuse one sparsity pattern per mesh topology
+(:meth:`TetMesh.csr_pattern`): every entry of every element block has a
+precomputed CSR position, so ``A`` and the volume stiffness are one
+``np.bincount`` of the (m, 4, 4) blocks into the data array, with no
+triplet list and no COO -> CSR conversion.
+
 ``G`` is built for all sources at once: the faces of the source elements
 and their adjoining elements are gathered from the mesh face table
 (:meth:`TetMesh.face_table`), and the per-source combination of the face
@@ -97,26 +103,32 @@ def stiffness_blocks(mesh, sigma=None, elements=None):
         sigma = np.asarray(sigma, dtype=float)
         _check_conductivity(sigma)
     if np.ndim(sigma) < 2:
-        return grads @ grads.transpose(0, 2, 1) * (vols * sigma)[:, None, None]
+        blocks = grads @ grads.transpose(0, 2, 1)
+        blocks *= (vols * sigma)[:, None, None]
+        return blocks
     tens = _sigma_tensors(sigma)
-    return np.einsum("eik,ekl,ejl->eij", grads, tens, grads) * vols[:, None, None]
+    blocks = np.einsum("eik,ekl,ejl->eij", grads, tens, grads)
+    blocks *= vols[:, None, None]
+    return blocks
 
 
-def _block_triplets(blocks, connectivity):
-    """(rows, cols, vals) of (e, k, k) blocks on (e, k) node connectivity."""
-    k = connectivity.shape[1]
-    rows = np.repeat(connectivity, k, axis=1).ravel()
-    cols = np.tile(connectivity, (1, k)).ravel()
-    return rows, cols, blocks.ravel()
+def _pattern_matrix(mesh, data):
+    """n x n CSR matrix with ``data`` on the mesh pattern (shared arrays)."""
+    indptr, indices, _ = mesh.csr_pattern()
+    n = mesh.n_nodes
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def volume_stiffness(mesh, sigma=None, elements=None):
-    """Conductivity volume stiffness without electrode or grounding terms."""
+    """Conductivity volume stiffness without electrode or grounding terms,
+    on the full mesh pattern."""
     blocks = stiffness_blocks(mesh, sigma=sigma, elements=elements)
-    conn = mesh.tetra if elements is None else mesh.tetra[elements]
-    rows, cols, vals = _block_triplets(blocks, conn)
-    n = mesh.n_nodes
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    _, indices, slot = mesh.csr_pattern()
+    if elements is not None:
+        slot = slot[elements]
+    data = np.bincount(slot.ravel(), weights=blocks.ravel(),
+                       minlength=len(indices))
+    return _pattern_matrix(mesh, data)
 
 
 # ---------------------------------------------------------------------------
@@ -203,35 +215,47 @@ def ground_node(mesh, electrodes):
     return int(free[0])
 
 
+def _triangle_slots(mesh, triangles):
+    """(t, 9) CSR positions of the 3 x 3 blocks of boundary triangles,
+    whose edges are element edges and so in the mesh pattern."""
+    indptr, indices, _ = mesh.csr_pattern()
+    n = mesh.n_nodes
+    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * n + indices
+    pairs = triangles[:, :, None] * n + triangles[:, None, :]
+    return np.searchsorted(keys, pairs.reshape(-1, 9))
+
+
 def assemble_A(mesh, electrodes, ground=True):
     """Grounded CEM stiffness matrix (volume + electrode contact terms).
 
     a_ij = int sigma grad psi_i . grad psi_j dV
          + sum_l 1/(Z_l A_l) int_{e_l} psi_i psi_j dS
 
-    Volume and contact blocks are summed in one COO -> CSR pass; with
-    ``ground`` the triplets in row and column ``i'`` of the grounding node
-    are replaced by the single entry (i', i', 1), which makes the matrix
-    positive definite.
+    The element and contact blocks are summed by ``np.bincount`` straight
+    into the data array of the mesh CSR pattern (:meth:`TetMesh.csr_pattern`,
+    built once per topology).  With ``ground`` the row and column of the
+    grounding node ``i'`` are zeroed in place and a_i'i' = 1, which makes
+    the matrix positive definite; the zeroed entries stay stored.
     """
-    vol = _block_triplets(stiffness_blocks(mesh), mesh.tetra)
-    parts = [vol]
+    indptr, indices, slot = mesh.csr_pattern()
+    data = np.bincount(slot.ravel(), weights=stiffness_blocks(mesh).ravel(),
+                       minlength=len(indices))
     if electrodes.count:
         scale = np.concatenate([
             areas / (z * a_l) for areas, z, a_l in zip(
                 electrodes.triangle_areas, electrodes.impedances,
                 electrodes.areas)])
         tris = np.concatenate(electrodes.triangles)
-        parts.append(_block_triplets(scale[:, None, None] * _SURF_MASS, tris))
-    rows, cols, vals = (np.concatenate(t) for t in zip(*parts))
+        data += np.bincount(_triangle_slots(mesh, tris).ravel(),
+                            weights=(scale[:, None, None] * _SURF_MASS).ravel(),
+                            minlength=len(indices))
     if ground and electrodes.count:
         i = ground_node(mesh, electrodes)
-        keep = (rows != i) & (cols != i)
-        rows = np.append(rows[keep], i)
-        cols = np.append(cols[keep], i)
-        vals = np.append(vals[keep], 1.0)
-    n = mesh.n_nodes
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        row = slice(indptr[i], indptr[i + 1])
+        data[row] = 0.0
+        data[indices == i] = 0.0
+        data[indptr[i] + np.searchsorted(indices[row], i)] = 1.0
+    return _pattern_matrix(mesh, data)
 
 
 def assemble_B_C_R(mesh, electrodes):

@@ -191,33 +191,34 @@ def eit_forward(sys, currents, cfg=PcgConfig(), response=None):
 def _dof_sensitivities(sys, dofs, U, T):
     """Per-DOF electrode sensitivities q_{m,p} = T' K_m u_p for all patterns.
 
-    Element-local products are evaluated in one vectorized sweep and
-    summed into the DOF bins by a one-hot sparse product, so the cost is
-    one pass over the perturbable elements per pattern.
+    The element-local products K_e u_p of all DOF elements are summed by
+    ``np.bincount`` into a sparse DOF x node matrix W_p, whose pattern (the
+    nodes of each DOF's elements) is built once per call, and
+    Q_p = W_p T.
     """
-    mesh = sys.mesh
+    mesh, n = sys.mesh, sys.mesh.n_nodes
     all_elems = np.concatenate([np.asarray(e) for e in dofs.element_sets])
-    # Row k of the one-hot matrix picks the elements of DOF k, in order.
-    E = all_elems.size
-    onehot = sp.csr_matrix((np.ones(E), np.arange(E), np.cumsum(
-        [0] + [len(e) for e in dofs.element_sets])), shape=(dofs.n_dofs, E))
+    owner = np.repeat(np.arange(dofs.n_dofs),
+                      [len(e) for e in dofs.element_sets])
     blocks = stiffness_blocks(mesh, sigma=1.0, elements=all_elems)  # (E,4,4)
     conn = mesh.tetra[all_elems]                                    # (E,4)
     # Grounding rows/columns are sigma-independent; zero their derivative.
     gmask = conn == sys.ground
-    if gmask.any():
-        blocks = blocks.copy()
-        blocks[np.repeat(gmask[:, :, None], 4, axis=2)] = 0.0
-        blocks[np.repeat(gmask[:, None, :], 4, axis=1)] = 0.0
+    blocks[gmask] = 0.0
+    blocks.transpose(0, 2, 1)[gmask] = 0.0
 
-    Tg = T[conn]                                                    # (E,4,L)
+    keys, inv = np.unique((owner[:, None] * n + conn).ravel(),
+                          return_inverse=True)
+    indptr = np.zeros(dofs.n_dofs + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=dofs.n_dofs), out=indptr[1:])
+    W = sp.csr_matrix((np.zeros(len(keys)), keys % n, indptr),
+                      shape=(dofs.n_dofs, n))
     P = U.shape[1]
-    L = T.shape[1]
-    Q = np.zeros((P, dofs.n_dofs, L))
+    Q = np.empty((P, dofs.n_dofs, T.shape[1]))
     for p in range(P):
-        ue = U[:, p][conn]                                          # (E,4)
-        s = np.einsum("eij,ej->ei", blocks, ue)                     # K_m u per element
-        Q[p] = onehot @ np.einsum("eil,ei->el", Tg, s)              # DOF sums
+        s = np.einsum("eij,ej->ei", blocks, U[conn, p])             # K_e u_p
+        W.data = np.bincount(inv, weights=s.ravel(), minlength=len(keys))
+        Q[p] = W @ T
     return Q
 
 

@@ -18,6 +18,7 @@ surface, and sends the few undecided points to its per-point fallback,
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 
@@ -55,6 +56,18 @@ def tet_volumes(nodes, tetra):
     return np.einsum("ij,ij->i", e[:, 0], np.cross(e[:, 1], e[:, 2])) / 6.0
 
 
+def _checked_sigma(sigma, n_elements):
+    """``sigma`` as a read-only float array: length-m scalars or (m, 6)
+    tensor rows."""
+    sigma = np.ascontiguousarray(sigma, dtype=float)
+    if len(sigma) != n_elements:
+        raise ParameterError("sigma length must equal element count")
+    if sigma.ndim == 2 and sigma.shape[1] != 6:
+        raise ParameterError("tensor sigma must have 6 columns")
+    sigma.setflags(write=False)
+    return sigma
+
+
 class TetMesh:
     """Labeled tetrahedral volume mesh with per-element conductivity.
 
@@ -66,17 +79,13 @@ class TetMesh:
         nodes = np.ascontiguousarray(nodes, dtype=float)
         tetra = np.ascontiguousarray(tetra, dtype=np.int64)
         labels = np.ascontiguousarray(labels, dtype=np.int64)
-        sigma = np.ascontiguousarray(sigma, dtype=float)
         if tetra.ndim != 2 or tetra.shape[1] != 4:
             raise ParameterError(f"tetra must be (m, 4), got {tetra.shape}")
         if tetra.size and (tetra.min() < 0 or tetra.max() >= len(nodes)):
             raise IndexError("tetrahedron references a missing node")
         if len(labels) != len(tetra):
             raise ParameterError("labels length must equal element count")
-        if len(sigma) != len(tetra):
-            raise ParameterError("sigma length must equal element count")
-        if sigma.ndim == 2 and sigma.shape[1] != 6:
-            raise ParameterError("tensor sigma must have 6 columns")
+        self.sigma = _checked_sigma(sigma, len(tetra))
         vols = tet_volumes(nodes, tetra)
         if np.any(vols <= 0):
             raise ParameterError(
@@ -84,12 +93,12 @@ class TetMesh:
         self.nodes = nodes
         self.tetra = tetra
         self.labels = labels
-        self.sigma = sigma
         self.volumes = vols
-        for arr in (self.nodes, self.tetra, self.labels, self.sigma, self.volumes):
+        for arr in (self.nodes, self.tetra, self.labels, self.volumes):
             arr.setflags(write=False)
-        self._faces = None
-        self._boundary = None
+        # Face table, boundary and CSR pattern: shared by every mesh that
+        # with_nodes and with_sigma derive, whichever computes them first.
+        self._topology = {}
 
     @property
     def n_nodes(self):
@@ -126,7 +135,8 @@ class TetMesh:
         face_elements : (F, 2) elements on each face in increasing order,
             -1 in the second column where the face is on the boundary.
         """
-        if self._faces is None:
+        cache = self._topology
+        if "faces" not in cache:
             key = np.sort(self.element_faces(), axis=1)
             order = np.lexsort(key.T[::-1])  # stable: runs keep element order
             key = key[order]
@@ -139,8 +149,8 @@ class TetMesh:
             face_elements = np.full((len(starts), 2), -1, dtype=np.int64)
             face_elements[:, 0] = order[starts] // 4
             face_elements[second, 1] = order[starts[second] + 1] // 4
-            self._faces = (key[starts], inv.reshape(-1, 4), face_elements)
-        return self._faces
+            cache["faces"] = (key[starts], inv.reshape(-1, 4), face_elements)
+        return cache["faces"]
 
     def boundary_triangles(self):
         """Outward-oriented boundary faces and their owner elements, in
@@ -151,30 +161,76 @@ class TetMesh:
         faces : (b, 3) int array of node indices, oriented outward.
         owners : (b,) element indices.
         """
-        if self._boundary is None:
+        cache = self._topology
+        if "boundary" not in cache:
             _, element_faces, face_elements = self.face_table()
             idx = np.flatnonzero(face_elements[element_faces.ravel(), 1] < 0)
-            self._boundary = (self.element_faces()[idx], idx // 4)
-        return self._boundary
+            cache["boundary"] = (self.element_faces()[idx], idx // 4)
+        return cache["boundary"]
 
     def boundary_nodes(self):
         faces, _ = self.boundary_triangles()
         return np.unique(faces)
 
-    def _same_topology(self, mesh):
-        mesh._faces, mesh._boundary = self._faces, self._boundary
-        return mesh
+    def csr_pattern(self):
+        """The node-node sparsity pattern of the P1 matrices, computed once
+        per ``tetra``.
+
+        Returns
+        -------
+        indptr, indices : int32 CSR arrays of the n x n pattern: the
+            diagonal and both directions of every element edge, column
+            indices sorted within each row.
+        slot : (m, 16) int32 CSR position of entry (tetra[e, i],
+            tetra[e, j]) of element e at column 4 i + j, so a matrix with
+            (m, 4, 4) element blocks is ``np.bincount(slot.ravel(),
+            weights=blocks.ravel(), minlength=nnz)``.
+        """
+        cache = self._topology
+        if "pattern" not in cache:
+            n, t = self.n_nodes, self.tetra
+            a, b = np.array(list(itertools.combinations(range(4), 2))).T
+            ta, tb = t[:, a], t[:, b]                    # the 6 element edges
+            up = ta < tb
+            edges, eid = np.unique(np.where(up, ta * n + tb, tb * n + ta),
+                                   return_inverse=True)
+            eid = eid.reshape(-1, 6)
+            elo, ehi = edges // n, edges % n
+            # Keys row * n + col of the diagonal, upper and lower entries;
+            # one argsort puts them in CSR order.
+            keys = np.concatenate([np.arange(n, dtype=np.int64) * (n + 1),
+                                   edges, ehi * n + elo])
+            order = np.argsort(keys)
+            pos = np.empty(len(keys), dtype=np.int32)
+            pos[order] = np.arange(len(keys), dtype=np.int32)
+            diag, upper, lower = np.split(pos, [n, n + len(edges)])
+            indptr = np.zeros(n + 1, dtype=np.int32)
+            np.cumsum(1 + np.bincount(elo, minlength=n)
+                      + np.bincount(ehi, minlength=n), out=indptr[1:])
+            indices = (keys[order] % n).astype(np.int32)
+            slot = np.empty((len(t), 4, 4), dtype=np.int32)
+            k = np.arange(4)
+            slot[:, k, k] = diag[t]
+            slot[:, a, b] = np.where(up, upper[eid], lower[eid])
+            slot[:, b, a] = np.where(up, lower[eid], upper[eid])
+            for arr in (indptr, indices, slot):
+                arr.setflags(write=False)
+            cache["pattern"] = (indptr, indices, slot.reshape(-1, 16))
+        return cache["pattern"]
 
     def with_nodes(self, nodes):
-        """Same topology on moved nodes; the face table is shared."""
-        return self._same_topology(
-            TetMesh(nodes, self.tetra, self.labels, self.sigma))
+        """Same topology on moved nodes; the face table and the CSR pattern
+        are shared."""
+        mesh = TetMesh(nodes, self.tetra, self.labels, self.sigma)
+        mesh._topology = self._topology
+        return mesh
 
     def with_sigma(self, sigma):
-        """Same mesh with a replaced conductivity distribution; the face
-        table is shared."""
-        return self._same_topology(
-            TetMesh(self.nodes, self.tetra, self.labels, sigma))
+        """Same mesh with a replaced conductivity distribution; the nodes,
+        the volumes, the face table and the CSR pattern are shared."""
+        mesh = copy.copy(self)
+        mesh.sigma = _checked_sigma(sigma, self.n_elements)
+        return mesh
 
     def __repr__(self):
         return f"TetMesh({self.n_nodes} nodes, {self.n_elements} elements)"
@@ -344,15 +400,15 @@ def _interface_graph(mesh):
     if len(ifaces) == 0:
         return np.array([], dtype=np.int64), None, None
 
-    edges = np.concatenate([ifaces[:, [0, 1]], ifaces[:, [1, 2]],
-                            ifaces[:, [0, 2]]])
-    edges = np.unique(np.sort(edges, axis=1), axis=0)
-    both = np.concatenate([edges, edges[:, ::-1]])
-    order = np.lexsort((both[:, 1], both[:, 0]))
-    both = both[order]
-    snodes, starts = np.unique(both[:, 0], return_index=True)
-    offsets = np.append(starts, len(both))
-    return snodes, both[:, 1], offsets
+    # Face rows are sorted, so every edge is (lo, hi) with the key lo*n + hi;
+    # ``both`` holds the keys of both directions in (node, neighbor) order.
+    n = mesh.n_nodes
+    keys = np.unique(np.concatenate([ifaces[:, 0] * n + ifaces[:, 1],
+                                     ifaces[:, 1] * n + ifaces[:, 2],
+                                     ifaces[:, 0] * n + ifaces[:, 2]]))
+    both = np.sort(np.concatenate([keys, keys % n * n + keys // n]))
+    snodes, starts = np.unique(both // n, return_index=True)
+    return snodes, both % n, np.append(starts, len(both))
 
 
 def _smooth_pass(mesh, nodes, smooth_set, neighbors, offsets, step):

@@ -1,14 +1,20 @@
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from headfem.errors import AssemblyError, ElectrodeError, LocationError
+from headfem.errors import (
+    AssemblyError,
+    ElectrodeError,
+    LocationError,
+    ParameterError,
+)
 from headfem.fem import (
     _SURF_MASS,
     ElectrodeSet,
@@ -19,6 +25,7 @@ from headfem.fem import (
     element_gradients,
     ground_node,
     locate_elements,
+    stiffness_blocks,
     volume_stiffness,
     whitney_source_matrix,
 )
@@ -156,7 +163,97 @@ class TestElementGradients:
         assert sub_grads.tobytes() == grads[pick].tobytes()
 
 
+def coo_assemble_A(mesh, electrodes, ground=True):
+    """Grounded CEM stiffness from one (16m + 9t)-long triplet list: the
+    ground row and column triplets are dropped for (i', i', 1) and the list
+    goes through one COO -> CSR pass.  The reference for the pattern
+    assembly of ``assemble_A``."""
+    def triplets(blocks, conn):
+        k = conn.shape[1]
+        return (np.repeat(conn, k, axis=1).ravel(),
+                np.tile(conn, (1, k)).ravel(), blocks.ravel())
+
+    parts = [triplets(stiffness_blocks(mesh), mesh.tetra)]
+    if electrodes.count:
+        scale = np.concatenate([
+            areas / (z * a_l) for areas, z, a_l in zip(
+                electrodes.triangle_areas, electrodes.impedances,
+                electrodes.areas)])
+        parts.append(triplets(scale[:, None, None] * _SURF_MASS,
+                              np.concatenate(electrodes.triangles)))
+    rows, cols, vals = (np.concatenate(t) for t in zip(*parts))
+    if ground and electrodes.count:
+        i = ground_node(mesh, electrodes)
+        keep = (rows != i) & (cols != i)
+        rows = np.append(rows[keep], i)
+        cols = np.append(cols[keep], i)
+        vals = np.append(vals[keep], 1.0)
+    n = mesh.n_nodes
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _adjacent_electrodes(data, mesh):
+    """0-3 electrodes cut as consecutive runs of the boundary triangles
+    sorted by distance to a random point, so neighbors share nodes."""
+    bfaces, _ = mesh.boundary_triangles()
+    cent = mesh.nodes[bfaces].mean(axis=1)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+    order = np.argsort(np.linalg.norm(cent - rng.normal(size=3) * np.ptp(
+        mesh.nodes, axis=0), axis=1), kind="stable")
+    sizes = data.draw(st.lists(st.integers(1, 3), max_size=3), "sizes")
+    ends = np.cumsum(sizes, dtype=np.int64)
+    ids = [order[e - k:e] for k, e in zip(sizes, ends)]
+    z = rng.uniform(10.0, 1e4, len(ids))
+    return ElectrodeSet(mesh, ids, z)
+
+
 class TestAssembleA:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), box=st.booleans(), tensor=st.booleans(),
+           ground=st.booleans())
+    def test_pattern_sum_matches_coo_reference(self, data, box, tensor,
+                                               ground):
+        mesh = _kuhn_box_mesh(data) if box else sphere_meshes()[2]
+        if tensor:
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                                  "sigma seed"))
+            # Diagonally dominant rows are positive definite.
+            sigma = np.column_stack([rng.uniform(0.5, 2.0, (mesh.n_elements, 3)),
+                                     rng.uniform(-0.1, 0.1, (mesh.n_elements, 3))])
+            mesh = mesh.with_sigma(sigma)
+        el = _adjacent_electrodes(data, mesh)
+        if ground and el.count:
+            assume(np.setdiff1d(mesh.boundary_nodes(), el.node_set).size)
+        A = assemble_A(mesh, el, ground=ground)
+        ref = coo_assemble_A(mesh, el, ground=ground)
+        assert A.has_sorted_indices and ref.has_sorted_indices
+        A, ref = A.tocoo(), ref.tocoo()
+        i = ground_node(mesh, el) if ground and el.count else -1
+        off = (A.row != i) & (A.col != i)
+        off_ref = (ref.row != i) & (ref.col != i)
+        np.testing.assert_array_equal(A.row[off], ref.row[off_ref])
+        np.testing.assert_array_equal(A.col[off], ref.col[off_ref])
+        np.testing.assert_allclose(A.data[off], ref.data[off_ref], rtol=0,
+                                   atol=1e-14 * np.abs(ref.data).max())
+        if i >= 0:
+            e_i = np.eye(mesh.n_nodes)[i]
+            np.testing.assert_array_equal(A.toarray()[i], e_i)
+            np.testing.assert_array_equal(A.toarray()[:, i], e_i)
+
+    def test_repeat_assembly_memory_is_the_size_of_the_blocks(self):
+        seg, mesh, _ = sphere_meshes()
+        el = ElectrodeSet.from_centers(
+            mesh, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], radius=0.4,
+            impedances=1e3)
+        assemble_A(mesh, el)        # builds the pattern and the face table
+        tracemalloc.start()
+        try:
+            assemble_A(mesh, el)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * mesh.n_elements * 16 * 8
+
     def test_single_tet_electrode_block(self):
         mesh = single_tet_mesh(sigma=0.0)
         # One electrode covering the single z=0 boundary face.
@@ -627,11 +724,26 @@ class TestFaceTable:
         fresh = TetMesh(smoothed.nodes, mesh.tetra, mesh.labels, mesh.sigma)
         for other in (smoothed, moved, scaled):
             assert other.face_table() is mesh.face_table()
+            assert other.csr_pattern() is mesh.csr_pattern()
+        assert scaled.volumes is mesh.volumes
         for a, b in zip(fresh.face_table(), mesh.face_table()):
             np.testing.assert_array_equal(a, b)
         for other in (smoothed, moved, scaled, fresh):
             for a, b in zip(other.boundary_triangles(), mesh.boundary_triangles()):
                 np.testing.assert_array_equal(a, b)
+
+
+    def test_with_sigma_checks_the_conductivity(self):
+        mesh = two_tet_mesh()
+        for make in (mesh.with_sigma, lambda sigma: TetMesh(
+                mesh.nodes, mesh.tetra, mesh.labels, sigma)):
+            with pytest.raises(ParameterError, match="length"):
+                make(np.ones(3))
+            with pytest.raises(ParameterError, match="6 columns"):
+                make(np.ones((2, 3)))
+        tens = mesh.with_sigma(np.tile([1.0, 2.0, 3.0, 0.0, 0.0, 0.0], (2, 1)))
+        assert tens.is_tensor and not tens.sigma.flags.writeable
+        assert not mesh.is_tensor
 
 
 class TestSystem:

@@ -3,16 +3,24 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from headfem.errors import CurrentPatternError, DofError, SingularSystemError
-from headfem.fem import ElectrodeSet, assemble_A, assemble_B_C_R, assemble_cem_system
+from headfem.fem import (
+    ElectrodeSet,
+    assemble_A,
+    assemble_B_C_R,
+    assemble_cem_system,
+    stiffness_blocks,
+)
 from headfem.geometry import Compartment, Segmentation, icosphere
 from headfem.leadfield import (
     EitDofMap,
+    _dof_sensitivities,
     adjacent_pair_patterns,
     build_dof_map,
     check_current_patterns,
@@ -235,6 +243,50 @@ class TestDofMap:
         assert mesh.n_elements > 2 * (1_000_000 // 600)
         for k, es in enumerate(dofs.element_sets):
             np.testing.assert_array_equal(es, np.flatnonzero(owner == k))
+
+
+def reference_dof_sensitivities(sys, dofs, U, T):
+    """q_{m,p} = T' K_m u_p from the (E, 4, L) gather T[conn] of every DOF
+    element, summed into the DOFs by a one-hot product.  The reference for
+    the DOF x node matrices of ``_dof_sensitivities``."""
+    mesh = sys.mesh
+    all_elems = np.concatenate([np.asarray(e) for e in dofs.element_sets])
+    E = all_elems.size
+    onehot = sp.csr_matrix((np.ones(E), np.arange(E), np.cumsum(
+        [0] + [len(e) for e in dofs.element_sets])), shape=(dofs.n_dofs, E))
+    blocks = stiffness_blocks(mesh, sigma=1.0, elements=all_elems)
+    conn = mesh.tetra[all_elems]
+    gmask = conn == sys.ground
+    blocks[np.repeat(gmask[:, :, None], 4, axis=2)] = 0.0
+    blocks[np.repeat(gmask[:, None, :], 4, axis=1)] = 0.0
+    Tg = T[conn]                                                # (E, 4, L)
+    Q = np.zeros((U.shape[1], dofs.n_dofs, T.shape[1]))
+    for p in range(U.shape[1]):
+        s = np.einsum("eij,ej->ei", blocks, U[:, p][conn])
+        Q[p] = onehot @ np.einsum("eil,ei->el", Tg, s)
+    return Q
+
+
+class TestDofSensitivities:
+    @pytest.mark.parametrize("n_dofs", [1, 9, 60])
+    def test_matches_element_gather_reference(self, n_dofs):
+        mesh, _, sys, _ = small_sphere_system(n_electrodes=5)
+        dofs = build_dof_map(mesh, [0], n_dofs=n_dofs, seed=n_dofs)
+        # The DOFs cover the whole mesh, so one of them touches the ground
+        # node, whose rows and columns carry no sensitivity.
+        assert any(np.isin(sys.ground, mesh.tetra[e])
+                   for e in dofs.element_sets)
+        rng = np.random.default_rng(n_dofs)
+        U = rng.normal(size=(mesh.n_nodes, 4))
+        T = rng.normal(size=(mesh.n_nodes, 5))
+        Q = _dof_sensitivities(sys, dofs, U, T)
+        ref = reference_dof_sensitivities(sys, dofs, U, T)
+        assert Q.shape == ref.shape
+        assert np.abs(Q - ref).max() <= 1e-13 * np.abs(ref).max()
+        # Moving the ground values changes nothing.
+        U[sys.ground] += 1.0
+        T[sys.ground] += 1.0
+        np.testing.assert_array_equal(_dof_sensitivities(sys, dofs, U, T), Q)
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from headfem.meshgen import (
     SourceSpace,
     TetMesh,
     _apply_priorities,
+    _interface_graph,
     _nearest_normals,
     generate_mesh,
     place_sources,
@@ -199,6 +201,50 @@ class TestSmoothMesh:
         mesh = generate_mesh(unit_cube_segmentation, 0.5)
         with pytest.raises(ParameterError):
             smooth_mesh(mesh, iterations=1, step=step)
+
+
+def reference_interface_graph(mesh):
+    """Interface nodes and their neighbor lists, with the interface edges
+    deduplicated by ``np.unique(axis=0)``; the reference for the 1-D edge
+    keys of ``_interface_graph``."""
+    faces, _, face_elements = mesh.face_table()
+    first, second = face_elements.T
+    interface = (second < 0) | (mesh.labels[first] != mesh.labels[second])
+    ifaces = faces[interface]
+    if len(ifaces) == 0:
+        return np.array([], dtype=np.int64), None, None
+    edges = np.concatenate([ifaces[:, [0, 1]], ifaces[:, [1, 2]],
+                            ifaces[:, [0, 2]]])
+    edges = np.unique(np.sort(edges, axis=1), axis=0)
+    both = np.concatenate([edges, edges[:, ::-1]])
+    both = both[np.lexsort((both[:, 1], both[:, 0]))]
+    snodes, starts = np.unique(both[:, 0], return_index=True)
+    return snodes, both[:, 1], np.append(starts, len(both))
+
+
+class TestInterfaceGraph:
+    @settings(max_examples=15, deadline=None)
+    @given(h=st.floats(0.15, 0.5), shuffle=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_unique_rows_reference(self, h, shuffle, seed):
+        seg = Segmentation([
+            Compartment(icosphere(0.5, 2), 0.33, active=True),
+            Compartment(icosphere(1.0, 2), 0.43)])
+        mesh = generate_mesh(seg, h)
+        if shuffle:                 # node ids no longer follow the grid
+            perm = np.random.default_rng(seed).permutation(mesh.n_nodes)
+            nodes = np.empty_like(mesh.nodes)
+            nodes[perm] = mesh.nodes
+            mesh = TetMesh(nodes, perm[mesh.tetra], mesh.labels, mesh.sigma)
+        got = _interface_graph(mesh)
+        for a, b in zip(got, reference_interface_graph(mesh), strict=True):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        smoothed = smooth_mesh(mesh, 2, 0.3)
+        with mock.patch("headfem.meshgen._interface_graph",
+                        reference_interface_graph):
+            reference = smooth_mesh(mesh, 2, 0.3)
+        assert smoothed.nodes.tobytes() == reference.nodes.tobytes()
 
 
 class TestPlaceSources:
