@@ -53,8 +53,8 @@ sig_m[dofs.element_sets[m]] -= delta
 
 
 def forward_at(sigma):
-    return np.asarray(eit_forward(system.with_sigma(sigma), patterns,
-                                  cfg)).T.ravel()
+    perturbed = assemble_cem_system(mesh.with_sigma(sigma), electrodes)
+    return np.asarray(eit_forward(perturbed, patterns, cfg)).T.ravel()
 
 
 fd = (forward_at(sig_p) - forward_at(sig_m)) / (2 * delta)

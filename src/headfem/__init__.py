@@ -32,7 +32,6 @@ from .fem import (
     assemble_G,
     assemble_cem_system,
     ground_node,
-    volume_stiffness,
 )
 from .solver import PcgConfig, ldp, pcg_solve, transfer_matrix
 from .leadfield import (
@@ -57,10 +56,9 @@ from .inverse import (
 from .simulate import (
     NoiseSpec,
     Phantom,
+    anomaly_signal,
     dipole_signal,
     fibonacci_sphere_points,
-    simulate_eeg,
-    simulate_eit,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

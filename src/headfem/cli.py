@@ -48,11 +48,10 @@ from .leadfield import (
     adjacent_pair_patterns,
     build_dof_map,
     eeg_leadfield,
-    eit_forward,
     eit_leadfield,
 )
 from .meshgen import generate_mesh, place_sources, smooth_mesh
-from .simulate import NoiseSpec, dipole_signal, perturb_sigma_ball
+from .simulate import NoiseSpec, anomaly_signal, dipole_signal
 from .solver import PcgConfig
 
 logger = logging.getLogger(__name__)
@@ -282,13 +281,10 @@ def cmd_simulate(cfg, args):
         mesh = _mesh(cfg, out, inputs)
         lf = _leadfield(cfg, out, inputs, mesh)
         electrodes = _build_electrodes(cfg, mesh)
-        cx, cy, cz, diameter, delta = anomaly
-        sigma_p, _ = perturb_sigma_ball(mesh, (cx, cy, cz), diameter, delta)
         patterns = adjacent_pair_patterns(electrodes.count,
                                           cfg.eit["amplitude"])
-        perturbed = assemble_cem_system(mesh.with_sigma(sigma_p), electrodes)
-        y_pert = np.asarray(eit_forward(perturbed, patterns,
-                                        _pcg_config(cfg))).T.ravel()
+        y_pert = anomaly_signal(mesh, electrodes, anomaly[:3], *anomaly[3:],
+                                patterns, _pcg_config(cfg))
         y = y_pert + noise.sample(y_pert)
         n_cols = patterns.shape[1]
         bg = os.path.join(out, "data_background.csv")

@@ -25,10 +25,10 @@ from .fem import ElectrodeSet, assemble_cem_system
 from .inverse import (HyperModel, center_of_mass, ias_map, multires_ias,
                       normalize_problem, roi_metrics)
 from .leadfield import (adjacent_pair_patterns, build_dof_map, eeg_leadfield,
-                        eit_forward, eit_leadfield)
+                        eit_leadfield)
 from .meshgen import generate_mesh, place_sources
-from .simulate import (NoiseSpec, Phantom, dipole_signal, fibonacci_sphere_points,
-                       layered_sphere_segmentation)
+from .simulate import (NoiseSpec, Phantom, anomaly_signal, dipole_signal,
+                       fibonacci_sphere_points, layered_sphere_segmentation)
 from .solver import PcgConfig
 
 HYPERMODEL_CASES = (
@@ -209,13 +209,12 @@ def build_eit_model(params):
     el = ElectrodeSet.from_centers(
         mesh, fibonacci_sphere_points(params.n_electrodes, params.radii[-1]),
         radius=params.electrode_radius, impedances=params.impedance)
-    sys = assemble_cem_system(mesh, el)
     dofs = build_dof_map(mesh, list(params.dof_compartments), params.n_dofs,
                          seed=params.dof_seed)
     patterns = adjacent_pair_patterns(params.n_electrodes)
     cfg = PcgConfig(tolerance=params.solver_tolerance)
-    lf = eit_leadfield(sys, dofs, patterns, cfg)
-    return phantom, mesh, el, sys, dofs, patterns, lf
+    lf = eit_leadfield(assemble_cem_system(mesh, el), dofs, patterns, cfg)
+    return phantom, mesh, el, dofs, patterns, lf
 
 
 def eit_hemorrhage_experiment(params=None, progress=None):
@@ -226,14 +225,13 @@ def eit_hemorrhage_experiment(params=None, progress=None):
     model context.
     """
     params = params or EitHemorrhageParams()
-    phantom, mesh, el, sys, dofs, patterns, lf = build_eit_model(params)
+    phantom, mesh, el, dofs, patterns, lf = build_eit_model(params)
     cfg = PcgConfig(tolerance=params.solver_tolerance)
 
-    # Perturbed forward data are noise-free per seed except for the additive
-    # measurement noise, so compute them once.
-    sigma_p, _ = phantom.perturb_sigma(mesh)
-    y_pert = np.asarray(eit_forward(sys.with_sigma(sigma_p), patterns,
-                                    cfg)).T.ravel()
+    # The noise-free perturbed data are the same for every seed.
+    y_pert = anomaly_signal(mesh, el, phantom.anomaly_center,
+                            phantom.anomaly_diameter, phantom.anomaly_delta,
+                            patterns, cfg)
     y_bg = lf.background_data
 
     hyper = HyperModel(params.hypermodel, beta=params.beta, theta0=params.theta0)

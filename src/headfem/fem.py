@@ -15,23 +15,19 @@ edge cross products over the triple product 6V (Cuvelier, Japhet &
 Scarella, BIT 56, 2016), with no quadrature and no 3 x 3 inverse.
 
 The node-node matrices reuse one sparsity pattern per mesh topology
-(:meth:`TetMesh.csr_pattern`): every entry of every element block has a
-precomputed CSR position, so ``A`` and the volume stiffness are one
-``np.bincount`` of the (m, 4, 4) blocks into the data array, with no
-triplet list and no COO -> CSR conversion.
+(:meth:`TetMesh.csr_pattern`), so ``A`` is one ``np.bincount`` of the
+(m, 4, 4) element blocks into its data array.  The system at another
+conductivity is ``assemble_cem_system(mesh.with_sigma(sigma), electrodes)``.
 
 ``G`` is built for all sources at once: the faces of the source elements
 and their adjoining elements are gathered from the mesh face table
 (:meth:`TetMesh.face_table`), and the per-source combination of the face
 functions is one batched pseudoinverse of the (S, 3, 4) moment stack.
-Point location tests the nearest-centroid candidates of all points in one
-vectorized barycentric sweep and sends the points that none of them
-contains to the same test over every element.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -110,25 +106,6 @@ def stiffness_blocks(mesh, sigma=None, elements=None):
     blocks = np.einsum("eik,ekl,ejl->eij", grads, tens, grads)
     blocks *= vols[:, None, None]
     return blocks
-
-
-def _pattern_matrix(mesh, data):
-    """n x n CSR matrix with ``data`` on the mesh pattern (shared arrays)."""
-    indptr, indices, _ = mesh.csr_pattern()
-    n = mesh.n_nodes
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
-
-
-def volume_stiffness(mesh, sigma=None, elements=None):
-    """Conductivity volume stiffness without electrode or grounding terms,
-    on the full mesh pattern."""
-    blocks = stiffness_blocks(mesh, sigma=sigma, elements=elements)
-    _, indices, slot = mesh.csr_pattern()
-    if elements is not None:
-        slot = slot[elements]
-    data = np.bincount(slot.ravel(), weights=blocks.ravel(),
-                       minlength=len(indices))
-    return _pattern_matrix(mesh, data)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +212,8 @@ def assemble_A(mesh, electrodes, ground=True):
     into the data array of the mesh CSR pattern (:meth:`TetMesh.csr_pattern`,
     built once per topology).  With ``ground`` the row and column of the
     grounding node ``i'`` are zeroed in place and a_i'i' = 1, which makes
-    the matrix positive definite; the zeroed entries stay stored.
+    the matrix positive definite; the zeroed entries stay stored.  With no
+    electrodes it is the volume stiffness alone.
     """
     indptr, indices, slot = mesh.csr_pattern()
     data = np.bincount(slot.ravel(), weights=stiffness_blocks(mesh).ravel(),
@@ -255,7 +233,8 @@ def assemble_A(mesh, electrodes, ground=True):
         data[row] = 0.0
         data[indices == i] = 0.0
         data[indptr[i] + np.searchsorted(indices[row], i)] = 1.0
-    return _pattern_matrix(mesh, data)
+    n = mesh.n_nodes
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def assemble_B_C_R(mesh, electrodes):
@@ -338,41 +317,6 @@ def whitney_source_matrix(mesh, elements):
     return G, moments
 
 
-def locate_elements(mesh, points, tol=1e-9):
-    """Element containing each point: the first of its 32 nearest-centroid
-    candidates that passes the barycentric test, else the lowest-index
-    element that does.  Raises LocationError for points outside the mesh."""
-    from scipy.spatial import cKDTree   # here: no pipeline path needs it
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    tree = cKDTree(mesh.centroids())
-    k = min(mesh.n_elements, 32)
-    _, cand = tree.query(points, k=k)
-    cand = np.asarray(cand, dtype=np.int64).reshape(len(points), k)
-    _, grads = element_gradients(mesh)
-    scale = tol * np.max(np.ptp(mesh.nodes, axis=0))
-    origin = mesh.nodes[mesh.tetra[:, 0]]
-
-    def inside(pts, elems):
-        # lambda_k(p) = lambda_k(p0) + grad_k . (p - p0); using vertex 0
-        lam = np.einsum("...kc,...c->...k", grads[elems], pts - origin[elems])
-        lam[..., 0] += 1.0
-        return np.all((lam >= -scale) & (lam <= 1.0 + scale), axis=-1)
-
-    hit = inside(points[:, None, :], cand)               # (n, k)
-    out = np.where(hit.any(axis=1), cand[np.arange(len(points)),
-                                         hit.argmax(axis=1)], -1)
-    missed = np.flatnonzero(out < 0)
-    chunk = max(1, 1_000_000 // mesh.n_elements)         # points per block
-    for lo in range(0, missed.size, chunk):
-        idx = missed[lo:lo + chunk]
-        hit = inside(points[idx, None, :], np.arange(mesh.n_elements))
-        out[idx] = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
-    if np.any(out < 0):
-        raise LocationError(
-            f"point {points[np.argmax(out < 0)]} lies outside the mesh")
-    return out
-
-
 def assemble_G(mesh, sources):
     """Source matrix with columns combined according to the source mode.
 
@@ -420,13 +364,6 @@ class CemSystem:
     @property
     def n_electrodes(self):
         return self.electrodes.count
-
-    def with_sigma(self, sigma):
-        """The system at conductivity ``sigma``: the mesh and ``A`` are
-        rebuilt; B, C, R, G, the ground node and the electrodes depend only
-        on the geometry and are shared."""
-        mesh = self.mesh.with_sigma(sigma)
-        return replace(self, mesh=mesh, A=assemble_A(mesh, self.electrodes))
 
 
 def assemble_cem_system(mesh, electrodes, sources=None):

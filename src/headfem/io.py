@@ -21,7 +21,6 @@ import hashlib
 import json
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import FormatError
 from .meshgen import TetMesh
@@ -111,19 +110,6 @@ def _array_field(arr):
 
 def _field_array(field):
     return None if field is None else np.asarray(field, dtype=float)
-
-
-def export_matrix_market(path, matrix):
-    """Sparse matrices in Matrix Market coordinate format."""
-    import scipy.io     # loaded here: no pipeline path exports a matrix
-    scipy.io.mmwrite(str(path), sp.coo_matrix(matrix))
-
-
-def save_leadfield_csv(lf, path):
-    """Plain-text alternative to the binary export (one row per electrode
-    sample, one column per DOF)."""
-    header = [f"dof{j}" for j in range(lf.matrix.shape[1])]
-    _write_table(path, ["row"] + header, lf.matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -56,15 +56,24 @@ def tet_volumes(nodes, tetra):
     return np.einsum("ij,ij->i", e[:, 0], np.cross(e[:, 1], e[:, 2])) / 6.0
 
 
+def _read_only(arr, dtype):
+    """``arr`` as a read-only contiguous array: shared if it is read-only,
+    copied if the caller can still write it."""
+    out = np.ascontiguousarray(arr, dtype=dtype)
+    if out.flags.writeable and np.may_share_memory(out, arr):
+        out = out.copy()
+    out.setflags(write=False)
+    return out
+
+
 def _checked_sigma(sigma, n_elements):
     """``sigma`` as a read-only float array: length-m scalars or (m, 6)
     tensor rows."""
-    sigma = np.ascontiguousarray(sigma, dtype=float)
+    sigma = _read_only(sigma, float)
     if len(sigma) != n_elements:
         raise ParameterError("sigma length must equal element count")
     if sigma.ndim == 2 and sigma.shape[1] != 6:
         raise ParameterError("tensor sigma must have 6 columns")
-    sigma.setflags(write=False)
     return sigma
 
 
@@ -76,9 +85,9 @@ class TetMesh:
     """
 
     def __init__(self, nodes, tetra, labels, sigma):
-        nodes = np.ascontiguousarray(nodes, dtype=float)
-        tetra = np.ascontiguousarray(tetra, dtype=np.int64)
-        labels = np.ascontiguousarray(labels, dtype=np.int64)
+        nodes = _read_only(nodes, float)
+        tetra = _read_only(tetra, np.int64)
+        labels = _read_only(labels, np.int64)
         if tetra.ndim != 2 or tetra.shape[1] != 4:
             raise ParameterError(f"tetra must be (m, 4), got {tetra.shape}")
         if tetra.size and (tetra.min() < 0 or tetra.max() >= len(nodes)):
@@ -90,12 +99,9 @@ class TetMesh:
         if np.any(vols <= 0):
             raise ParameterError(
                 f"{np.count_nonzero(vols <= 0)} element(s) with non-positive volume")
-        self.nodes = nodes
-        self.tetra = tetra
-        self.labels = labels
+        self.nodes, self.tetra, self.labels = nodes, tetra, labels
         self.volumes = vols
-        for arr in (self.nodes, self.tetra, self.labels, self.volumes):
-            arr.setflags(write=False)
+        vols.setflags(write=False)
         # Face table, boundary and CSR pattern: shared by every mesh that
         # with_nodes and with_sigma derive, whichever computes them first.
         self._topology = {}

@@ -1,9 +1,9 @@
 """Synthetic measurement generation for the desk-scale experiment protocols.
 
-EEG data come from point dipoles snapped to the nearest source DOF; EIT
-data from a ball-shaped conductivity anomaly inside a concentric-sphere
-head.  All randomness flows through one seeded generator per dataset, so a
-seed pins the dataset bit-for-bit.
+Noise-free EEG data are ``dipole_signal`` (point dipoles snapped to the
+nearest source DOF), EIT data ``anomaly_signal`` (a ball-shaped anomaly in
+the conductivity).  Callers add ``NoiseSpec.sample``: one seeded generator
+per dataset, so a seed pins the dataset bit-for-bit.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyAnomalyError, LocationError, ParameterError
+from .fem import assemble_cem_system
 from .geometry import Compartment, Segmentation, icosphere, nearest_center
 from .leadfield import eit_forward
 from .solver import PcgConfig
@@ -93,12 +94,6 @@ class Phantom:
     def anomaly_radius(self):
         return 0.5 * self.anomaly_diameter
 
-    def segmentation(self, subdivisions=3, active_shells=(0,), priorities=None):
-        """Concentric icosphere segmentation matching the phantom shells."""
-        return layered_sphere_segmentation(self.radii, self.conductivities,
-                                           priorities, active_shells,
-                                           subdivisions)
-
     def perturb_sigma(self, mesh):
         """Mesh conductivity with the anomaly offset added on the elements
         whose centroids fall inside the ball."""
@@ -169,30 +164,13 @@ def dipole_signal(leadfield, dipoles):
     return leadfield.matrix @ x, x
 
 
-def simulate_eeg(leadfield, dipoles, noise):
-    """Noisy EEG data y = L x_true + n for snapped dipoles.
-
-    Returns (y, x_true).
-    """
-    y0, x_true = dipole_signal(leadfield, dipoles)
-    return y0 + noise.sample(y0), x_true
-
-
-def simulate_eit(sys, phantom, patterns, noise, cfg=PcgConfig()):
-    """Noisy EIT data for a perturbed conductivity, plus background data.
-
-    The forward map is re-assembled at the perturbed conductivity; noise is
-    calibrated on the perturbed (measured) signal.  Data vectors stack the
-    electrode voltages pattern by pattern.
-
-    Returns (y_noisy, y_background).
-    """
-    y_bg = eit_forward(sys, patterns, cfg)
-    sigma_p, _ = phantom.perturb_sigma(sys.mesh)
-    y = eit_forward(sys.with_sigma(sigma_p), patterns, cfg)
-    y = np.asarray(y).T.ravel()
-    y_bg = np.asarray(y_bg).T.ravel()
-    return y + noise.sample(y), y_bg
+def anomaly_signal(mesh, electrodes, center, diameter, delta, patterns,
+                   cfg=PcgConfig()):
+    """Noise-free EIT data at the mesh conductivity plus ``delta`` in the
+    given ball (:func:`perturb_sigma_ball`), stacked pattern by pattern."""
+    sigma, _ = perturb_sigma_ball(mesh, center, diameter, delta)
+    system = assemble_cem_system(mesh.with_sigma(sigma), electrodes)
+    return np.asarray(eit_forward(system, patterns, cfg)).T.ravel()
 
 
 def fibonacci_sphere_points(n, radius=1.0, center=(0.0, 0.0, 0.0)):

@@ -483,15 +483,17 @@ class TestCliExperiment:
 
 
 def test_cli_import_skips_scipy_modules_no_pipeline_path_uses():
-    # scipy.spatial (which pulls in scipy.special) and scipy.io serve only
-    # fem.locate_elements and io.export_matrix_market, which import them.
+    # No headfem module uses scipy.spatial (which pulls in scipy.special)
+    # or scipy.io, so importing the package and its entry points loads
+    # neither.
     src = os.path.dirname(os.path.dirname(os.path.abspath(hio.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, headfem.cli; print(*sys.modules)"],
+        [sys.executable, "-c", "import sys, headfem, headfem.cli, "
+         "headfem.experiments; print(*sys.modules)"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
-    assert "headfem.cli" in loaded
+    assert {"headfem.cli", "headfem.experiments"} <= loaded
     assert not loaded & {"scipy.spatial", "scipy.special", "scipy.io"}

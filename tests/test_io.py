@@ -6,14 +6,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from headfem import io as hio
 from headfem.errors import FormatError
-from headfem.fem import ElectrodeSet, assemble_cem_system, volume_stiffness
+from headfem.fem import ElectrodeSet, assemble_cem_system
 from headfem.geometry import Compartment, Segmentation, icosphere
 from headfem.leadfield import eeg_leadfield
 from headfem.meshgen import TetMesh, generate_mesh, place_sources, smooth_mesh
@@ -103,25 +102,6 @@ class TestLeadfieldFiles:
         raw = np.fromfile(path, dtype="<f8")
         np.testing.assert_array_equal(raw, lf.matrix.ravel(order="F"))
 
-    def test_csv_export(self, mesh, tmp_path):
-        lf = self._leadfield(mesh)
-        path = tmp_path / "lf.csv"
-        hio.save_leadfield_csv(lf, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 1 + lf.matrix.shape[0]
-        first = [float(v) for v in lines[1].split(",")[1:]]
-        np.testing.assert_allclose(first, lf.matrix[0])
-
-
-class TestMatrixMarket:
-    def test_export_reimports(self, mesh, tmp_path):
-        K = volume_stiffness(mesh)
-        path = tmp_path / "stiffness.mtx"
-        hio.export_matrix_market(path, K)
-        import scipy.io
-        again = scipy.io.mmread(str(path))
-        assert (sp.csr_matrix(again) - K).nnz == 0 or \
-            abs(sp.csr_matrix(again) - K).max() < 1e-12 * abs(K).max()
 
 
 class TestDatasets:
@@ -229,12 +209,6 @@ def reference_write_csv(path, header, rows):
                         else v for v in row])
 
 
-def reference_save_leadfield_csv(lf, path):
-    header = [f"dof{j}" for j in range(lf.matrix.shape[1])]
-    reference_write_csv(path, ["row"] + header,
-                        [[i] + list(row) for i, row in enumerate(lf.matrix)])
-
-
 def reference_save_dataset(path, data, n_electrodes, column_label="pattern"):
     data = np.asarray(data, dtype=float)
     cols = data.reshape(n_electrodes, -1, order="F")
@@ -309,13 +283,6 @@ class TestWritersMatchReference:
             is_tensor=tensor)
         same_bytes(lambda p: hio.save_tet_mesh(mesh, p),
                    lambda p: reference_save_tet_mesh(mesh, p))
-
-    @array_settings
-    @given(data=st.data(), n_rows=rows_, n_cols=st.integers(1, 12))
-    def test_leadfield_csv(self, data, n_rows, n_cols):
-        lf = SimpleNamespace(matrix=data.draw(float_arrays((n_rows, n_cols))))
-        same_bytes(lambda p: hio.save_leadfield_csv(lf, p),
-                   lambda p: reference_save_leadfield_csv(lf, p))
 
     @array_settings
     @given(data=st.data(), n_electrodes=st.integers(1, 12),

@@ -163,7 +163,7 @@ class TestEegLeadfield:
         # closed-form surface potential u = 3 (p . r_hat) / (4 pi sigma R^2);
         # the assembled lead field must reproduce it (sign, scale, pattern)
         # up to discretization error.
-        from headfem.fem import locate_elements
+        from headfem.geometry import nearest_center
         from headfem.meshgen import SourceSpace
 
         R, sigma = 0.1, 0.33
@@ -172,7 +172,7 @@ class TestEegLeadfield:
         centers = fibonacci_points(20, R)
         el = ElectrodeSet.from_centers(mesh, centers, radius=0.02,
                                        impedances=1e3)
-        eid = locate_elements(mesh, np.zeros((1, 3)))
+        eid = nearest_center(np.zeros((1, 3)), mesh.centroids())[0]
         src = SourceSpace(positions=mesh.centroids()[eid], orientations=None,
                           element_ids=eid, mode="unconstrained")
         sys = assemble_cem_system(mesh, el, src)

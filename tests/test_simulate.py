@@ -7,16 +7,17 @@ from headfem.leadfield import (
     adjacent_pair_patterns,
     build_dof_map,
     eeg_leadfield,
+    eit_forward,
     eit_leadfield,
 )
 from headfem.meshgen import generate_mesh, place_sources
 from headfem.simulate import (
     NoiseSpec,
     Phantom,
+    anomaly_signal,
     dipole_signal,
     fibonacci_sphere_points,
-    simulate_eeg,
-    simulate_eit,
+    layered_sphere_segmentation,
 )
 from headfem.solver import PcgConfig
 
@@ -28,7 +29,8 @@ def eeg_setup():
     phantom = Phantom(radii=(0.08, 0.1), conductivities=(0.33, 0.43),
                       anomaly_center=(0.0, 0.0, 0.03),
                       anomaly_diameter=0.05, anomaly_delta=0.73)
-    seg = phantom.segmentation(subdivisions=2, active_shells=(0,))
+    seg = layered_sphere_segmentation(phantom.radii, phantom.conductivities,
+                                      subdivisions=2)
     mesh = generate_mesh(seg, 0.035)
     el = ElectrodeSet.from_centers(mesh, fibonacci_sphere_points(6, 0.1),
                                    radius=0.04, impedances=1e3)
@@ -104,9 +106,10 @@ class TestSimulateEeg:
         *_, lf = eeg_setup
         dip = [(lf.positions[0], np.array([0, 1.0, 0]), 1e-8)]
         noise = NoiseSpec(level=0.02, seed=11)
-        ya, _ = simulate_eeg(lf, dip, noise)
-        yb, _ = simulate_eeg(lf, dip, noise)
-        np.testing.assert_array_equal(ya, yb)
+        ya, _ = dipole_signal(lf, dip)
+        yb, _ = dipole_signal(lf, dip)
+        np.testing.assert_array_equal(ya + noise.sample(ya),
+                                      yb + noise.sample(yb))
 
     def test_dipole_outside_region(self, eeg_setup):
         *_, lf = eeg_setup
@@ -135,16 +138,20 @@ class TestPhantom:
                     anomaly_delta=0.1)
 
 
+@pytest.fixture(scope="module")
+def eit_setup(eeg_setup):
+    phantom, seg, mesh, el, sys, _ = eeg_setup
+    dofs = build_dof_map(mesh, [0], n_dofs=5, seed=3)
+    I = adjacent_pair_patterns(el.count)
+    ball = (phantom.anomaly_center, phantom.anomaly_diameter)
+    return mesh, el, dofs, I, eit_leadfield(sys, dofs, I, TIGHT), ball
+
+
 class TestSimulateEit:
-    def test_zero_delta_reproduces_background(self, eeg_setup):
-        phantom, seg, mesh, el, sys, _ = eeg_setup
-        p0 = Phantom(radii=phantom.radii, conductivities=phantom.conductivities,
-                     anomaly_center=phantom.anomaly_center,
-                     anomaly_diameter=phantom.anomaly_diameter,
-                     anomaly_delta=0.0)
-        I = adjacent_pair_patterns(el.count)
-        noise = NoiseSpec(mode="snr-db", level=300.0, seed=0)  # negligible
-        y, y_bg = simulate_eit(sys, p0, I, noise, TIGHT)
+    def test_zero_delta_reproduces_background(self, eit_setup):
+        mesh, el, _, I, lf, ball = eit_setup
+        y = anomaly_signal(mesh, el, *ball, 0.0, I, TIGHT)
+        y_bg = lf.background_data
         np.testing.assert_allclose(y, y_bg, rtol=1e-9,
                                    atol=1e-12 * np.abs(y_bg).max())
 
@@ -156,37 +163,28 @@ class TestSimulateEit:
         drawn = spec.sample(sig)
         assert np.sqrt(np.mean(drawn**2)) == pytest.approx(rms * 1e-3, rel=0.03)
 
-    def test_single_element_anomaly_matches_leadfield_column(self, eeg_setup):
+    def test_single_element_anomaly_matches_leadfield_column(self, eit_setup):
         # First-order check: a small delta on one DOF's support changes the
         # data by (lead-field column) * delta.
-        phantom, seg, mesh, el, sys, _ = eeg_setup
-        dofs = build_dof_map(mesh, [0], n_dofs=5, seed=3)
-        I = adjacent_pair_patterns(el.count)
-        lf = eit_leadfield(sys, dofs, I, TIGHT)
+        mesh, el, dofs, I, lf, _ = eit_setup
         m = 2
         delta = 1e-4 * 0.33
         sigma = mesh.sigma.copy()
         sigma[dofs.element_sets[m]] += delta
-        from headfem.leadfield import eit_forward
-        y_p = np.asarray(eit_forward(sys.with_sigma(sigma), I, TIGHT)).T.ravel()
+        perturbed = assemble_cem_system(mesh.with_sigma(sigma), el)
+        y_p = np.asarray(eit_forward(perturbed, I, TIGHT)).T.ravel()
         dy = y_p - lf.background_data
         np.testing.assert_allclose(dy, lf.matrix[:, m] * delta,
                                    rtol=2e-3, atol=1e-9 * np.abs(dy).max())
 
-    def test_empty_anomaly(self, eeg_setup):
-        phantom, seg, mesh, el, sys, _ = eeg_setup
-        tiny = Phantom(radii=phantom.radii, conductivities=phantom.conductivities,
-                       anomaly_center=(0.0, 0.0, 0.03),
-                       anomaly_diameter=1e-5, anomaly_delta=0.73)
-        I = adjacent_pair_patterns(el.count)
+    def test_empty_anomaly(self, eit_setup):
+        mesh, el, _, I, _, _ = eit_setup
         with pytest.raises(EmptyAnomalyError):
-            simulate_eit(sys, tiny, I, NoiseSpec(level=0.01), TIGHT)
+            anomaly_signal(mesh, el, (0.0, 0.0, 0.03), 1e-5, 0.73, I, TIGHT)
 
-    def test_dataset_deterministic(self, eeg_setup):
-        phantom, seg, mesh, el, sys, _ = eeg_setup
-        I = adjacent_pair_patterns(el.count)
-        noise = NoiseSpec(mode="snr-db", level=60.0, seed=9)
-        a = simulate_eit(sys, phantom, I, noise, TIGHT)
-        b = simulate_eit(sys, phantom, I, noise, TIGHT)
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
+    def test_dataset_deterministic(self, eit_setup):
+        mesh, el, _, I, _, ball = eit_setup
+        a = anomaly_signal(mesh, el, *ball, 0.73, I, TIGHT)
+        b = anomaly_signal(mesh, el, *ball, 0.73, I, TIGHT)
+        assert a.shape == (el.count * I.shape[1],)
+        np.testing.assert_array_equal(a, b)
