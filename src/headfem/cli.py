@@ -19,11 +19,13 @@ whose manifest does not record today's ``inputs`` and file hashes.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import os
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -101,13 +103,12 @@ def _output_hashes(out, stage):
             for key, name in _ARTIFACTS[stage][1].items()}
 
 
-def _stale_reason(directory, stage, inputs, digest=None, files=None):
+def _stale_reason(directory, stage, inputs, digest=None, payloads=None):
     """Why the ``stage`` artifact in ``directory`` does not verify, or None.
-    ``files`` (output key -> path) defaults to the stage's files there;
-    ``digest``, when given, must be the recorded configuration hash."""
+    ``payloads`` (output key -> bytes read, no key for a missing file)
+    replace the stage's files there; ``digest``, when given, must be the
+    recorded configuration hash."""
     manifest, names = _ARTIFACTS[stage]
-    files = files or {key: os.path.join(directory, name)
-                      for key, name in names.items()}
     try:
         with open(os.path.join(directory, manifest)) as fh:
             recorded = json.load(fh)
@@ -122,9 +123,13 @@ def _stale_reason(directory, stage, inputs, digest=None, files=None):
         return "config changed"
     if recorded.get("inputs") != inputs:
         return "input changed"
-    for key, path in files.items():
-        if (not os.path.isfile(path)
-                or recorded["outputs"].get(key) != hio.sha256_file(path)):
+    for key, name in names.items():
+        path = os.path.join(directory, name)
+        if payloads is not None:
+            got = key in payloads and hashlib.sha256(payloads[key]).hexdigest()
+        else:
+            got = os.path.isfile(path) and hio.sha256_file(path)
+        if not got or recorded["outputs"].get(key) != got:
             return "hash mismatch"
     return None
 
@@ -318,15 +323,16 @@ def cmd_invert(cfg, args):
         raise FileNotFoundError(f"lead field not found: {lf_path}")
     if not os.path.exists(args.data):
         raise FileNotFoundError(f"data file not found: {args.data}")
-    # No configuration hash: [inversion] may change between inversions.
+    # Hash the bytes inverted; no config hash: [inversion] may change.
+    payloads = {key: Path(path).read_bytes() for key, path in (
+        ("leadfield", lf_path), ("leadfield_sidecar", f"{lf_path}.json"))
+        if os.path.isfile(path)}
     reason = _stale_reason(os.path.dirname(lf_path), "leadfield",
-                           _input_hashes(cfg), files={
-                               "leadfield": lf_path,
-                               "leadfield_sidecar": f"{lf_path}.json"})
+                           _input_hashes(cfg), payloads=payloads)
     if reason is not None:
         raise DataError(f"lead field {lf_path} does not verify ({reason}); "
                         "`headfem leadfield` writes a current one")
-    lf, side = hio.load_leadfield(lf_path)
+    lf, side = hio.load_leadfield(lf_path, *payloads.values())
     y = hio.load_dataset(args.data)
     if y.size != lf.matrix.shape[0]:
         raise DataError(f"data length {y.size} != lead field rows "

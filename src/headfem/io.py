@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -85,15 +86,18 @@ def save_leadfield(lf, path):
     write_json(str(path) + ".json", side)
 
 
-def load_leadfield(path):
+def load_leadfield(path, payload=None, sidecar=None):
+    """The lead field in ``path`` or in the bytes ``payload`` and ``sidecar``
+    read from it and its sidecar; the matrix is a read-only view of them."""
     from .leadfield import LeadField
 
-    with open(str(path) + ".json") as fh:
-        side = json.load(fh)
-    raw = np.fromfile(path, dtype="<f8")
-    if raw.size != side["rows"] * side["cols"]:
+    if payload is None:
+        sidecar, payload = (Path(p).read_bytes() for p in (f"{path}.json", path))
+    side = json.loads(sidecar)
+    if len(payload) != 8 * side["rows"] * side["cols"]:
         raise FormatError(f"{path}: payload does not match sidecar dimensions")
-    mat = raw.reshape((side["rows"], side["cols"]), order="F")
+    mat = np.frombuffer(payload, dtype="<f8").reshape(
+        (side["rows"], side["cols"]), order="F")
     return LeadField(
         matrix=mat,
         positions=_field_array(side["positions"]),

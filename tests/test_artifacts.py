@@ -265,6 +265,27 @@ def test_invert_refuses_an_unverified_leadfield(tmp_path, capsys, damage,
     assert f"({reason})" in capsys.readouterr().err
 
 
+def test_invert_inverts_the_bytes_it_verified(tmp_path, monkeypatch):
+    # Each lead-field file is read once: zeros written over the payload
+    # after it was hashed do not reach the inversion.
+    path = write_sphere_project(tmp_path)
+    run(path, "leadfield")
+    run(path, "simulate")
+    assert invert(path) == 0
+    rec = tmp_path / "out" / "reconstruction.csv"
+    expected = rec.read_bytes()
+    payload = tmp_path / "out" / "leadfield.bin"
+    load_leadfield = hio.load_leadfield
+
+    def damage_then_load(*args):
+        payload.write_bytes(bytes(payload.stat().st_size))
+        return load_leadfield(*args)
+    monkeypatch.setattr(hio, "load_leadfield", damage_then_load)
+    rec.unlink()
+    assert invert(path) == 0
+    assert rec.read_bytes() == expected
+
+
 def test_invert_reads_the_manifest_beside_its_leadfield(tmp_path):
     path = write_sphere_project(tmp_path)
     run(path, "leadfield")

@@ -453,6 +453,12 @@ class TestCliInvertAndMetrics:
         rec = (out / "reconstruction.csv").read_text().splitlines()
         assert rec[0] == "dof_id,x,y,z,amplitude"
         assert len(rec) == 1 + 8  # header + dofs
+        # Zero decompositions or iterations are parameter errors.
+        for bad in ("decompositions = 0", "decompositions = 3\niterations = 0"):
+            path.write_text(path.read_text().replace("decompositions = 3", bad))
+            assert main(["invert", "--config", str(path),
+                         "--data", str(out / "data.csv")]) == 2
+            path.write_text(path.read_text().replace(bad, "decompositions = 3"))
 
 
 class TestCliExperiment:

@@ -1,15 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from headfem import inverse
 from headfem.errors import (
     DecompositionError,
     ParameterError,
     RoiError,
     UndefinedMetricError,
 )
+from headfem.geometry import nearest_center
 from headfem.inverse import (
     HyperModel,
     IasState,
@@ -242,6 +247,52 @@ def multires_reference(L, y, positions, hyper, nu, n_iter, n_subsets,
     return total / n_decompositions
 
 
+def reference_decomposition(positions, n_subsets, rng, max_retries=50):
+    """One nearest-center partition drawn and re-drawn as the earlier
+    per-partition code did, with every center-point pair of every try."""
+    positions = np.asarray(positions, dtype=float)
+    n = len(positions)
+    if not (1 <= n_subsets <= n):
+        raise DecompositionError(
+            f"need 1 <= n_subsets <= {n}, got {n_subsets}")
+    centers = positions[rng.choice(n, size=n_subsets, replace=False)]
+    for _ in range(max_retries):
+        assignment, _ = nearest_center(positions, centers)
+        empty = np.flatnonzero(np.bincount(assignment, minlength=n_subsets) == 0)
+        if empty.size == 0:
+            return assignment
+        centers[empty] = positions[rng.choice(n, size=empty.size, replace=False)]
+    raise DecompositionError("empty subset persisted after re-sampling")
+
+
+def reference_multires_ias(L, y, positions, hyper, nu, n_iter, n_subsets,
+                           n_decompositions, seed=0):
+    """Multiresolution averaging one partition at a time: a partition of its
+    own and a one-hot product of its own for every coarse lead field."""
+    L = np.asarray(L, dtype=float)
+    positions = np.asarray(positions, dtype=float)
+    rng = np.random.default_rng(seed)
+    n = L.shape[1]
+    total = np.zeros(n)
+    for _ in range(int(n_decompositions)):
+        a = reference_decomposition(positions, n_subsets, rng)
+        # Row s of the one-hot matrix sums the columns of subset s.
+        onehot = sp.csr_matrix((np.ones(n), (a, np.arange(n))))
+        Lr = np.ascontiguousarray((onehot @ L.T).T)
+        state = initial_state(n_subsets, hyper, nu)
+        for _ in range(int(n_iter)):
+            state = ias_step(Lr, y, state, hyper)
+        total += state.x[a]
+    return total / n_decompositions
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except DecompositionError:
+        return "no partition"
+
+
 class TestMultires:
     def _problem(self, n=12, m=6, seed=0):
         rng = np.random.default_rng(seed)
@@ -281,6 +332,34 @@ class TestMultires:
             multires_ias(L, y, positions, h, **args),
             multires_reference(L, y, positions, h, **args), rtol=1e-12)
 
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           layout=st.sampled_from(["random", "lattice", "coincident"]),
+           family=st.sampled_from(["G", "IG"]),
+           n_decompositions=st.integers(1, 6), identity=st.booleans())
+    def test_bit_identical_to_per_partition_loop(self, seed, layout, family,
+                                                 n_decompositions, identity):
+        # Coincident DOFs leave subsets empty and exercise the re-draws;
+        # more subsets than distinct positions make both raise.
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 60)), int(rng.integers(1, 12))
+        L = rng.normal(size=(m, n))
+        y = rng.normal(size=m)
+        if layout == "lattice":
+            grid = np.stack(np.meshgrid(*[np.arange(4.0)] * 3), -1)
+            positions = rng.permutation(grid.reshape(-1, 3))[:n]
+        elif layout == "coincident":
+            positions = rng.uniform(-1, 1, size=(4, 3))[rng.integers(0, 4, n)]
+        else:
+            positions = rng.uniform(-1, 1, size=(n, 3))
+        args = dict(nu=0.3, n_iter=int(rng.integers(1, 4)),
+                    n_subsets=n if identity else int(rng.integers(1, n + 1)),
+                    n_decompositions=n_decompositions, seed=seed)
+        h = HyperModel(family, theta0=1e-2)
+        x = outcome(multires_ias, L, y, positions, h, **args)
+        x_ref = outcome(reference_multires_ias, L, y, positions, h, **args)
+        assert np.array_equal(x, x_ref)
+
     def test_matches_measurement_space_at_desk_shapes(self):
         # The EIT desk inversion: 240 measurements, 600 lattice-tied DOFs,
         # 100 subsets, so every coarse step factors the 100 x 100
@@ -318,6 +397,45 @@ class TestMultires:
             assert counts.tolist() == [3, 3, 3, 3]
         with pytest.raises(DecompositionError):
             make_decomposition(positions, 5, rng)
+
+    @pytest.mark.parametrize("counts", [dict(n_iter=0, n_decompositions=3),
+                                        dict(n_iter=2, n_decompositions=0),
+                                        dict(n_iter=-1, n_decompositions=-1)])
+    def test_degenerate_counts_raise(self, counts):
+        # n_iter = 0 would return all zeros and n_decompositions = 0 would
+        # divide 0 by 0; both are parameter errors, as in ias_map.
+        L, y, positions = self._problem()
+        with pytest.raises(ParameterError):
+            multires_ias(L, y, positions, HyperModel("IG"), nu=0.3,
+                         n_subsets=4, seed=0, **counts)
+
+    def test_one_partition_allocates_only_its_rows(self):
+        # 50 subsets of 4,000 DOFs need 50 distance rows of 1.6 MB in all;
+        # a 4,000 x 4,000 table would take 128 MB.
+        rng = np.random.default_rng(4)
+        n, rows = 4000, 50 * 4000 * 8
+        L, y = rng.normal(size=(8, n)), rng.normal(size=8)
+        positions = rng.uniform(-1, 1, size=(n, 3))
+        tracemalloc.start()
+        try:
+            multires_ias(L, y, positions, HyperModel("IG"), nu=0.3, n_iter=2,
+                         n_subsets=50, n_decompositions=1, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * rows
+
+    def test_calls_ias_step_through_the_module(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return ias_step(*args)
+        monkeypatch.setattr(inverse, "ias_step", counting)
+        L, y, positions = self._problem(n=30, m=8, seed=2)
+        multires_ias(L, y, positions, HyperModel("G"), nu=0.3, n_iter=3,
+                     n_subsets=6, n_decompositions=7, seed=0)
+        assert len(calls) == 3 * 7
 
     def test_seed_reproducible(self):
         L, y, positions = self._problem(seed=7)
