@@ -103,39 +103,39 @@ def _output_hashes(out, stage):
             for key, name in _ARTIFACTS[stage][1].items()}
 
 
-def _stale_reason(directory, stage, inputs, digest=None, payloads=None):
-    """Why the ``stage`` artifact in ``directory`` does not verify, or None.
-    ``payloads`` (output key -> bytes read, no key for a missing file)
-    replace the stage's files there; ``digest``, when given, must be the
-    recorded configuration hash."""
+def _stale_reason(directory, stage, inputs, digest=None, files=None):
+    """Why the ``stage`` artifact in ``directory`` does not verify (None if
+    it does) and the bytes hashed by output key.  ``files`` (output key ->
+    path) defaults to the stage's files there; ``digest``, when given, must
+    be the recorded configuration hash."""
     manifest, names = _ARTIFACTS[stage]
+    files = files or {key: os.path.join(directory, name)
+                      for key, name in names.items()}
     try:
         with open(os.path.join(directory, manifest)) as fh:
             recorded = json.load(fh)
     except FileNotFoundError:
-        return "no manifest"
+        return "no manifest", None
     except (OSError, ValueError):
-        return "unparsable manifest"
+        return "unparsable manifest", None
     if not (isinstance(recorded, dict)
             and isinstance(recorded.get("outputs"), dict)):
-        return "unparsable manifest"
+        return "unparsable manifest", None
     if digest is not None and recorded.get("config_sha256") != digest:
-        return "config changed"
+        return "config changed", None
     if recorded.get("inputs") != inputs:
-        return "input changed"
-    for key, name in names.items():
-        path = os.path.join(directory, name)
-        if payloads is not None:
-            got = key in payloads and hashlib.sha256(payloads[key]).hexdigest()
-        else:
-            got = os.path.isfile(path) and hio.sha256_file(path)
-        if not got or recorded["outputs"].get(key) != got:
-            return "hash mismatch"
-    return None
+        return "input changed", None
+    payloads = {key: Path(path).read_bytes()
+                for key, path in files.items() if os.path.isfile(path)}
+    if payloads.keys() != files.keys() or any(
+            recorded["outputs"].get(key) != hashlib.sha256(data).hexdigest()
+            for key, data in payloads.items()):
+        return "hash mismatch", None
+    return None, payloads
 
 
 def _find_artifact(cfg, out, stage, inputs, unsaved=None):
-    """The directory of a reusable ``stage`` artifact, or None.
+    """The bytes of a reusable ``stage`` artifact's files, or None.
 
     Looks in the command's output directory ``out``, then in the project's
     ``[output] dir``, and logs one line: which directory was reused, or
@@ -144,10 +144,10 @@ def _find_artifact(cfg, out, stage, inputs, unsaved=None):
     reasons = []
     for directory in dict.fromkeys(
             os.path.abspath(d) for d in (out, _resolve(cfg, cfg.output_dir))):
-        reason = _stale_reason(directory, stage, inputs, cfg.digest)
+        reason, payloads = _stale_reason(directory, stage, inputs, cfg.digest)
         if reason is None:
             logger.info("%s: reused %s", stage, directory)
-            return directory
+            return payloads
         reasons.append(f"{directory}: {reason}")
     if unsaved:
         logger.warning(unsaved)
@@ -171,7 +171,7 @@ def _mesh(cfg, out, inputs):
     found = _find_artifact(cfg, out, "mesh", inputs)
     if found is None:
         return _build_mesh(cfg)
-    return hio.load_tet_mesh(os.path.join(found, "mesh"))
+    return hio.parse_tet_mesh(lambda part: found[f"mesh_{part}"])
 
 
 def _build_electrodes(cfg, mesh):
@@ -210,7 +210,7 @@ def _leadfield(cfg, out, inputs, mesh=None):
     if found is None:
         return _build_leadfield(
             cfg, mesh if mesh is not None else _mesh(cfg, out, inputs))
-    lf, _ = hio.load_leadfield(os.path.join(found, "leadfield.bin"))
+    lf, _ = hio.parse_leadfield(found["leadfield"], found["leadfield_sidecar"])
     # The C order of a built lead field, so products with it round alike.
     return replace(lf, matrix=np.ascontiguousarray(lf.matrix))
 
@@ -323,16 +323,15 @@ def cmd_invert(cfg, args):
         raise FileNotFoundError(f"lead field not found: {lf_path}")
     if not os.path.exists(args.data):
         raise FileNotFoundError(f"data file not found: {args.data}")
-    # Hash the bytes inverted; no config hash: [inversion] may change.
-    payloads = {key: Path(path).read_bytes() for key, path in (
-        ("leadfield", lf_path), ("leadfield_sidecar", f"{lf_path}.json"))
-        if os.path.isfile(path)}
-    reason = _stale_reason(os.path.dirname(lf_path), "leadfield",
-                           _input_hashes(cfg), payloads=payloads)
+    # No configuration hash: [inversion] may change between inversions.
+    reason, payloads = _stale_reason(
+        os.path.dirname(lf_path), "leadfield", _input_hashes(cfg), files={
+            "leadfield": lf_path, "leadfield_sidecar": f"{lf_path}.json"})
     if reason is not None:
         raise DataError(f"lead field {lf_path} does not verify ({reason}); "
                         "`headfem leadfield` writes a current one")
-    lf, side = hio.load_leadfield(lf_path, *payloads.values())
+    lf, side = hio.parse_leadfield(payloads["leadfield"],
+                                   payloads["leadfield_sidecar"], lf_path)
     y = hio.load_dataset(args.data)
     if y.size != lf.matrix.shape[0]:
         raise DataError(f"data length {y.size} != lead field rows "

@@ -471,33 +471,29 @@ def _dot3(a, b):
     return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
 
 
-def pair_distances(points, centers, out=None, tmp=None):
-    """(k, m) distances sqrt((dx*dx + dy*dy) + dz*dz) from (k, 3) ``points``
-    to (m, 3) ``centers`` (symmetric bit for bit), the bits of
-    ``np.linalg.norm(axis=-1)``, in optional (k, m) ``out`` and ``tmp``."""
-    r = np.subtract(points[:, :1], centers[:, 0], out=out)
-    r *= r
-    t = np.empty_like(r) if tmp is None else tmp
-    for k in (1, 2):
-        np.subtract(points[:, k:k + 1], centers[:, k], out=t)
-        t *= t
-        r += t
-    return np.sqrt(r, out=r)
-
-
 def nearest_center(points, centers):
     """Index of the center nearest to each of (k, 3) ``points`` (the lowest
-    on ties) and its :func:`pair_distances` distance, in row chunks of at
-    most 2**15 pairs that reuse two (rows, m) buffers."""
+    on ties) and its distance, in row chunks of at most 2**15 pairs.
+    Distances are sqrt((dx*dx + dy*dy) + dz*dz), the bits of
+    ``np.linalg.norm(axis=-1)``, so exact ties on a lattice resolve alike.
+    Two (rows, m) buffers are allocated once and reused by every chunk."""
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    centers = np.asarray(centers, dtype=float).reshape(-1, 3)
-    rows = max(1, (1 << 15) // len(centers))
+    c = np.asarray(centers, dtype=float).reshape(-1, 3).T
+    rows = max(1, (1 << 15) // c.shape[1])
     index = np.empty(len(points), dtype=np.int64)
     dist = np.empty(len(points))
-    r_buf, t_buf = np.empty((2, min(rows, len(points)), len(centers)))
+    r_buf = np.empty((min(rows, len(points)), c.shape[1]))
+    t_buf = np.empty_like(r_buf)
     for lo in range(0, len(points), rows):
         p = points[lo:lo + rows]
-        r = pair_distances(p, centers, r_buf[:len(p)], t_buf[:len(p)])
+        r, t = r_buf[:len(p)], t_buf[:len(p)]
+        np.subtract(p[:, :1], c[0], out=r)
+        r *= r
+        for k in (1, 2):
+            np.subtract(p[:, k:k + 1], c[k], out=t)
+            t *= t
+            r += t
+        np.sqrt(r, out=r)
         j = r.argmin(axis=1)
         index[lo:lo + len(p)] = j
         dist[lo:lo + len(p)] = r[np.arange(len(p)), j]

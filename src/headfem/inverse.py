@@ -32,7 +32,7 @@ from .errors import (
     RoiError,
     UndefinedMetricError,
 )
-from .geometry import pair_distances
+from .geometry import nearest_center
 
 
 @dataclass(frozen=True)
@@ -161,32 +161,27 @@ def ias_map(L, y, hyper, nu, n_iter, roi=None):
 # ---------------------------------------------------------------------------
 # randomized multiresolution decompositions
 
-def make_decomposition(positions, n_subsets, rng, max_retries=50, rows=None):
+def make_decomposition(positions, n_subsets, rng, max_retries=50):
     """Subset index of every DOF in a random nearest-center partition whose
     centers are drawn uniformly from the DOF positions (without replacement).
 
     Anchoring centers at DOF positions keeps each subset non-empty (a
     center always claims its own DOF); ``n_subsets`` equal to the DOF count
     therefore yields the identity decomposition.  Should an empty subset
-    still occur, its center is re-drawn a bounded number of times.  Each
-    drawn center's distances to every DOF are computed once and kept in
-    ``rows`` (DOF index -> row), which calls on the same positions share.
+    still occur, its center is re-drawn a bounded number of times.
     """
     positions = np.asarray(positions, dtype=float)
     n = len(positions)
     if not (1 <= n_subsets <= n):
         raise DecompositionError(
             f"need 1 <= n_subsets <= {n}, got {n_subsets}")
-    rows = {} if rows is None else rows
-    idx = rng.choice(n, size=n_subsets, replace=False)
+    centers = positions[rng.choice(n, size=n_subsets, replace=False)]
     for _ in range(max_retries):
-        new = [i for i in dict.fromkeys(idx.tolist()) if i not in rows]
-        rows.update(zip(new, pair_distances(positions[new], positions)))
-        assignment = np.stack([rows[i] for i in idx.tolist()]).argmin(axis=0)
+        assignment, _ = nearest_center(positions, centers)
         empty = np.flatnonzero(np.bincount(assignment, minlength=n_subsets) == 0)
         if empty.size == 0:
             return assignment
-        idx[empty] = rng.choice(n, size=empty.size, replace=False)
+        centers[empty] = positions[rng.choice(n, size=empty.size, replace=False)]
     raise DecompositionError("empty subset persisted after re-sampling")
 
 
@@ -198,9 +193,9 @@ def multires_ias(L, y, positions, hyper, nu, n_iter, n_subsets,
     columns of every subset are summed into one coarse column, ``n_iter``
     IAS steps run on the coarse problem from theta = theta0, and the
     coarse estimate is copied back to every member DOF.  The
-    reconstruction is the mean of the expanded estimates.  The partitions
-    share their distance rows, and one product with the stacked one-hot
-    matrices sums every coarse column in DOF order, bit for bit as singly.
+    reconstruction is the mean of the expanded estimates.  One product with
+    the stacked one-hot matrices of all partitions sums every coarse column
+    in increasing DOF order, bit for bit as one partition at a time.
     """
     L = np.asarray(L, dtype=float)
     if L.shape[1] != len(positions):
@@ -208,8 +203,8 @@ def multires_ias(L, y, positions, hyper, nu, n_iter, n_subsets,
     if n_iter < 1 or n_decompositions < 1:
         raise ParameterError("n_iter and n_decompositions must be >= 1")
     n = L.shape[1]
-    rng, rows = np.random.default_rng(seed), {}
-    parts = np.array([make_decomposition(positions, n_subsets, rng, rows=rows)
+    rng = np.random.default_rng(seed)
+    parts = np.array([make_decomposition(positions, n_subsets, rng)
                       for _ in range(int(n_decompositions))])
     # Row d * n_subsets + s of the one-hot matrix sums subset s of partition d.
     coarse = sp.csr_matrix((np.ones(parts.size), (
@@ -217,7 +212,7 @@ def multires_ias(L, y, positions, hyper, nu, n_iter, n_subsets,
         np.tile(np.arange(n), len(parts))))) @ L.T
     total = np.zeros(n)
     for d, a in enumerate(parts):
-        Lr = np.ascontiguousarray(coarse[d * n_subsets:][:n_subsets].T)
+        Lr = np.ascontiguousarray(coarse[d * n_subsets:(d + 1) * n_subsets].T)
         state = initial_state(n_subsets, hyper, nu)
         for _ in range(int(n_iter)):
             state = ias_step(Lr, y, state, hyper)

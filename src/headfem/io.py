@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -50,11 +51,16 @@ def save_tet_mesh(mesh, prefix):
 
 
 def load_tet_mesh(prefix):
-    nodes = np.loadtxt(f"{prefix}_nodes.dat", ndmin=2)
-    tetra = np.loadtxt(f"{prefix}_tetra.dat", dtype=np.int64, ndmin=2) - 1
-    labels = np.loadtxt(f"{prefix}_labels.dat", dtype=np.int64).reshape(-1) - 1
+    return parse_tet_mesh(lambda p: Path(f"{prefix}_{p}.dat").read_bytes())
+
+
+def parse_tet_mesh(read):
+    """The mesh whose ``save_tet_mesh`` file of part p holds ``read(p)``."""
+    nodes = np.loadtxt(BytesIO(read("nodes")), ndmin=2)
+    tetra = np.loadtxt(BytesIO(read("tetra")), dtype=np.int64, ndmin=2) - 1
+    labels = np.loadtxt(BytesIO(read("labels")), dtype=np.int64).reshape(-1) - 1
     # One value per line and element is scalar sigma, six are a tensor row.
-    sigma = np.loadtxt(f"{prefix}_sigma.dat", ndmin=2)
+    sigma = np.loadtxt(BytesIO(read("sigma")), ndmin=2)
     if sigma.shape == (len(tetra), 1):
         sigma = sigma[:, 0]
     return TetMesh(nodes, tetra, labels, sigma)
@@ -86,16 +92,19 @@ def save_leadfield(lf, path):
     write_json(str(path) + ".json", side)
 
 
-def load_leadfield(path, payload=None, sidecar=None):
-    """The lead field in ``path`` or in the bytes ``payload`` and ``sidecar``
-    read from it and its sidecar; the matrix is a read-only view of them."""
+def load_leadfield(path):
+    return parse_leadfield(Path(path).read_bytes(),
+                           Path(f"{path}.json").read_bytes(), path)
+
+
+def parse_leadfield(payload, sidecar, name="lead field"):
+    """The lead field and sidecar fields in the bytes of a ``.bin`` file and
+    its ``.json`` sidecar; the matrix is a read-only view of ``payload``."""
     from .leadfield import LeadField
 
-    if payload is None:
-        sidecar, payload = (Path(p).read_bytes() for p in (f"{path}.json", path))
     side = json.loads(sidecar)
     if len(payload) != 8 * side["rows"] * side["cols"]:
-        raise FormatError(f"{path}: payload does not match sidecar dimensions")
+        raise FormatError(f"{name}: payload does not match sidecar dimensions")
     mat = np.frombuffer(payload, dtype="<f8").reshape(
         (side["rows"], side["cols"]), order="F")
     return LeadField(

@@ -93,9 +93,9 @@ def test_truncated_mesh_file_is_never_read(tmp_path, calls, logged,
     nodes = tmp_path / "out" / "mesh_nodes.dat"
     nodes.write_bytes(nodes.read_bytes()[:-40])
 
-    def refuse(prefix):
-        raise AssertionError(f"read {prefix}")
-    monkeypatch.setattr(cli.hio, "load_tet_mesh", refuse)
+    def refuse(read):
+        raise AssertionError("parsed a mesh")
+    monkeypatch.setattr(cli.hio, "parse_tet_mesh", refuse)
     run(path, "leadfield")
     assert calls["generate_mesh"] == 2
     assert "hash mismatch" in lookups(logged)[-1]
@@ -251,10 +251,11 @@ def flip_byte(path):
 @pytest.mark.parametrize("damage, reason", [
     (lambda out: flip_byte(out / "leadfield.bin"), "hash mismatch"),
     (lambda out: flip_byte(out / "leadfield.bin.json"), "hash mismatch"),
+    (lambda out: (out / "leadfield.bin.json").unlink(), "hash mismatch"),
     (lambda out: (out / "leadfield_manifest.json").unlink(), "no manifest"),
     (lambda out: (out / "leadfield_manifest.json").write_text("{"),
      "unparsable manifest"),
-], ids=["bin", "sidecar", "no-manifest", "unparsable"])
+], ids=["bin", "sidecar", "no-sidecar", "no-manifest", "unparsable"])
 def test_invert_refuses_an_unverified_leadfield(tmp_path, capsys, damage,
                                                 reason):
     path = write_sphere_project(tmp_path)
@@ -265,25 +266,35 @@ def test_invert_refuses_an_unverified_leadfield(tmp_path, capsys, damage,
     assert f"({reason})" in capsys.readouterr().err
 
 
-def test_invert_inverts_the_bytes_it_verified(tmp_path, monkeypatch):
-    # Each lead-field file is read once: zeros written over the payload
-    # after it was hashed do not reach the inversion.
+@pytest.mark.parametrize("command, parser, damaged, output", [
+    ("leadfield", "parse_tet_mesh", "mesh_nodes.dat", "leadfield.bin"),
+    ("simulate", "parse_leadfield", "leadfield.bin", "data.csv"),
+    ("invert", "parse_leadfield", "leadfield.bin", "reconstruction.csv"),
+])
+def test_commands_use_the_bytes_they_verified(tmp_path, monkeypatch, command,
+                                              parser, damaged, output):
+    # Each artifact file is read once: zeros written over it after it was
+    # hashed do not reach the command's output.
     path = write_sphere_project(tmp_path)
-    run(path, "leadfield")
-    run(path, "simulate")
-    assert invert(path) == 0
-    rec = tmp_path / "out" / "reconstruction.csv"
-    expected = rec.read_bytes()
-    payload = tmp_path / "out" / "leadfield.bin"
-    load_leadfield = hio.load_leadfield
+    for step in ("mesh", "leadfield", "simulate"):
+        run(path, step)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path)]
+    if command == "invert":
+        argv += ["--data", str(out / "data.csv")]
 
-    def damage_then_load(*args):
-        payload.write_bytes(bytes(payload.stat().st_size))
-        return load_leadfield(*args)
-    monkeypatch.setattr(hio, "load_leadfield", damage_then_load)
-    rec.unlink()
-    assert invert(path) == 0
-    assert rec.read_bytes() == expected
+    def rerun():
+        (out / output).unlink(missing_ok=True)
+        assert cli.main(argv) == 0
+        return (out / output).read_bytes()
+    expected = rerun()
+    parse = getattr(hio, parser)
+
+    def damage_then_parse(*args, **kwargs):
+        (out / damaged).write_bytes(bytes((out / damaged).stat().st_size))
+        return parse(*args, **kwargs)
+    monkeypatch.setattr(hio, parser, damage_then_parse)
+    assert rerun() == expected
 
 
 def test_invert_reads_the_manifest_beside_its_leadfield(tmp_path):

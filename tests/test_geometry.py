@@ -14,7 +14,6 @@ from headfem.geometry import (
     load_surface_mesh,
     load_surface_mesh_asc,
     nearest_center,
-    pair_distances,
     point_in_compartment,
     save_surface_mesh,
 )
@@ -243,24 +242,6 @@ class TestNearestCenter:
             j = int(np.argmin(d))            # the first of tied minima
             assert index[i] == j
             assert dist[i] == d[j]
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), lattice=st.booleans())
-    def test_center_rows_match_nearest_center(self, seed, lattice):
-        # A row of center-to-point distances (centers as the points) holds
-        # the bits of nearest_center's distance to that center alone, and
-        # the column argmin over rows picks nearest_center's index.
-        rng = np.random.default_rng(seed)
-        if lattice:
-            points = rng.integers(-3, 4, size=(60, 3)).astype(float)
-        else:
-            points = rng.normal(size=(60, 3))
-        centers = points[rng.choice(60, size=7, replace=False)]
-        rows = pair_distances(centers, points)
-        for c, row in zip(centers, rows):
-            assert np.array_equal(row, nearest_center(points, c)[1])
-        np.testing.assert_array_equal(rows.argmin(axis=0),
-                                      nearest_center(points, centers)[0])
 
     def test_single_point(self):
         index, dist = nearest_center([0.0, 0.0, 1.0],

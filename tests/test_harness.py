@@ -441,7 +441,7 @@ class TestCliInvertAndMetrics:
         assert ((tmp_path / "scored" / "metrics.json").read_bytes()
                 == (out / "metrics.json").read_bytes())
 
-    def test_eit_invert_multires(self, tmp_path):
+    def test_eit_invert_multires(self, tmp_path, capsys):
         inv = ("[inversion]\nmethod = multires\nsubsets = 4\n"
                "decompositions = 3\nnu = 0.12\ntheta0 = 1e-3")
         path = write_sphere_project(tmp_path, modality="eit", inversion=inv)
@@ -454,10 +454,13 @@ class TestCliInvertAndMetrics:
         assert rec[0] == "dof_id,x,y,z,amplitude"
         assert len(rec) == 1 + 8  # header + dofs
         # Zero decompositions or iterations are parameter errors.
+        capsys.readouterr()
         for bad in ("decompositions = 0", "decompositions = 3\niterations = 0"):
             path.write_text(path.read_text().replace("decompositions = 3", bad))
             assert main(["invert", "--config", str(path),
                          "--data", str(out / "data.csv")]) == 2
+            assert capsys.readouterr().err == (
+                "error: n_iter and n_decompositions must be >= 1\n")
             path.write_text(path.read_text().replace(bad, "decompositions = 3"))
 
 

@@ -14,7 +14,6 @@ from headfem.errors import (
     RoiError,
     UndefinedMetricError,
 )
-from headfem.geometry import nearest_center
 from headfem.inverse import (
     HyperModel,
     IasState,
@@ -247,35 +246,17 @@ def multires_reference(L, y, positions, hyper, nu, n_iter, n_subsets,
     return total / n_decompositions
 
 
-def reference_decomposition(positions, n_subsets, rng, max_retries=50):
-    """One nearest-center partition drawn and re-drawn as the earlier
-    per-partition code did, with every center-point pair of every try."""
-    positions = np.asarray(positions, dtype=float)
-    n = len(positions)
-    if not (1 <= n_subsets <= n):
-        raise DecompositionError(
-            f"need 1 <= n_subsets <= {n}, got {n_subsets}")
-    centers = positions[rng.choice(n, size=n_subsets, replace=False)]
-    for _ in range(max_retries):
-        assignment, _ = nearest_center(positions, centers)
-        empty = np.flatnonzero(np.bincount(assignment, minlength=n_subsets) == 0)
-        if empty.size == 0:
-            return assignment
-        centers[empty] = positions[rng.choice(n, size=empty.size, replace=False)]
-    raise DecompositionError("empty subset persisted after re-sampling")
-
-
 def reference_multires_ias(L, y, positions, hyper, nu, n_iter, n_subsets,
                            n_decompositions, seed=0):
-    """Multiresolution averaging one partition at a time: a partition of its
-    own and a one-hot product of its own for every coarse lead field."""
+    """Multiresolution averaging one partition at a time: a partition drawn
+    and a one-hot product formed for each coarse lead field in turn."""
     L = np.asarray(L, dtype=float)
     positions = np.asarray(positions, dtype=float)
     rng = np.random.default_rng(seed)
     n = L.shape[1]
     total = np.zeros(n)
     for _ in range(int(n_decompositions)):
-        a = reference_decomposition(positions, n_subsets, rng)
+        a = make_decomposition(positions, n_subsets, rng)
         # Row s of the one-hot matrix sums the columns of subset s.
         onehot = sp.csr_matrix((np.ones(n), (a, np.arange(n))))
         Lr = np.ascontiguousarray((onehot @ L.T).T)
@@ -409,11 +390,12 @@ class TestMultires:
             multires_ias(L, y, positions, HyperModel("IG"), nu=0.3,
                          n_subsets=4, seed=0, **counts)
 
-    def test_one_partition_allocates_only_its_rows(self):
-        # 50 subsets of 4,000 DOFs need 50 distance rows of 1.6 MB in all;
-        # a 4,000 x 4,000 table would take 128 MB.
+    def test_peak_memory_below_the_center_distances(self):
+        # One partition of 4,000 DOFs into 50 subsets peaks below the 1.6 MB
+        # of its 50 x 4,000 center-DOF distances (0.46 of it now); a
+        # 4,000 x 4,000 table would take 128 MB.
         rng = np.random.default_rng(4)
-        n, rows = 4000, 50 * 4000 * 8
+        n, pairs = 4000, 50 * 4000 * 8
         L, y = rng.normal(size=(8, n)), rng.normal(size=8)
         positions = rng.uniform(-1, 1, size=(n, 3))
         tracemalloc.start()
@@ -423,7 +405,7 @@ class TestMultires:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * rows
+        assert peak < pairs
 
     def test_calls_ias_step_through_the_module(self, monkeypatch):
         calls = []
