@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -54,13 +53,32 @@ def load_tet_mesh(prefix):
     return parse_tet_mesh(lambda p: Path(f"{prefix}_{p}.dat").read_bytes())
 
 
+def _parse_table(data, dtype, widths, name):
+    """The table that ``data`` holds one row per line, parsed in one pass
+    (``np.loadtxt`` iterates a byte buffer line by line).  Its value count
+    must be the line count times one of ``widths``."""
+    text = data.rstrip()
+    values = np.fromstring(text, dtype, sep=" ")
+    rows = text.count(b"\n") + bool(text)
+    # fromstring saturates an integer that overflows instead of raising.
+    if values.dtype.kind == "i" and values.size and (
+            values.max() == np.iinfo(dtype).max
+            or values.min() == np.iinfo(dtype).min):
+        raise FormatError(f"mesh {name}: integer out of range")
+    for width in widths:
+        if values.size == rows * width:
+            return values.reshape(rows, width)
+    raise FormatError(f"mesh {name}: {values.size} values do not fill "
+                      f"{rows} rows of {' or '.join(map(str, widths))}")
+
+
 def parse_tet_mesh(read):
     """The mesh whose ``save_tet_mesh`` file of part p holds ``read(p)``."""
-    nodes = np.loadtxt(BytesIO(read("nodes")), ndmin=2)
-    tetra = np.loadtxt(BytesIO(read("tetra")), dtype=np.int64, ndmin=2) - 1
-    labels = np.loadtxt(BytesIO(read("labels")), dtype=np.int64).reshape(-1) - 1
+    nodes = _parse_table(read("nodes"), float, (3,), "nodes")
+    tetra = _parse_table(read("tetra"), np.int64, (4,), "tetra") - 1
+    labels = _parse_table(read("labels"), np.int64, (1,), "labels")[:, 0] - 1
     # One value per line and element is scalar sigma, six are a tensor row.
-    sigma = np.loadtxt(BytesIO(read("sigma")), ndmin=2)
+    sigma = _parse_table(read("sigma"), float, (1, 6), "sigma")
     if sigma.shape == (len(tetra), 1):
         sigma = sigma[:, 0]
     return TetMesh(nodes, tetra, labels, sigma)

@@ -55,6 +55,32 @@ class TestMeshFiles:
         again = hio.load_tet_mesh(str(tmp_path / "one"))
         np.testing.assert_array_equal(again.sigma, one.sigma)
 
+    def test_line_endings(self, mesh, tmp_path):
+        # CRLF line ends and a missing final newline read the same arrays.
+        hio.save_tet_mesh(mesh, str(tmp_path / "m"))
+        for part in ("nodes", "tetra", "labels", "sigma"):
+            path = tmp_path / f"m_{part}.dat"
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n")[:-2])
+        again = hio.load_tet_mesh(str(tmp_path / "m"))
+        for name in ("nodes", "tetra", "labels", "sigma"):
+            np.testing.assert_array_equal(getattr(again, name),
+                                          getattr(mesh, name))
+
+    @pytest.mark.parametrize("part, edit, reason", [
+        ("nodes", lambda t: t.replace(b"\n", b" 0\n", 1), "do not fill"),
+        ("tetra", lambda t: t[:t.rindex(b" ")] + b"\n", "do not fill"),
+        ("sigma", lambda t: t.replace(b"\n", b" 1\n", 1), "do not fill"),
+        ("labels",
+         lambda t: b"99999999999999999999\n" + t[t.index(b"\n") + 1:],
+         "out of range"),
+    ])
+    def test_malformed_table_raises(self, mesh, tmp_path, part, edit, reason):
+        hio.save_tet_mesh(mesh, str(tmp_path / "m"))
+        path = tmp_path / f"m_{part}.dat"
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(FormatError, match=f"mesh {part}: .*{reason}"):
+            hio.load_tet_mesh(str(tmp_path / "m"))
+
     @settings(max_examples=25, deadline=None)
     @given(h=st.floats(0.03, 0.06), keep=st.integers(1, 400),
            tensor=st.booleans(), smoothed=st.booleans(),

@@ -1,12 +1,23 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from headfem.errors import (
     ConvergenceError,
     ParameterError,
     SingularPreconditionerError,
 )
+from headfem.experiments import (
+    EitHemorrhageParams,
+    layered_sphere_segmentation,
+)
+from headfem.fem import ElectrodeSet, assemble_cem_system
+from headfem.meshgen import generate_mesh
+from headfem.simulate import fibonacci_sphere_points
 from headfem.solver import PcgConfig, ldp, pcg_solve, transfer_matrix
 
 
@@ -15,6 +26,109 @@ def random_spd(n, seed, cond=100.0):
     Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     lam = np.geomspace(1.0, cond, n)
     return Q @ np.diag(lam) @ Q.T
+
+
+def shifted_laplacian(n, seed, cond):
+    """Sparse SPD CSR matrix: a random weighted graph Laplacian plus the
+    shift that sets its condition number to about ``cond``."""
+    rng = np.random.default_rng(seed)
+    i, j = rng.integers(0, n, size=(2, 2 * n))
+    W = sp.coo_matrix((rng.uniform(0.1, 1.0, 2 * n), (i, j)), shape=(n, n))
+    W = (W + W.T).tocsr()
+    W.setdiag(0.0)
+    L = sp.diags(np.asarray(W.sum(axis=1)).ravel()) - W
+    lmax = max(np.linalg.eigvalsh(L.toarray())[-1], 1.0)
+    return (L + lmax / max(cond - 1.0, 1e-3) * sp.eye(n)).tocsr()
+
+
+def reference_pcg(A, b, cfg):
+    """Single-column LDP-PCG, the solver's loop before the block solve.
+    Returns ``(x, iterations, relative_residual, restarts)``."""
+    b = np.asarray(b, dtype=float).ravel()
+    n = len(b)
+    norm_b = np.linalg.norm(b)
+    if norm_b == 0:
+        return np.zeros(n), 0, 0.0, 0
+    d = ldp(A)
+    max_iter = cfg.resolve_max_iterations(n)
+
+    x = np.zeros(n)
+    r = b.copy()
+    z = r / d
+    p = z.copy()
+    rz = r @ z
+    best = (1.0, x.copy(), 0)
+    restarts = 0
+    for k in range(1, max_iter + 1):
+        Ap = A @ p
+        alpha = rz / (p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        res = np.linalg.norm(r) / norm_b
+        if res < best[0]:
+            best = (res, x.copy(), k)
+        if res <= cfg.tolerance:
+            true_res = np.linalg.norm(b - A @ x) / norm_b
+            if true_res <= cfg.tolerance:
+                return x, k, true_res, restarts
+            r = b - A @ x
+            restarts += 1
+        z = r / d
+        rz_next = r @ z
+        beta = rz_next / rz
+        rz = rz_next
+        p = z + beta * p
+    raise ConvergenceError(
+        f"PCG did not reach {cfg.tolerance:g} in {max_iter} iterations "
+        f"(best residual {best[0]:.3e})",
+        best_x=best[1], residual=best[0], iterations=max_iter)
+
+
+def reference_transfer_matrix(A, B, cfg=PcgConfig()):
+    """T solved column by column with :func:`reference_pcg`.  Returns
+    ``(T, iterations, restarts)`` with one count per column."""
+    B = B.toarray() if sp.issparse(B) else np.asarray(B, dtype=float)
+    T = np.empty(B.shape)
+    iterations, restarts = [], []
+    for l in range(B.shape[1]):
+        try:
+            T[:, l], it, _, rs = reference_pcg(A, B[:, l], cfg)
+        except ConvergenceError as exc:
+            exc.column = l
+            raise
+        iterations.append(it)
+        restarts.append(rs)
+    return T, iterations, restarts
+
+
+def solve_both(A, B, cfg, caplog):
+    """The block and the column-loop outcome: ``(T, per-column
+    iterations)`` from the solver's DEBUG record, or the error raised."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="headfem.solver"):
+        try:
+            T = transfer_matrix(A, B, cfg)
+            block = T, caplog.records[-1].args[2]
+        except ConvergenceError as exc:
+            block = exc
+    try:
+        ref = reference_transfer_matrix(A, B, cfg)[:2]
+    except ConvergenceError as exc:
+        ref = exc
+    return block, ref
+
+
+def assert_same_outcome(block, ref):
+    assert type(block) is type(ref)
+    if isinstance(ref, ConvergenceError):
+        assert str(block) == str(ref)
+        assert block.column == ref.column
+        assert block.iterations == ref.iterations
+        assert block.residual == ref.residual
+        assert np.array_equal(block.best_x, ref.best_x)
+    else:
+        assert np.array_equal(block[0], ref[0])
+        assert block[1] == ref[1]
 
 
 class TestLdp:
@@ -87,6 +201,83 @@ class TestPcg:
 
 
 class TestTransferMatrix:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 60),
+           log_cond=st.floats(0.0, 6.0), log_tol=st.floats(-12.0, -6.0),
+           sparse=st.booleans(),
+           kinds=st.lists(st.sampled_from(["dense", "few", "zero", "copy"]),
+                          min_size=1, max_size=8))
+    def test_bit_identical_to_column_loop(self, caplog, seed, n, log_cond,
+                                          log_tol, sparse, kinds):
+        # Zero columns never enter the block; a copy of an earlier column
+        # must repeat its iterates exactly while both are in the block.
+        A = (shifted_laplacian(n, seed, 10**log_cond) if sparse
+             else sp.csr_matrix(random_spd(n, seed, 10**log_cond)))
+        rng = np.random.default_rng(seed)
+        B = np.zeros((n, len(kinds)))
+        for l, kind in enumerate(kinds):
+            if kind == "dense" or (kind == "copy" and l == 0):
+                B[:, l] = rng.normal(size=n)
+            elif kind == "few":
+                B[rng.integers(0, n, 3), l] = rng.normal(size=3)
+            elif kind == "copy":
+                B[:, l] = B[:, rng.integers(0, l)]
+        assert_same_outcome(*solve_both(A, B, PcgConfig(10**log_tol), caplog))
+
+    def test_true_residual_restart(self, caplog):
+        # At cond 1e5 the recurrence residual of column 0 passes 1e-12
+        # before the true one does, so that column restarts from b - A x.
+        n, seed = 20, 4
+        A = sp.csr_matrix(random_spd(n, seed, cond=1e5))
+        B = np.random.default_rng(seed).normal(size=(3, n)).T
+        cfg = PcgConfig(tolerance=1e-12)
+        assert reference_transfer_matrix(A, B, cfg)[2][0] > 0
+        assert_same_outcome(*solve_both(A, B, cfg, caplog))
+
+    def test_later_column_fails(self, caplog):
+        # Column 0 converges within the budget and column 1 does not: the
+        # error names column 1 and carries its best iterate.
+        n = 30
+        A = sp.csr_matrix(random_spd(n, seed=3, cond=1e4))
+        B = np.random.default_rng(3).normal(size=(n, 2))
+        _, its, _ = reference_transfer_matrix(A, B)
+        B = B[:, np.argsort(its)]
+        assert min(its) < max(its)
+        block, ref = solve_both(A, B, PcgConfig(max_iterations=min(its)),
+                                caplog)
+        assert isinstance(ref, ConvergenceError) and ref.column == 1
+        assert_same_outcome(block, ref)
+
+    def test_bit_identical_on_eit_desk_system(self, caplog):
+        # The EIT desk CEM system: n = 11,077, 16 electrode columns that
+        # converge in 140-148 iterations, so the block shrinks at the end.
+        p = EitHemorrhageParams()
+        mesh = generate_mesh(
+            layered_sphere_segmentation(p.radii, p.conductivities,
+                                        p.priorities, (0,), p.subdivisions),
+            p.resolution)
+        el = ElectrodeSet.from_centers(
+            mesh, fibonacci_sphere_points(p.n_electrodes, p.radii[-1]),
+            radius=p.electrode_radius, impedances=p.impedance)
+        system = assemble_cem_system(mesh, el)
+        cfg = PcgConfig(tolerance=p.solver_tolerance)
+        assert_same_outcome(*solve_both(system.A, system.B, cfg, caplog))
+
+    def test_logs_per_column_iterations(self, caplog):
+        A = sp.csr_matrix(random_spd(20, seed=2))
+        B = np.random.default_rng(2).normal(size=(20, 3))
+        B[:, 1] = 0.0
+        with caplog.at_level(logging.DEBUG, logger="headfem.solver"):
+            _, it, res = pcg_solve(A, B, PcgConfig(tolerance=1e-10))
+        (record,) = caplog.records
+        _, its, _ = reference_transfer_matrix(A, B, PcgConfig(tolerance=1e-10))
+        assert record.args[:3] == (20, 3, its)
+        assert record.args[3] == res and res <= 1e-10
+        assert it == max(its) and its[1] == 0
+        assert record.getMessage().startswith(
+            f"pcg n=20 k=3 iterations={its} worst residual=")
+
     def test_identity(self):
         B = sp.random(20, 4, density=0.3, random_state=7, format="csr")
         T = transfer_matrix(sp.eye(20, format="csr"), B)
@@ -115,3 +306,4 @@ class TestTransferMatrix:
         with pytest.raises(ConvergenceError) as exc:
             transfer_matrix(A, B, PcgConfig(tolerance=1e-15, max_iterations=2))
         assert exc.value.column == 0
+        assert exc.value.iterations == 2
