@@ -268,7 +268,7 @@ def cmd_simulate(cfg, args):
     noise = NoiseSpec(mode=cfg.simulation["noise_mode"],
                       level=cfg.simulation["noise_level"], seed=seed)
     inputs = _input_hashes(cfg)
-    truth = {}
+    truth, outputs = {}, {}
     if cfg.modality == "eeg":
         dipoles = cfg.simulation["dipoles"]
         if not dipoles:
@@ -294,6 +294,7 @@ def cmd_simulate(cfg, args):
         n_cols = patterns.shape[1]
         bg = os.path.join(out, "data_background.csv")
         hio.save_dataset(bg, lf.background_data, electrodes.count)
+        outputs["data_background"] = hio.sha256_file(bg)
         truth["anomaly"] = [float(v) for v in anomaly]
 
     path = os.path.join(out, "data.csv")
@@ -303,7 +304,7 @@ def cmd_simulate(cfg, args):
         seeds={**_leadfield_seeds(cfg), "noise": seed}, parameters={
             "modality": cfg.modality, "noise_mode": noise.mode,
             "noise_level": noise.level, "columns": n_cols, "truth": truth,
-        }, outputs={"data": hio.sha256_file(path)})
+        }, outputs={"data": hio.sha256_file(path), **outputs})
     print(f"data: {len(y)} values -> {path}")
     return 0
 
@@ -321,8 +322,6 @@ def cmd_invert(cfg, args):
     lf_path = args.leadfield or os.path.join(out, "leadfield.bin")
     if not os.path.exists(lf_path):
         raise FileNotFoundError(f"lead field not found: {lf_path}")
-    if not os.path.exists(args.data):
-        raise FileNotFoundError(f"data file not found: {args.data}")
     # No configuration hash: [inversion] may change between inversions.
     reason, payloads = _stale_reason(
         os.path.dirname(lf_path), "leadfield", _input_hashes(cfg), files={
@@ -500,7 +499,10 @@ def cmd_metrics(cfg, args):
     if cfg.truth is None or cfg.truth["position"] is None:
         raise ConfigError("metrics requires a [truth] section with a position")
     metrics = _score(cfg, *hio.load_reconstruction(args.reconstruction))
-    _write_metrics(out, metrics)
+    hio.write_manifest(
+        os.path.join(out, "metrics_manifest.json"), "metrics", cfg.digest,
+        seeds={}, parameters={}, outputs={"metrics": _write_metrics(out, metrics)},
+        inputs={"reconstruction": hio.sha256_file(args.reconstruction)})
     print(f"metrics: position_error_mm={metrics['position_error_mm']:.3f}")
     return 0
 

@@ -88,22 +88,14 @@ class ProjectConfig:
         return sha256_text(canonical_json(self.raw))
 
     def build_segmentation(self):
+        # A surface entry names one .asc file or a node and a triangle file.
+        load = {1: load_surface_mesh_asc, 2: load_surface_mesh}
         comps = []
         for spec in self.compartments:
-            surfaces = []
-            for entry in spec.surfaces:
-                paths = [os.path.join(self.base_dir, p) for p in entry]
-                for p in paths:
-                    if not os.path.exists(p):
-                        raise FileNotFoundError(
-                            f"surface file not found: {p}")
-                if len(paths) == 1:
-                    surfaces.append(load_surface_mesh_asc(
-                        paths[0], name=spec.name, scale=self.unit_scale))
-                else:
-                    surfaces.append(load_surface_mesh(
-                        paths[0], paths[1], name=spec.name,
-                        scale=self.unit_scale))
+            surfaces = [load[len(entry)](
+                *(os.path.join(self.base_dir, p) for p in entry),
+                name=spec.name, scale=self.unit_scale)
+                for entry in spec.surfaces]
             comps.append(Compartment(surfaces, spec.conductivity,
                                      priority=spec.priority,
                                      active=spec.active, name=spec.name))
@@ -253,8 +245,6 @@ def _parse_section(path, section, schema, sec):
 
 def load_config(path):
     """Parse and validate an INI project file."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"config file not found: {path}")
     # No header can name "", so [DEFAULT] is an ordinary (unknown) section.
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:

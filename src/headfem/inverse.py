@@ -161,14 +161,14 @@ def ias_map(L, y, hyper, nu, n_iter, roi=None):
 # ---------------------------------------------------------------------------
 # randomized multiresolution decompositions
 
-def make_decomposition(positions, n_subsets, rng, max_retries=50):
+def make_decomposition(positions, n_subsets, rng):
     """Subset index of every DOF in a random nearest-center partition whose
     centers are drawn uniformly from the DOF positions (without replacement).
 
     Anchoring centers at DOF positions keeps each subset non-empty (a
     center always claims its own DOF); ``n_subsets`` equal to the DOF count
     therefore yields the identity decomposition.  Should an empty subset
-    still occur, its center is re-drawn a bounded number of times.
+    still occur, its center is re-drawn up to 50 times.
     """
     positions = np.asarray(positions, dtype=float)
     n = len(positions)
@@ -176,7 +176,7 @@ def make_decomposition(positions, n_subsets, rng, max_retries=50):
         raise DecompositionError(
             f"need 1 <= n_subsets <= {n}, got {n_subsets}")
     centers = positions[rng.choice(n, size=n_subsets, replace=False)]
-    for _ in range(max_retries):
+    for _ in range(50):
         assignment, _ = nearest_center(positions, centers)
         empty = np.flatnonzero(np.bincount(assignment, minlength=n_subsets) == 0)
         if empty.size == 0:

@@ -2,16 +2,16 @@
 
 Conventions shared by every artifact:
 
-* ASCII mesh files carry one entity per line, indices one-based, floats
-  with 17 significant digits (lossless round-trip).
+* ASCII mesh and surface files carry one entity per line, indices
+  one-based, floats with 17 significant digits (lossless round-trip).
 * Matrices go to disk as little-endian float64 in column-major order with
   a JSON sidecar describing dimensions and DOF geometry.
 * Tabular outputs are RFC-4180 CSV; floats use ``repr`` (shortest
   round-trip form), so reruns are byte-identical.
 * JSON manifests are written with sorted keys and no timestamps.
-* Numeric text goes through :func:`_write_rows`: one ``.tolist()`` per
-  array gives Python floats and ints (numpy 2's ``np.float64(...)`` repr
-  never reaches a file), and one ``%`` row template formats each block.
+* Numeric text is read by :func:`_parse_table` (one row per line, ``#``
+  comments) and written by :func:`_write_rows`: one ``%`` row template per
+  block of Python floats and ints (never numpy 2's ``np.float64(...)``).
 """
 
 from __future__ import annotations
@@ -53,35 +53,59 @@ def load_tet_mesh(prefix):
     return parse_tet_mesh(lambda p: Path(f"{prefix}_{p}.dat").read_bytes())
 
 
+def _uncommented(data):
+    """``data`` with LF line ends and no text from a ``#`` to its line end."""
+    if b"#" in data:
+        return b"\n".join(ln.partition(b"#")[0] for ln in data.splitlines())
+    return (data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            if b"\r" in data else data)
+
+
 def _parse_table(data, dtype, widths, name):
-    """The table that ``data`` holds one row per line, parsed in one pass
-    (``np.loadtxt`` iterates a byte buffer line by line).  Its value count
-    must be the line count times one of ``widths``."""
-    text = data.rstrip()
-    values = np.fromstring(text, dtype, sep=" ")
-    rows = text.count(b"\n") + bool(text)
+    """The table that the bytes ``data`` hold one row per line, parsed in
+    one ``np.fromstring`` pass.  Text after a ``#`` and blank lines are
+    skipped; every other line holds the same number of values, one of
+    ``widths``.  Any failure raises :class:`FormatError` naming ``name``."""
+    data = _uncommented(data)
+    # Values per line: token starts (a byte above the space after one that
+    # is not) before each line end.
+    ink = np.frombuffer(b" " + data, np.uint8) > 32
+    starts = np.flatnonzero(ink[1:] > ink[:-1])
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == 10)
+    per_line = np.diff(np.searchsorted(starts, ends), prepend=0,
+                       append=len(starts))
+    line = np.flatnonzero(per_line)
+    if not line.size:
+        raise FormatError(f"{name}: no values")
+    width = per_line[line[0]]
+    bad = line[per_line[line] != width] if width in widths else line
+    if bad.size:
+        fill = width if width in widths else " or ".join(map(str, widths))
+        raise FormatError(f"{name}: the {per_line[bad[0]]} values of line "
+                          f"{bad[0] + 1} do not fill a row of {fill}")
+    integral = np.dtype(dtype).kind == "i"
+    try:    # older numpy warns and stops at a bad token; the reshape raises
+        values = np.fromstring(data, dtype, sep=" ").reshape(len(line), width)
+    except ValueError:
+        raise FormatError(f"{name}: a value is not "
+                          f"{'an integer' if integral else 'a number'}") from None
     # fromstring saturates an integer that overflows instead of raising.
-    if values.dtype.kind == "i" and values.size and (
-            values.max() == np.iinfo(dtype).max
-            or values.min() == np.iinfo(dtype).min):
-        raise FormatError(f"mesh {name}: integer out of range")
-    for width in widths:
-        if values.size == rows * width:
-            return values.reshape(rows, width)
-    raise FormatError(f"mesh {name}: {values.size} values do not fill "
-                      f"{rows} rows of {' or '.join(map(str, widths))}")
+    if integral and (values.max() == np.iinfo(dtype).max
+                     or values.min() == np.iinfo(dtype).min):
+        raise FormatError(f"{name}: integer out of range")
+    return values
 
 
 def parse_tet_mesh(read):
     """The mesh whose ``save_tet_mesh`` file of part p holds ``read(p)``."""
-    nodes = _parse_table(read("nodes"), float, (3,), "nodes")
-    tetra = _parse_table(read("tetra"), np.int64, (4,), "tetra") - 1
-    labels = _parse_table(read("labels"), np.int64, (1,), "labels")[:, 0] - 1
+    nodes = _parse_table(read("nodes"), float, (3,), "mesh nodes")
+    tetra = _parse_table(read("tetra"), np.int64, (4,), "mesh tetra") - 1
+    labels = _parse_table(read("labels"), np.int64, (1,), "mesh labels")
     # One value per line and element is scalar sigma, six are a tensor row.
-    sigma = _parse_table(read("sigma"), float, (1, 6), "sigma")
+    sigma = _parse_table(read("sigma"), float, (1, 6), "mesh sigma")
     if sigma.shape == (len(tetra), 1):
         sigma = sigma[:, 0]
-    return TetMesh(nodes, tetra, labels, sigma)
+    return TetMesh(nodes, tetra, labels[:, 0] - 1, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +188,10 @@ def _write_table(path, header, table):
         _write_rows(fh, "%d" + ",%r" * (table.shape[1] - 1) + "\r\n", table)
 
 
-def save_dataset(path, data, n_electrodes, column_label="pattern"):
-    """Electrode-by-column dataset (columns are patterns or time steps)."""
+def save_dataset(path, data, n_electrodes):
+    """Electrode-by-pattern dataset (EEG data are one pattern column)."""
     cols = np.asarray(data, dtype=float).reshape(n_electrodes, -1, order="F")
-    header = ["electrode"] + [f"{column_label}{j}" for j in range(cols.shape[1])]
+    header = ["electrode"] + [f"pattern{j}" for j in range(cols.shape[1])]
     _write_table(path, header, cols)
 
 

@@ -134,6 +134,12 @@ def electrode_response(sys, cfg=PcgConfig()):
     return ElectrodeResponse(T=T, M=M, factor=factor)
 
 
+def _zero_mean(X):
+    """R X for R = I - 11'/L: X less its column means, without a BLAS
+    product, whose rounding would follow the thread count."""
+    return X - X.mean(axis=0)
+
+
 def eeg_leadfield(sys, cfg=PcgConfig()):
     """EEG lead field L = -R M^-1 (T' G); columns are zero-mean by
     construction of R."""
@@ -141,7 +147,7 @@ def eeg_leadfield(sys, cfg=PcgConfig()):
         raise SingularSystemError("system has no source matrix G")
     resp = electrode_response(sys, cfg)
     TtG = np.asarray(sys.G.T @ resp.T).T
-    L = -(sys.R @ resp.solve(TtG))
+    L = -_zero_mean(np.ascontiguousarray(resp.solve(TtG)))
     src = sys.source_space
     return LeadField(matrix=L,
                      positions=src.positions if src is not None else None,
@@ -175,16 +181,11 @@ def adjacent_pair_patterns(n_electrodes, amplitude=1.0):
     return I
 
 
-def eit_forward(sys, currents, cfg=PcgConfig(), response=None):
-    """Electrode voltages y = R M^-1 I for zero-sum current patterns.
-
-    ``response`` reuses a precomputed :func:`electrode_response`.  A single
-    pattern returns a length-L vector, multiple patterns an (L, P) array.
-    """
+def eit_forward(sys, currents, cfg=PcgConfig()):
+    """Electrode voltages y = R M^-1 I for zero-sum current patterns: a
+    length-L vector for one pattern, an (L, P) array for several."""
     I = check_current_patterns(currents, sys.n_electrodes)
-    if response is None:
-        response = electrode_response(sys, cfg)
-    y = sys.R @ response.solve(I)
+    y = _zero_mean(electrode_response(sys, cfg).solve(I))
     return y[:, 0] if np.asarray(currents).ndim == 1 else y
 
 
@@ -233,7 +234,7 @@ def eit_leadfield(sys, dofs, currents, cfg=PcgConfig()):
     I = check_current_patterns(currents, sys.n_electrodes)
     resp = electrode_response(sys, cfg)
     V = resp.solve(I)                            # M^-1 I, (L, P)
-    y_bg = sys.R @ V
+    y_bg = _zero_mean(V)
     U = resp.T @ V                               # (n, P)
 
     P = I.shape[1]
@@ -241,7 +242,7 @@ def eit_leadfield(sys, dofs, currents, cfg=PcgConfig()):
     cols = np.empty((P * sys.n_electrodes, dofs.n_dofs))
     for p in range(P):
         cols[p * sys.n_electrodes:(p + 1) * sys.n_electrodes, :] = \
-            -(sys.R @ resp.solve(Q[p].T))
+            -_zero_mean(resp.solve(Q[p].T))
     return LeadField(matrix=cols, positions=dofs.centers, orientations=None,
                      modality="eit", n_patterns=P,
                      background_sigma=np.array(sys.mesh.sigma, copy=True),

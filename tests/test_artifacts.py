@@ -75,6 +75,32 @@ def test_manifests_record_inputs_and_sidecar(tmp_path):
         hio.sha256_file(out / "leadfield.bin.json")
 
 
+def assert_records_every_file(directory, manifest):
+    """The manifest in ``directory`` holds the sha256 of every other file
+    there, and the command wrote nothing else."""
+    outputs = json.loads((directory / manifest).read_text())["outputs"]
+    assert sorted(outputs.values()) == sorted(
+        hio.sha256_file(p) for p in directory.iterdir() if p.name != manifest)
+
+
+def test_simulate_and_metrics_record_every_file(tmp_path):
+    path = write_sphere_project(tmp_path, modality="eit", extra=(
+        "[truth]\nposition = 0.0 0.0 0.04\nroi_radius = 0.09\n"))
+    out, data, scored = (tmp_path / name for name in ("out", "data", "scored"))
+    run(path, "leadfield")
+    run(path, "simulate", "--output", "data")
+    assert_records_every_file(data, "data_manifest.json")
+    assert (data / "data_background.csv").exists()
+    run(path, "invert", "--data", str(data / "data.csv"))
+    run(path, "metrics", "--output", "scored",
+        "--reconstruction", str(out / "reconstruction.csv"))
+    assert_records_every_file(scored, "metrics_manifest.json")
+    manifest = json.loads((scored / "metrics_manifest.json").read_text())
+    assert manifest["kind"] == "metrics"
+    assert manifest["inputs"] == {
+        "reconstruction": hio.sha256_file(out / "reconstruction.csv")}
+
+
 def test_edited_ini_rebuilds_the_mesh(tmp_path, calls, logged):
     path = write_sphere_project(tmp_path)
     run(path, "mesh")

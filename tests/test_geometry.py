@@ -1,7 +1,10 @@
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from headfem import geometry
 from headfem.errors import FormatError, TopologyError
@@ -109,6 +112,93 @@ class TestLoadSurfaceMesh:
         _write(tmp_path / "m.asc", ["4", "0 0 0"])
         with pytest.raises(FormatError):
             load_surface_mesh_asc(tmp_path / "m.asc")
+
+
+def load_lines(tmp_path, layout, node_lines, tri_lines):
+    """The surface of these node and triangle lines, written as a node /
+    triangle file pair or as one ``.asc`` file (whose header counts the
+    lines that hold values)."""
+    if layout == "pair":
+        _write(tmp_path / "n.dat", node_lines)
+        _write(tmp_path / "t.dat", tri_lines)
+        return load_surface_mesh(tmp_path / "n.dat", tmp_path / "t.dat")
+    count = [sum(bool(ln.partition("#")[0].strip()) for ln in lines)
+             for lines in (node_lines, tri_lines)]
+    _write(tmp_path / "m.asc", ["# combined layout", "%d %d" % tuple(count)]
+           + node_lines + tri_lines)
+    return load_surface_mesh_asc(tmp_path / "m.asc")
+
+
+NODE_LINES = [" ".join(map(str, r)) for r in TET_NODES]
+TRI_LINES = [" ".join(str(i + 1) for i in r) for r in TET_TRIS]
+
+
+@pytest.mark.parametrize("layout", ["pair", "asc"])
+class TestSurfaceText:
+    """One reader for both surface layouts: ``#`` comments, blank lines,
+    one-based integral indices, and a FormatError naming the file."""
+
+    def test_comments_and_blank_lines(self, tmp_path, layout):
+        nodes = ["# x y z", ""] + [f"  {ln}  # node {k + 1}"
+                                   for k, ln in enumerate(NODE_LINES)]
+        tris = [TRI_LINES[0], "", "   ", TRI_LINES[1] + "#", "#",
+                *TRI_LINES[2:]]
+        mesh = load_lines(tmp_path, layout, nodes, tris)
+        np.testing.assert_array_equal(mesh.nodes, TET_NODES)
+        np.testing.assert_array_equal(mesh.triangles, TET_TRIS)
+
+    def test_integral_float_indices(self, tmp_path, layout):
+        tris = [" ".join(f"{i + 1}.0" for i in r) for r in TET_TRIS]
+        mesh = load_lines(tmp_path, layout, NODE_LINES, tris)
+        np.testing.assert_array_equal(mesh.triangles, TET_TRIS)
+        tris[2] = "1 3.5 4"
+        with pytest.raises(FormatError, match="indices must be integers"):
+            load_lines(tmp_path, layout, NODE_LINES, tris)
+
+    @pytest.mark.parametrize("token", ["x", "1,5", "0x1"])
+    def test_non_numeric_token_names_the_file(self, tmp_path, layout, token):
+        nodes = NODE_LINES[:1] + [f"0 0 {token}"] + NODE_LINES[2:]
+        name = "n.dat" if layout == "pair" else "m.asc"
+        with pytest.raises(FormatError, match=f"{name}: a value is not a number"):
+            load_lines(tmp_path, layout, nodes, TRI_LINES)
+
+    def test_ragged_rows_name_the_line(self, tmp_path, layout):
+        # Eight values on two lines of 2 and 4 (no fill by value count alone).
+        nodes = ["0 0", "0 1 0 0"] + NODE_LINES[2:]
+        with pytest.raises(FormatError, match="line .* do not fill a row of 3"):
+            load_lines(tmp_path, layout, nodes, TRI_LINES)
+
+    def test_empty_node_file(self, tmp_path, layout):
+        # A FormatError, not the IndexError of a triangle without nodes.
+        with pytest.raises(FormatError):
+            load_lines(tmp_path, layout, ["# no nodes", ""], TRI_LINES)
+
+
+@settings(max_examples=40, deadline=None)
+@given(radii=hnp.arrays(float, 42, elements=st.floats(0.5, 2.0)),
+       scale=st.floats(1e-6, 1e6),
+       center=hnp.arrays(float, 3, elements=st.floats(-1e3, 1e3)),
+       seed=st.integers(0, 2**32 - 1))
+def test_save_load_round_trip_property(radii, scale, center, seed):
+    # A random closed surface (a star-shaped icosphere with relabeled
+    # nodes) reads back bit for bit, and saves the same bytes again.
+    base = icosphere(1.0, 1)
+    perm = np.random.default_rng(seed).permutation(len(base.nodes))
+    nodes = np.empty_like(base.nodes)
+    nodes[perm] = base.nodes * radii[:, None] * scale + center
+    surface = SurfaceMesh(nodes, perm[base.triangles])
+    with tempfile.TemporaryDirectory() as tmp:
+        save_surface_mesh(surface, f"{tmp}/n.dat", f"{tmp}/t.dat")
+        again = load_surface_mesh(f"{tmp}/n.dat", f"{tmp}/t.dat")
+        save_surface_mesh(again, f"{tmp}/n2.dat", f"{tmp}/t2.dat")
+        for name in ("n", "t"):
+            with open(f"{tmp}/{name}.dat", "rb") as a, \
+                    open(f"{tmp}/{name}2.dat", "rb") as b:
+                assert a.read() == b.read()
+    for name in ("nodes", "triangles"):
+        a, b = getattr(again, name), getattr(surface, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 class TestContainment:

@@ -48,14 +48,16 @@ dir = out
 
 
 def write_sphere_project(tmp_path, modality="eeg", mode="unconstrained",
-                         n_sources=12, inversion=None, extra=""):
+                         n_sources=12, inversion=None, extra="",
+                         n_electrodes=4, electrode_radius=0.05,
+                         resolution=0.04):
     sphere = icosphere(0.1, 2, name="head")
     save_surface_mesh(sphere, tmp_path / "head_nodes.dat",
                       tmp_path / "head_tris.dat")
     from headfem.simulate import fibonacci_sphere_points
     pos_lines = "\n    ".join(
         " ".join(f"{v:.6f}" for v in p)
-        for p in fibonacci_sphere_points(4, 0.1))
+        for p in fibonacci_sphere_points(n_electrodes, 0.1))
     cfgtext = f"""
 [compartment:head]
 surfaces = head_nodes.dat head_tris.dat
@@ -63,10 +65,10 @@ conductivity = 0.33
 active = true
 
 [mesh]
-resolution = 0.04
+resolution = {resolution}
 
 [electrodes]
-radius = 0.05
+radius = {electrode_radius}
 impedance = 10.0
 positions = {pos_lines}
 
@@ -506,3 +508,44 @@ def test_cli_import_skips_scipy_modules_no_pipeline_path_uses():
     loaded = set(proc.stdout.split())
     assert {"headfem.cli", "headfem.experiments"} <= loaded
     assert not loaded & {"scipy.spatial", "scipy.special", "scipy.io"}
+
+
+_CHAIN = """
+import sys
+from headfem.cli import main
+ini, out = sys.argv[1:]
+for argv in (["mesh"], ["leadfield"], ["simulate", "--seed", "9"],
+             ["invert", "--data", f"{out}/data.csv", "--seed", "9"],
+             ["metrics", "--reconstruction", f"{out}/reconstruction.csv"]):
+    assert main([*argv[:1], "--config", ini, "--output", out,
+                 *argv[1:]]) == 0, argv
+"""
+
+
+def test_cli_chain_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # 32 electrodes and 1,500 sources: the (32, 32) by (32, 4,500) and
+    # larger products are large enough for OpenBLAS to split them over
+    # two threads, and a split changes their rounding.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hio.__file__)))
+    written = []
+    for threads in ("1", "2"):
+        project = tmp_path / f"threads{threads}"
+        project.mkdir()
+        path = write_sphere_project(
+            project, n_sources=1500, n_electrodes=32, electrode_radius=0.012,
+            resolution=0.02, extra="[truth]\nposition = 0.0 0.0 0.05\n"
+                                   "orientation = 1 0 0\nroi_radius = 0.05\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _CHAIN, str(path), str(project / "out")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        written.append({p.name: p.read_bytes()
+                        for p in sorted((project / "out").iterdir())})
+    assert {"leadfield.bin", "data.csv", "reconstruction.csv",
+            "metrics.json"} <= written[0].keys()
+    assert written[0].keys() == written[1].keys()
+    assert [name for name in written[0]
+            if written[0][name] != written[1][name]] == []

@@ -26,6 +26,13 @@ def mesh():
     return generate_mesh(seg, 0.05)
 
 
+def _move_value(text):
+    """``text`` with the first value of line 2 moved to the end of line 1."""
+    first, second, rest = text.split(b"\n", 2)
+    value, second = second.split(b" ", 1)
+    return b"\n".join([first + b" " + value, second, rest])
+
+
 class TestMeshFiles:
     def test_round_trip(self, mesh, tmp_path):
         prefix = str(tmp_path / "m")
@@ -73,6 +80,16 @@ class TestMeshFiles:
         ("labels",
          lambda t: b"99999999999999999999\n" + t[t.index(b"\n") + 1:],
          "out of range"),
+        # The value count fills the rows, but line 1 holds 5 and line 2 3.
+        ("tetra", _move_value, "5 values of line 1 do not fill"),
+        ("nodes", lambda t: b"0 0 x\n" + t[t.index(b"\n") + 1:],
+         "not a number"),
+        ("tetra", lambda t: b"1 2 3 4.5\n" + t[t.index(b"\n") + 1:],
+         "not an integer"),
+        ("labels", lambda t: b"x\n" + t[t.index(b"\n") + 1:],
+         "not an integer"),
+        ("sigma", lambda t: t + b"x\n", "not a number"),
+        ("sigma", lambda t: b"  \n# no values\n", "no values"),
     ])
     def test_malformed_table_raises(self, mesh, tmp_path, part, edit, reason):
         hio.save_tet_mesh(mesh, str(tmp_path / "m"))
@@ -235,10 +252,10 @@ def reference_write_csv(path, header, rows):
                         else v for v in row])
 
 
-def reference_save_dataset(path, data, n_electrodes, column_label="pattern"):
+def reference_save_dataset(path, data, n_electrodes):
     data = np.asarray(data, dtype=float)
     cols = data.reshape(n_electrodes, -1, order="F")
-    header = ["electrode"] + [f"{column_label}{j}" for j in range(cols.shape[1])]
+    header = ["electrode"] + [f"pattern{j}" for j in range(cols.shape[1])]
     rows = [[i] + list(cols[i]) for i in range(n_electrodes)]
     reference_write_csv(path, header, rows)
 
@@ -312,11 +329,11 @@ class TestWritersMatchReference:
 
     @array_settings
     @given(data=st.data(), n_electrodes=st.integers(1, 12),
-           n_cols=st.integers(1, 6), label=st.sampled_from(["pattern", "t"]))
-    def test_dataset(self, data, n_electrodes, n_cols, label):
+           n_cols=st.integers(1, 6))
+    def test_dataset(self, data, n_electrodes, n_cols):
         y = data.draw(float_arrays(n_electrodes * n_cols))
-        same_bytes(lambda p: hio.save_dataset(p, y, n_electrodes, label),
-                   lambda p: reference_save_dataset(p, y, n_electrodes, label))
+        same_bytes(lambda p: hio.save_dataset(p, y, n_electrodes),
+                   lambda p: reference_save_dataset(p, y, n_electrodes))
 
     @array_settings
     @given(data=st.data(), n=rows_,

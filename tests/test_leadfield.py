@@ -205,9 +205,8 @@ class TestEitForward:
     def test_linearity_in_currents(self):
         _, _, sys, _ = small_sphere_system()
         I = np.array([1.0, -0.25, -0.5, -0.25])
-        resp = electrode_response(sys, TIGHT)
-        y1 = eit_forward(sys, I, TIGHT, response=resp)
-        y3 = eit_forward(sys, 3.0 * I, TIGHT, response=resp)
+        y1 = eit_forward(sys, I, TIGHT)
+        y3 = eit_forward(sys, 3.0 * I, TIGHT)
         np.testing.assert_allclose(y3, 3.0 * y1, rtol=1e-12)
 
     def test_nonzero_sum_rejected(self):
