@@ -34,6 +34,7 @@ import scipy.sparse as sp
 
 from .errors import AssemblyError, ElectrodeError, LocationError
 from .geometry import nearest_center
+from .meshgen import sorted_unique
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +139,7 @@ class ElectrodeSet:
             raise ElectrodeError("contact impedances must be positive")
         seen = np.concatenate([np.asarray(t, dtype=np.int64) for t in triangle_ids]) \
             if n_el else np.array([], dtype=np.int64)
-        if seen.size != len(np.unique(seen)):
+        if seen.size != len(sorted_unique(seen)):
             raise ElectrodeError("electrode triangle sets overlap")
         if seen.size and (seen.min() < 0 or seen.max() >= len(bfaces)):
             raise ElectrodeError("electrode triangle index outside the boundary")
@@ -174,7 +175,7 @@ class ElectrodeSet:
     def node_set(self):
         if self.count == 0:
             return np.array([], dtype=np.int64)
-        return np.unique(np.concatenate([t.ravel() for t in self.triangles]))
+        return sorted_unique(np.concatenate([t.ravel() for t in self.triangles]))
 
     def __len__(self):
         return self.count
@@ -185,7 +186,8 @@ _SURF_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.
 
 def ground_node(mesh, electrodes):
     """Lowest-index boundary node not covered by any electrode."""
-    free = np.setdiff1d(mesh.boundary_nodes(), electrodes.node_set)
+    free = np.setdiff1d(mesh.boundary_nodes(), electrodes.node_set,
+                        assume_unique=True)
     if free.size == 0:
         raise AssemblyError("electrodes cover every boundary node; "
                             "cannot choose a grounding node")

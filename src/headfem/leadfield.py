@@ -99,7 +99,10 @@ def build_dof_map(mesh, compartments, n_dofs, seed=0):
     centroids = mesh.centroids()
     centers = centroids[chosen]
     owner, _ = nearest_center(centroids[cand], centers)
-    sets = tuple(cand[owner == k] for k in range(n_dofs))
+    # One stable sort by owner keeps each set in ascending element order.
+    sizes = np.bincount(owner, minlength=n_dofs)
+    sets = tuple(np.split(cand[np.argsort(owner, kind="stable")],
+                          np.cumsum(sizes)[:-1]))
     return EitDofMap(element_sets=sets, centers=centers)
 
 

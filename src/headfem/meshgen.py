@@ -56,6 +56,15 @@ def tet_volumes(nodes, tetra):
     return np.einsum("ij,ij->i", e[:, 0], np.cross(e[:, 1], e[:, 2])) / 6.0
 
 
+def sorted_unique(a):
+    """``np.unique(a)`` by one sort: a bare ``np.unique`` of integer keys
+    takes numpy 2.4's hashing path, several times slower at mesh sizes."""
+    a = np.sort(a, axis=None)
+    keep = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def _read_only(arr, dtype):
     """``arr`` as a read-only contiguous array: shared if it is read-only,
     copied if the caller can still write it."""
@@ -176,7 +185,7 @@ class TetMesh:
 
     def boundary_nodes(self):
         faces, _ = self.boundary_triangles()
-        return np.unique(faces)
+        return sorted_unique(faces)
 
     def csr_pattern(self):
         """The node-node sparsity pattern of the P1 matrices, computed once
@@ -409,9 +418,9 @@ def _interface_graph(mesh):
     # Face rows are sorted, so every edge is (lo, hi) with the key lo*n + hi;
     # ``both`` holds the keys of both directions in (node, neighbor) order.
     n = mesh.n_nodes
-    keys = np.unique(np.concatenate([ifaces[:, 0] * n + ifaces[:, 1],
-                                     ifaces[:, 1] * n + ifaces[:, 2],
-                                     ifaces[:, 0] * n + ifaces[:, 2]]))
+    keys = sorted_unique(np.concatenate([ifaces[:, 0] * n + ifaces[:, 1],
+                                         ifaces[:, 1] * n + ifaces[:, 2],
+                                         ifaces[:, 0] * n + ifaces[:, 2]]))
     both = np.sort(np.concatenate([keys, keys % n * n + keys // n]))
     snodes, starts = np.unique(both // n, return_index=True)
     return snodes, both % n, np.append(starts, len(both))
@@ -431,7 +440,7 @@ def _smooth_pass(mesh, nodes, smooth_set, neighbors, offsets, step):
         bad = vols <= 0
         if not bad.any():
             break
-        bad_nodes = np.unique(mesh.tetra[bad])
+        bad_nodes = sorted_unique(mesh.tetra[bad])
         proposed[bad_nodes] = nodes[bad_nodes]
     return proposed
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -522,30 +523,52 @@ for argv in (["mesh"], ["leadfield"], ["simulate", "--seed", "9"],
 """
 
 
+def run_chain(project, preamble="", **env):
+    """The bytes of every file that mesh, leadfield, simulate, invert and
+    metrics write for a 32-electrode, 1,500-source sphere project, run in
+    a fresh interpreter that first executes ``preamble``, with ``env`` added
+    to the environment."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hio.__file__)))
+    project.mkdir()
+    path = write_sphere_project(
+        project, n_sources=1500, n_electrodes=32, electrode_radius=0.012,
+        resolution=0.02, extra="[truth]\nposition = 0.0 0.0 0.05\n"
+                               "orientation = 1 0 0\nroi_radius = 0.05\n")
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-c", preamble + _CHAIN, str(path),
+         str(project / "out")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return {p.name: p.read_bytes() for p in sorted((project / "out").iterdir())}
+
+
 def test_cli_chain_bytes_do_not_depend_on_blas_threads(tmp_path):
     # 32 electrodes and 1,500 sources: the (32, 32) by (32, 4,500) and
     # larger products are large enough for OpenBLAS to split them over
     # two threads, and a split changes their rounding.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(hio.__file__)))
-    written = []
-    for threads in ("1", "2"):
-        project = tmp_path / f"threads{threads}"
-        project.mkdir()
-        path = write_sphere_project(
-            project, n_sources=1500, n_electrodes=32, electrode_radius=0.012,
-            resolution=0.02, extra="[truth]\nposition = 0.0 0.0 0.05\n"
-                                   "orientation = 1 0 0\nroi_radius = 0.05\n")
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        proc = subprocess.run(
-            [sys.executable, "-c", _CHAIN, str(path), str(project / "out")],
-            env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        written.append({p.name: p.read_bytes()
-                        for p in sorted((project / "out").iterdir())})
+    written = [run_chain(tmp_path / f"threads{threads}",
+                         OPENBLAS_NUM_THREADS=threads)
+               for threads in ("1", "2")]
     assert {"leadfield.bin", "data.csv", "reconstruction.csv",
             "metrics.json"} <= written[0].keys()
     assert written[0].keys() == written[1].keys()
     assert [name for name in written[0]
             if written[0][name] != written[1][name]] == []
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two usable CPUs")
+def test_cli_chain_bytes_do_not_depend_on_usable_cores(tmp_path):
+    # The transfer matrix splits its 32 columns into one group per usable
+    # core: one block on one CPU, several threads otherwise.
+    one_cpu = (f"import os\n"
+               f"os.sched_setaffinity(0, {{{min(os.sched_getaffinity(0))}}})\n")
+    hashes = [{name: hashlib.sha256(data).hexdigest()
+               for name, data in run_chain(tmp_path / name, pre).items()}
+              for name, pre in (("one_cpu", one_cpu), ("all_cpus", ""))]
+    assert {"leadfield.bin", "data.csv", "reconstruction.csv",
+            "metrics.json"} <= hashes[0].keys()
+    assert hashes[0] == hashes[1]

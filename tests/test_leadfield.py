@@ -243,6 +243,23 @@ class TestDofMap:
         for k, es in enumerate(dofs.element_sets):
             np.testing.assert_array_equal(es, np.flatnonzero(owner == k))
 
+    @pytest.mark.parametrize("compartments, n_dofs",
+                             [([0], 1), ([1], 40), ([0, 1], 300)])
+    def test_sets_match_owner_comprehension(self, compartments, n_dofs):
+        # Perturbable elements in one or both shells of a two-shell mesh:
+        # each set is the candidates its center owns, in ascending order.
+        from headfem.geometry import nearest_center
+        seg = Segmentation([
+            Compartment(icosphere(0.06, 2), 0.5, priority=1, active=True),
+            Compartment(icosphere(0.1, 2), 0.33, active=True)])
+        mesh = generate_mesh(seg, 0.02)
+        dofs = build_dof_map(mesh, compartments, n_dofs=n_dofs, seed=n_dofs)
+        cand = np.flatnonzero(np.isin(mesh.labels, compartments))
+        owner, _ = nearest_center(mesh.centroids()[cand], dofs.centers)
+        assert len(dofs.element_sets) == n_dofs
+        for k, es in enumerate(dofs.element_sets):
+            np.testing.assert_array_equal(es, cand[owner == k])
+
 
 def reference_dof_sensitivities(sys, dofs, U, T):
     """q_{m,p} = T' K_m u_p from the (E, 4, L) gather T[conn] of every DOF

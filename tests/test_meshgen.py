@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from headfem.errors import ConfigError, EmptyMeshError, ParameterError
 from headfem.geometry import Compartment, Segmentation, box_surface, icosphere
@@ -17,6 +18,7 @@ from headfem.meshgen import (
     generate_mesh,
     place_sources,
     smooth_mesh,
+    sorted_unique,
     tet_volumes,
 )
 
@@ -360,3 +362,13 @@ def _per_source_orientations(mesh, seg, src):
     return np.concatenate([
         _per_point_normals(seg.compartments[mesh.labels[e]].surfaces, p[None])
         for p, e in zip(src.positions, src.element_ids)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2,
+                                              min_side=0, max_side=30),
+                  elements=st.integers(-5, 40)))
+def test_sorted_unique_matches_np_unique(a):
+    u = sorted_unique(a)
+    assert u.dtype == a.dtype
+    np.testing.assert_array_equal(u, np.unique(a))

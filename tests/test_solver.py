@@ -1,4 +1,7 @@
 import logging
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from headfem.experiments import (
 from headfem.fem import ElectrodeSet, assemble_cem_system
 from headfem.meshgen import generate_mesh
 from headfem.simulate import fibonacci_sphere_points
+from headfem import solver
 from headfem.solver import PcgConfig, ldp, pcg_solve, transfer_matrix
 
 
@@ -307,3 +311,154 @@ class TestTransferMatrix:
             transfer_matrix(A, B, PcgConfig(tolerance=1e-15, max_iterations=2))
         assert exc.value.column == 0
         assert exc.value.iterations == 2
+
+
+@pytest.fixture(scope="module")
+def eit_desk_system():
+    """The EIT desk CEM system (n = 11,077, 16 electrode columns) and the
+    protocol's solver settings."""
+    p = EitHemorrhageParams()
+    mesh = generate_mesh(
+        layered_sphere_segmentation(p.radii, p.conductivities,
+                                    p.priorities, (0,), p.subdivisions),
+        p.resolution)
+    el = ElectrodeSet.from_centers(
+        mesh, fibonacci_sphere_points(p.n_electrodes, p.radii[-1]),
+        radius=p.electrode_radius, impedances=p.impedance)
+    system = assemble_cem_system(mesh, el)
+    return system.A, system.B, PcgConfig(tolerance=p.solver_tolerance)
+
+
+def solve_on_cores(A, B, cfg, cores, caplog, monkeypatch):
+    """pcg_solve with ``cores`` usable cores: ``(T, per-column iterations
+    from the DEBUG record, block iterations, worst residual)`` or the
+    error raised."""
+    monkeypatch.setattr(solver, "_usable_cores", lambda: cores)
+    caplog.clear()
+    try:
+        with caplog.at_level(logging.DEBUG, logger="headfem.solver"):
+            T, it, worst = pcg_solve(A, B, cfg)
+    except ConvergenceError as exc:
+        return exc
+    return T, caplog.records[-1].args[2], it, worst
+
+
+@pytest.fixture
+def short_switch_interval():
+    """Threads switch every 10 us, so worker groups interleave often and a
+    lost or misplaced column write would show."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    yield
+    sys.setswitchinterval(interval)
+
+
+def assert_group_invariant(A, B, cfg, caplog, monkeypatch):
+    """The solve on 2, 3 and k + 1 usable cores (one group per core, at
+    most one per column) equals the one-group solve bit for bit, including
+    every field of a ConvergenceError.  Returns the one-group outcome."""
+    B = B.toarray() if sp.issparse(B) else B
+    one = solve_on_cores(A, B, cfg, 1, caplog, monkeypatch)
+    for cores in (2, 3, B.shape[1] + 1):
+        grouped = solve_on_cores(A, B, cfg, cores, caplog, monkeypatch)
+        assert_same_outcome(grouped, one)
+        if not isinstance(one, ConvergenceError):
+            assert grouped[2:] == one[2:]
+    return one
+
+
+class TestColumnGroups:
+    def test_eit_desk_system(self, eit_desk_system, caplog, monkeypatch):
+        A, B, cfg = eit_desk_system
+        T, its, it, _ = assert_group_invariant(A, B, cfg, caplog,
+                                               monkeypatch)
+        assert it == max(its) and min(its) < max(its)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 60),
+           log_cond=st.floats(0.0, 6.0), log_tol=st.floats(-12.0, -6.0),
+           max_iterations=st.none() | st.integers(1, 40),
+           kinds=st.lists(st.sampled_from(["dense", "few", "zero"]),
+                          min_size=1, max_size=8))
+    def test_hypothesis_systems(self, caplog, monkeypatch,
+                                short_switch_interval, seed, n, log_cond,
+                                log_tol, max_iterations, kinds):
+        A = shifted_laplacian(n, seed, 10**log_cond)
+        rng = np.random.default_rng(seed)
+        B = np.zeros((n, len(kinds)))
+        for l, kind in enumerate(kinds):
+            if kind == "dense":
+                B[:, l] = rng.normal(size=n)
+            elif kind == "few":
+                B[rng.integers(0, n, 3), l] = rng.normal(size=3)
+        assert_group_invariant(A, B, PcgConfig(10**log_tol, max_iterations),
+                               caplog, monkeypatch)
+
+    def test_true_residual_restart(self, caplog, monkeypatch,
+                                   short_switch_interval):
+        n, seed = 20, 4
+        A = sp.csr_matrix(random_spd(n, seed, cond=1e5))
+        B = np.random.default_rng(seed).normal(size=(3, n)).T
+        cfg = PcgConfig(tolerance=1e-12)
+        assert reference_transfer_matrix(A, B, cfg)[2][0] > 0
+        assert_group_invariant(A, B, cfg, caplog, monkeypatch)
+
+    def test_later_column_fails(self, caplog, monkeypatch,
+                                short_switch_interval):
+        # Columns 0 and 2 converge within the budget, 1 and 3 do not: every
+        # grouping reports column 1 with its best iterate.
+        n = 30
+        A = sp.csr_matrix(random_spd(n, seed=3, cond=1e4))
+        B = np.random.default_rng(3).normal(size=(n, 2))
+        _, its, _ = reference_transfer_matrix(A, B)
+        B = B[:, np.argsort(its)][:, [0, 1, 0, 1]]
+        err = assert_group_invariant(A, B, PcgConfig(max_iterations=min(its)),
+                                     caplog, monkeypatch)
+        assert isinstance(err, ConvergenceError) and err.column == 1
+
+    def test_one_core_starts_no_thread(self, eit_desk_system, monkeypatch):
+        A, B, cfg = eit_desk_system
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: (started.append(self), start(self)))
+        for cores in (1, 2):
+            monkeypatch.setattr(solver, "_usable_cores", lambda: cores)
+            transfer_matrix(A, B, cfg)
+            assert len(started) == cores - 1
+
+    def test_groups_allocate_no_more_than_one_block(self, eit_desk_system,
+                                                    monkeypatch):
+        # Every group iterates in buffers the caller allocated, so two
+        # groups hold no (m, n) array of their own: one half block would be
+        # 700 kB.  The worker thread's own state and (m,) arrays are a few
+        # kB, hence the 64 KiB allowance.
+        A, B, cfg = eit_desk_system
+        peaks = []
+        for cores in (1, 2):
+            monkeypatch.setattr(solver, "_usable_cores", lambda: cores)
+            tracemalloc.start()
+            try:
+                transfer_matrix(A, B, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 64 * 1024
+        # B as a dense array, T and six (16, 11,077) buffers, 15.4 MB
+        # before the buffers.
+        assert peaks[0] < 12e6
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           k=st.integers(1, 6))
+    @settings(max_examples=30, deadline=None)
+    def test_csr_matvecs_is_the_kernel_of_matmul(self, seed, n, k):
+        # The solver calls scipy's private ``csr_matvecs`` to write A X
+        # into its own buffer; it must stay bit-equal to ``A @ X``.
+        A = sp.random(n, n, density=0.3, random_state=seed % 2**31,
+                      format="csr")
+        X = np.random.default_rng(seed).normal(size=(n, k))
+        out = np.empty((k, n))
+        solver._rows_product(A, np.ascontiguousarray(X.T), np.empty(n * k),
+                             np.empty(n * k), out)
+        np.testing.assert_array_equal(out.T, A @ X)
