@@ -18,7 +18,6 @@ from headfem import (
     Segmentation,
     generate_mesh,
     icosphere,
-    point_in_compartment,
     smooth_mesh,
 )
 from headfem.io import save_tet_mesh
@@ -35,8 +34,8 @@ seg = Segmentation([
 
 # Point queries resolve overlaps innermost-first.
 for p in ([0.0, 0.0, 0.03], [0.0, 0.0, 0.076], [0.0, 0.0, 0.2]):
-    k = point_in_compartment(seg, np.array(p))
-    print(f"point {p} -> {names[k] if k is not None else 'outside'}")
+    k = seg.locate(np.array([p]))[0]
+    print(f"point {p} -> {names[k] if k >= 0 else 'outside'}")
 
 mesh = generate_mesh(seg, h=0.008)
 print(f"\nmesh: {mesh.n_nodes} nodes, {mesh.n_elements} elements")

@@ -20,7 +20,6 @@ from .geometry import (
     load_surface_mesh,
     load_surface_mesh_asc,
     nearest_center,
-    point_in_compartment,
     save_surface_mesh,
 )
 from .meshgen import SourceSpace, TetMesh, generate_mesh, place_sources, smooth_mesh

@@ -13,7 +13,10 @@ them only when no artifact there is current.  An artifact is current when
 its manifest records today's configuration hash, the sha256 of every
 surface file the configuration names (``inputs``) and of every artifact
 file, the lead-field sidecar included.  ``invert`` refuses a lead field
-whose manifest does not record today's ``inputs`` and file hashes.
+whose manifest does not record today's ``inputs`` and file hashes.  Every
+input file is read once, hashed and parsed from those bytes; ``simulate``
+and ``invert`` record in ``inputs`` the surface files, the artifact files
+they used and (``invert``) the ``--data`` file.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import logging
 import os
 import sys
 from dataclasses import fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -64,12 +68,8 @@ def _pcg_config(cfg):
                      max_iterations=cfg.solver["max_iterations"])
 
 
-def _resolve(cfg, path):
-    return path if os.path.isabs(path) else os.path.join(cfg.base_dir, path)
-
-
 def _outdir(cfg, args):
-    out = _resolve(cfg, args.output or cfg.output_dir)
+    out = os.path.join(cfg.base_dir, args.output or cfg.output_dir)
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -90,12 +90,26 @@ _ARTIFACTS = {
 }
 
 
-def _input_hashes(cfg):
-    """sha256 of every surface file the configuration names, keyed by its
-    name in the INI; ``cfg.digest`` covers the INI text only."""
-    return {name: hio.sha256_file(_resolve(cfg, name))
-            for spec in cfg.compartments
-            for entry in spec.surfaces for name in entry}
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+class _Inputs:
+    """The surface files the configuration names, read once: their sha256
+    by INI name (``hashes``), the segmentation of the same bytes (built on
+    first use), and ``used``: the hashes plus those of reused artifacts."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self._bytes = {name: Path(cfg.base_dir, name).read_bytes()
+                       for spec in cfg.compartments
+                       for entry in spec.surfaces for name in entry}
+        self.hashes = {name: _sha256(b) for name, b in self._bytes.items()}
+        self.used = dict(self.hashes)
+
+    @cached_property
+    def segmentation(self):
+        return self.cfg.build_segmentation(self._bytes.__getitem__)
 
 
 def _output_hashes(out, stage):
@@ -104,10 +118,11 @@ def _output_hashes(out, stage):
 
 
 def _stale_reason(directory, stage, inputs, digest=None, files=None):
-    """Why the ``stage`` artifact in ``directory`` does not verify (None if
-    it does) and the bytes hashed by output key.  ``files`` (output key ->
-    path) defaults to the stage's files there; ``digest``, when given, must
-    be the recorded configuration hash."""
+    """Why the ``stage`` artifact in ``directory`` does not verify against
+    the surface hashes of ``inputs`` (None if it does), and the bytes of its
+    files by output key, whose sha256 go to ``inputs.used``.  ``files``
+    (output key -> path) defaults to the stage's files there; ``digest``,
+    when given, must be the recorded configuration hash."""
     manifest, names = _ARTIFACTS[stage]
     files = files or {key: os.path.join(directory, name)
                       for key, name in names.items()}
@@ -123,14 +138,14 @@ def _stale_reason(directory, stage, inputs, digest=None, files=None):
         return "unparsable manifest", None
     if digest is not None and recorded.get("config_sha256") != digest:
         return "config changed", None
-    if recorded.get("inputs") != inputs:
+    if recorded.get("inputs") != inputs.hashes:
         return "input changed", None
     payloads = {key: Path(path).read_bytes()
                 for key, path in files.items() if os.path.isfile(path)}
-    if payloads.keys() != files.keys() or any(
-            recorded["outputs"].get(key) != hashlib.sha256(data).hexdigest()
-            for key, data in payloads.items()):
+    hashes = {key: _sha256(data) for key, data in payloads.items()}
+    if hashes != {key: recorded["outputs"].get(key) for key in files}:
         return "hash mismatch", None
+    inputs.used.update(hashes)
     return None, payloads
 
 
@@ -142,8 +157,8 @@ def _find_artifact(cfg, out, stage, inputs, unsaved=None):
     why each was stale (after the warning ``unsaved``, if given).
     """
     reasons = []
-    for directory in dict.fromkeys(
-            os.path.abspath(d) for d in (out, _resolve(cfg, cfg.output_dir))):
+    project_out = os.path.join(cfg.base_dir, cfg.output_dir)
+    for directory in dict.fromkeys(map(os.path.abspath, (out, project_out))):
         reason, payloads = _stale_reason(directory, stage, inputs, cfg.digest)
         if reason is None:
             logger.info("%s: reused %s", stage, directory)
@@ -158,8 +173,8 @@ def _find_artifact(cfg, out, stage, inputs, unsaved=None):
 # ---------------------------------------------------------------------------
 # stages
 
-def _build_mesh(cfg):
-    mesh = generate_mesh(cfg.build_segmentation(), cfg.mesh["resolution"])
+def _build_mesh(cfg, inputs):
+    mesh = generate_mesh(inputs.segmentation, cfg.mesh["resolution"])
     if cfg.mesh["smoothing_iterations"] > 0:
         mesh = smooth_mesh(mesh, cfg.mesh["smoothing_iterations"],
                            cfg.mesh["smoothing_step"])
@@ -170,7 +185,7 @@ def _mesh(cfg, out, inputs):
     """The project mesh, read from a verified artifact or built."""
     found = _find_artifact(cfg, out, "mesh", inputs)
     if found is None:
-        return _build_mesh(cfg)
+        return _build_mesh(cfg, inputs)
     return hio.parse_tet_mesh(lambda part: found[f"mesh_{part}"])
 
 
@@ -185,11 +200,11 @@ def _build_electrodes(cfg, mesh):
                                      cfg.electrodes["impedances"])
 
 
-def _build_leadfield(cfg, mesh):
+def _build_leadfield(cfg, mesh, inputs):
     electrodes = _build_electrodes(cfg, mesh)
     pcg = _pcg_config(cfg)
     if cfg.modality == "eeg":
-        src = place_sources(mesh, cfg.build_segmentation(),
+        src = place_sources(mesh, inputs.segmentation,
                             cfg.sources["count"], mode=cfg.sources["mode"],
                             seed=cfg.sources["seed"])
         return eeg_leadfield(assemble_cem_system(mesh, electrodes, src), pcg)
@@ -209,7 +224,7 @@ def _leadfield(cfg, out, inputs, mesh=None):
         "(`headfem leadfield` writes one)"))
     if found is None:
         return _build_leadfield(
-            cfg, mesh if mesh is not None else _mesh(cfg, out, inputs))
+            cfg, mesh if mesh is not None else _mesh(cfg, out, inputs), inputs)
     lf, _ = hio.parse_leadfield(found["leadfield"], found["leadfield_sidecar"])
     # The C order of a built lead field, so products with it round alike.
     return replace(lf, matrix=np.ascontiguousarray(lf.matrix))
@@ -223,8 +238,8 @@ def _leadfield_seeds(cfg):
 
 def cmd_mesh(cfg, args):
     out = _outdir(cfg, args)
-    inputs = _input_hashes(cfg)
-    mesh = _build_mesh(cfg)
+    inputs = _Inputs(cfg)
+    mesh = _build_mesh(cfg, inputs)
     prefix = os.path.join(out, "mesh")
     hio.save_tet_mesh(mesh, prefix)
     hio.write_manifest(
@@ -236,15 +251,15 @@ def cmd_mesh(cfg, args):
             "n_nodes": mesh.n_nodes,
             "n_elements": mesh.n_elements,
             "compartments": [c.name for c in cfg.compartments],
-        }, outputs=_output_hashes(out, "mesh"), inputs=inputs)
+        }, outputs=_output_hashes(out, "mesh"), inputs=inputs.hashes)
     print(f"mesh: {mesh.n_nodes} nodes, {mesh.n_elements} elements -> {prefix}_*.dat")
     return 0
 
 
 def cmd_leadfield(cfg, args):
     out = _outdir(cfg, args)
-    inputs = _input_hashes(cfg)
-    lf = _build_leadfield(cfg, _mesh(cfg, out, inputs))
+    inputs = _Inputs(cfg)
+    lf = _build_leadfield(cfg, _mesh(cfg, out, inputs), inputs)
     if cfg.modality == "eeg":
         extra = {"sources": cfg.sources["count"], "mode": cfg.sources["mode"]}
     else:
@@ -256,7 +271,7 @@ def cmd_leadfield(cfg, args):
         seeds=_leadfield_seeds(cfg), parameters={
             "modality": cfg.modality, "rows": lf.matrix.shape[0],
             "cols": lf.matrix.shape[1], **extra,
-        }, outputs=_output_hashes(out, "leadfield"), inputs=inputs)
+        }, outputs=_output_hashes(out, "leadfield"), inputs=inputs.hashes)
     print(f"leadfield: {lf.matrix.shape[0]} x {lf.matrix.shape[1]} "
           f"({cfg.modality}) -> {path}")
     return 0
@@ -267,7 +282,7 @@ def cmd_simulate(cfg, args):
     seed = args.seed if args.seed is not None else cfg.simulation["seed"]
     noise = NoiseSpec(mode=cfg.simulation["noise_mode"],
                       level=cfg.simulation["noise_level"], seed=seed)
-    inputs = _input_hashes(cfg)
+    inputs = _Inputs(cfg)
     truth, outputs = {}, {}
     if cfg.modality == "eeg":
         dipoles = cfg.simulation["dipoles"]
@@ -304,15 +319,10 @@ def cmd_simulate(cfg, args):
         seeds={**_leadfield_seeds(cfg), "noise": seed}, parameters={
             "modality": cfg.modality, "noise_mode": noise.mode,
             "noise_level": noise.level, "columns": n_cols, "truth": truth,
-        }, outputs={"data": hio.sha256_file(path), **outputs})
+        }, outputs={"data": hio.sha256_file(path), **outputs},
+        inputs=inputs.used)
     print(f"data: {len(y)} values -> {path}")
     return 0
-
-
-def _likelihood_std(inv, y):
-    if inv["nu_mode"] == "relative-max":
-        return inv["nu"] * np.abs(y).max()
-    return inv["nu"] * np.sqrt(np.mean(y**2))
 
 
 def cmd_invert(cfg, args):
@@ -322,16 +332,18 @@ def cmd_invert(cfg, args):
     lf_path = args.leadfield or os.path.join(out, "leadfield.bin")
     if not os.path.exists(lf_path):
         raise FileNotFoundError(f"lead field not found: {lf_path}")
+    inputs = _Inputs(cfg)
     # No configuration hash: [inversion] may change between inversions.
     reason, payloads = _stale_reason(
-        os.path.dirname(lf_path), "leadfield", _input_hashes(cfg), files={
+        os.path.dirname(lf_path), "leadfield", inputs, files={
             "leadfield": lf_path, "leadfield_sidecar": f"{lf_path}.json"})
     if reason is not None:
         raise DataError(f"lead field {lf_path} does not verify ({reason}); "
                         "`headfem leadfield` writes a current one")
     lf, side = hio.parse_leadfield(payloads["leadfield"],
                                    payloads["leadfield_sidecar"], lf_path)
-    y = hio.load_dataset(args.data)
+    data = Path(args.data).read_bytes()
+    y = hio.parse_dataset(data, args.data)
     if y.size != lf.matrix.shape[0]:
         raise DataError(f"data length {y.size} != lead field rows "
                         f"{lf.matrix.shape[0]}")
@@ -348,13 +360,15 @@ def cmd_invert(cfg, args):
         L_hat, y_hat, x_scale = normalize_problem(lf.matrix, y)
     else:
         L_hat, y_hat, x_scale = lf.matrix, y, 1.0
-    nu = _likelihood_std(inv, y_hat)
+    nu = inv["nu"] * (np.abs(y_hat).max() if inv["nu_mode"] == "relative-max"
+                      else np.sqrt(np.mean(y_hat**2)))
 
     positions = lf.positions
+    constrained = lf.orientations is not None or lf.modality == "eit"
     if inv["method"] == "roi":
         if inv["roi_center"] is None:
             raise ConfigError("[inversion] roi_center required in roi mode")
-        comp = 1 if (lf.orientations is not None or lf.modality == "eit") else 3
+        comp = 1 if constrained else 3
         in_roi = np.linalg.norm(positions - inv["roi_center"][None, :],
                                 axis=1) <= inv["roi_radius"]
         x = ias_map(L_hat, y_hat, hyper, nu=nu, n_iter=inv["iterations"],
@@ -376,9 +390,8 @@ def cmd_invert(cfg, args):
         metrics = _score(cfg, positions, x, lf.orientations)
 
     rec_path = os.path.join(out, "reconstruction.csv")
-    mode = "constrained" if (lf.orientations is not None
-                             or lf.modality == "eit") else "unconstrained"
-    hio.save_reconstruction(rec_path, positions, x, mode)
+    hio.save_reconstruction(rec_path, positions, x, "constrained"
+                            if constrained else "unconstrained")
     outputs = {"reconstruction": hio.sha256_file(rec_path)}
     if metrics:
         outputs["metrics"] = _write_metrics(out, metrics)
@@ -392,7 +405,7 @@ def cmd_invert(cfg, args):
                     "iterations": inv["iterations"],
                     "normalize": inv["normalize"],
                     "argmax_dof": int(np.argmax(np.abs(x)))},
-        outputs=outputs)
+        outputs=outputs, inputs={**inputs.used, "data": _sha256(data)})
     print(f"reconstruction: {x.size} values -> {rec_path} "
           f"(argmax DOF {int(np.argmax(np.abs(x)))})")
     if metrics:
@@ -498,11 +511,12 @@ def cmd_metrics(cfg, args):
         raise ConfigError("metrics requires --reconstruction")
     if cfg.truth is None or cfg.truth["position"] is None:
         raise ConfigError("metrics requires a [truth] section with a position")
-    metrics = _score(cfg, *hio.load_reconstruction(args.reconstruction))
+    data = Path(args.reconstruction).read_bytes()
+    metrics = _score(cfg, *hio.parse_reconstruction(data, args.reconstruction))
     hio.write_manifest(
         os.path.join(out, "metrics_manifest.json"), "metrics", cfg.digest,
         seeds={}, parameters={}, outputs={"metrics": _write_metrics(out, metrics)},
-        inputs={"reconstruction": hio.sha256_file(args.reconstruction)})
+        inputs={"reconstruction": _sha256(data)})
     print(f"metrics: position_error_mm={metrics['position_error_mm']:.3f}")
     return 0
 

@@ -15,6 +15,7 @@ import copy
 import os
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -23,8 +24,7 @@ from .geometry import (
     DEFAULT_CONDUCTIVITY,
     Compartment,
     Segmentation,
-    load_surface_mesh,
-    load_surface_mesh_asc,
+    parse_surface_mesh,
 )
 from .io import canonical_json, sha256_text
 
@@ -87,15 +87,17 @@ class ProjectConfig:
     def digest(self):
         return sha256_text(canonical_json(self.raw))
 
-    def build_segmentation(self):
-        # A surface entry names one .asc file or a node and a triangle file.
-        load = {1: load_surface_mesh_asc, 2: load_surface_mesh}
+    def build_segmentation(self, read=None):
+        """The segmentation of the surface files the configuration names;
+        ``read(name)`` gives the bytes of the file named ``name`` in the
+        INI (by default read from disk beside the INI file)."""
+        read = read or (lambda n: Path(self.base_dir, n).read_bytes())
         comps = []
         for spec in self.compartments:
-            surfaces = [load[len(entry)](
-                *(os.path.join(self.base_dir, p) for p in entry),
-                name=spec.name, scale=self.unit_scale)
-                for entry in spec.surfaces]
+            # A surface entry names one .asc file or a node and a triangle file.
+            surfaces = [parse_surface_mesh(read, *entry, name=spec.name,
+                                           scale=self.unit_scale)
+                        for entry in spec.surfaces]
             comps.append(Compartment(surfaces, spec.conductivity,
                                      priority=spec.priority,
                                      active=spec.active, name=spec.name))

@@ -147,20 +147,15 @@ def summarize_hypermodel_rows(rows, cases=HYPERMODEL_CASES):
     summary = []
     for case, fam, theta0 in cases:
         for source in ("deep", "superficial"):
-            pe = [r["position_error_mm"] for r in rows
-                  if r["case"] == case and r["source"] == source]
-            ae = [r["angle_error_deg"] for r in rows
-                  if r["case"] == case and r["source"] == source]
-            summary.append({
-                "case": case, "hypermodel": fam, "theta0": theta0,
-                "source": source,
-                "position_error_mm_q25": float(np.percentile(pe, 25)),
-                "position_error_mm_median": float(np.median(pe)),
-                "position_error_mm_q75": float(np.percentile(pe, 75)),
-                "angle_error_deg_q25": float(np.percentile(ae, 25)),
-                "angle_error_deg_median": float(np.median(ae)),
-                "angle_error_deg_q75": float(np.percentile(ae, 75)),
-            })
+            row = {"case": case, "hypermodel": fam, "theta0": theta0,
+                   "source": source}
+            for metric in ("position_error_mm", "angle_error_deg"):
+                v = [r[metric] for r in rows
+                     if r["case"] == case and r["source"] == source]
+                row[f"{metric}_q25"] = float(np.percentile(v, 25))
+                row[f"{metric}_median"] = float(np.median(v))
+                row[f"{metric}_q75"] = float(np.percentile(v, 75))
+            summary.append(row)
     return summary
 
 

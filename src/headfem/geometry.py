@@ -137,7 +137,6 @@ class SurfaceMesh:
                 f"surface '{self.name}' is not closed: "
                 f"{np.count_nonzero(counts != 2)} edge(s) not shared by exactly "
                 "2 triangles")
-        self._n_edges = len(counts)
         # Consistently oriented: each directed edge a*n + b appears once.
         _, counts = np.unique(a * n + b, return_counts=True)
         if np.any(counts != 1):
@@ -172,10 +171,6 @@ class SurfaceMesh:
         self.enclosed_volume = abs(signed_vol)
 
     # -- queries --------------------------------------------------------
-
-    def euler_characteristic(self):
-        """V - E + F (2 for a genus-0 closed surface)."""
-        return len(self.nodes) - self._n_edges + len(self.triangles)
 
     def contains(self, points):
         """Vectorized inside-or-on-surface test.
@@ -381,16 +376,9 @@ class SurfaceMesh:
             unsure[on] |= np.abs(d) <= cr[j]
         return (right & 1).astype(bool) & ~unsure, unsure, cand.size, pairs
 
-    def nearest_triangle(self, point):
-        """Index of the triangle closest to ``point`` and its distance."""
-        d2 = _point_triangle_sqdist(np.asarray(point, dtype=float)[None],
-                                    self._v0, self._e1, self._e2)[0]
-        j = int(np.argmin(d2))
-        return j, float(np.sqrt(d2[j]))
-
     def nearest_triangles(self, points):
-        """``nearest_triangle`` for (k, 3) points at once: triangle indices
-        and distances, equal to the per-point calls (lowest index on ties).
+        """Index of the triangle nearest to each of (k, 3) ``points`` (the
+        lowest on ties) and its distance.
 
         Points go through in row chunks of at most 2**15 (point, triangle)
         pairs, which bounds the temporaries.
@@ -598,27 +586,33 @@ class Segmentation:
         return labels
 
 
-def point_in_compartment(seg, point):
-    """Innermost compartment index containing ``point``, or ``None``.
-
-    Points exactly on a compartment surface count as inside; overlaps are
-    resolved by segmentation order (innermost wins).
-    """
-    label = int(seg.locate(np.asarray(point, dtype=float)[None, :])[0])
-    return None if label < 0 else label
-
-
 # ---------------------------------------------------------------------------
 # File I/O: one row per line through the numeric-text codec of ``io``
 
-def _surface(nodes, triangles, path, name, named_by, scale):
-    """The surface of the node rows and the one-based triangle rows read
-    from ``path``; triangle indices must be integral values.  ``name``
-    defaults to the stem of the file name ``named_by``."""
+def parse_surface_mesh(read, *files, name=None, scale=1.0):
+    """The surface in a node and a triangle file or in one combined file
+    (see the ``load_*`` functions) whose bytes are ``read(file)``.  Errors
+    name the file; ``name`` defaults to the stem of the first one."""
+    if len(files) == 2:
+        nodes, triangles = (_parse_table(read(f), float, (3,), f)
+                            for f in files)
+    else:
+        (path,) = files
+        text = _uncommented(read(path))
+        head = text.lstrip().partition(b"\n")[0]
+        n_nodes, n_tris = _parse_table(head, np.int64, (2,),
+                                       f"{path} header")[0]
+        # Without the header's text, lines still count from the top.
+        rows = _parse_table(text.replace(head, b"", 1), float, (3,), path)
+        if min(n_nodes, n_tris) < 1 or len(rows) != n_nodes + n_tris:
+            raise FormatError(
+                f"{path}: {len(rows)} rows do not match the header "
+                f"({n_nodes} nodes and {n_tris} triangles, each > 0)")
+        nodes, triangles = rows[:n_nodes], rows[n_nodes:]
     if not np.all(np.isfinite(triangles) & (triangles == np.rint(triangles))):
-        raise FormatError(f"{path}: triangle indices must be integers")
+        raise FormatError(f"{files[-1]}: triangle indices must be integers")
     if name is None:
-        name = os.path.splitext(os.path.basename(str(named_by)))[0]
+        name = os.path.splitext(os.path.basename(str(files[0])))[0]
     return SurfaceMesh(nodes * float(scale), triangles.astype(np.int64) - 1,
                        name=name)
 
@@ -630,23 +624,16 @@ def load_surface_mesh(nodes_file, triangles_file, name=None, scale=1.0):
     ``i j k`` triple of one-based node indices per line.  Coordinates are
     multiplied by ``scale`` (use e.g. ``1e-3`` for millimeter files).
     """
-    nodes, triangles = (_parse_table(Path(p).read_bytes(), float, (3,), p)
-                        for p in (nodes_file, triangles_file))
-    return _surface(nodes, triangles, triangles_file, name, nodes_file, scale)
+    return parse_surface_mesh(lambda p: Path(p).read_bytes(), nodes_file,
+                              triangles_file, name=name, scale=scale)
 
 
 def load_surface_mesh_asc(path, name=None, scale=1.0):
     """Load a surface from a single combined ASCII file: a header line
     ``n_nodes n_triangles``, then the node lines and the one-based triangle
     lines, each as in :func:`load_surface_mesh`."""
-    head, _, body = _uncommented(Path(path).read_bytes()).lstrip().partition(
-        b"\n")
-    n_nodes, n_tris = _parse_table(head, np.int64, (2,), f"{path} header")[0]
-    rows = _parse_table(body, float, (3,), path)
-    if min(n_nodes, n_tris) < 1 or len(rows) != n_nodes + n_tris:
-        raise FormatError(f"{path}: {len(rows)} rows do not match the header "
-                          f"({n_nodes} nodes and {n_tris} triangles, each > 0)")
-    return _surface(rows[:n_nodes], rows[n_nodes:], path, name, path, scale)
+    return parse_surface_mesh(lambda p: Path(p).read_bytes(), path,
+                              name=name, scale=scale)
 
 
 def save_surface_mesh(mesh, nodes_file, triangles_file):

@@ -9,9 +9,10 @@ Conventions shared by every artifact:
 * Tabular outputs are RFC-4180 CSV; floats use ``repr`` (shortest
   round-trip form), so reruns are byte-identical.
 * JSON manifests are written with sorted keys and no timestamps.
-* Numeric text is read by :func:`_parse_table` (one row per line, ``#``
-  comments) and written by :func:`_write_rows`: one ``%`` row template per
-  block of Python floats and ints (never numpy 2's ``np.float64(...)``).
+* Numeric text, CSV included, is read by :func:`_parse_table` (one row per
+  line, ``#`` comments) from bytes (``parse_*``; ``load_*`` reads the file)
+  and written by :func:`_write_rows`: one ``%`` row template per block of
+  Python floats and ints (never numpy 2's ``np.float64(...)``).
 """
 
 from __future__ import annotations
@@ -87,13 +88,26 @@ def _parse_table(data, dtype, widths, name):
     try:    # older numpy warns and stops at a bad token; the reshape raises
         values = np.fromstring(data, dtype, sep=" ").reshape(len(line), width)
     except ValueError:
-        raise FormatError(f"{name}: a value is not "
-                          f"{'an integer' if integral else 'a number'}") from None
+        raise FormatError(f"{name}: " + _bad_cell(
+            data, dtype, "an integer" if integral else "a number")) from None
     # fromstring saturates an integer that overflows instead of raising.
     if integral and (values.max() == np.iinfo(dtype).max
                      or values.min() == np.iinfo(dtype).min):
         raise FormatError(f"{name}: integer out of range")
     return values
+
+
+def _bad_cell(data, dtype, what):
+    """Where the first token of ``data`` that does not parse as ``dtype``
+    stands; a token-by-token scan for the error message only."""
+    for no, text in enumerate(data.split(b"\n"), start=1):
+        for col, token in enumerate(text.split(), start=1):
+            try:    # .item() raises unless the token is exactly one value
+                np.fromstring(token, dtype, sep=" ").item()
+            except ValueError:
+                return (f"line {no}, column {col}: "
+                        f"{token.decode(errors='replace')!r} is not {what}")
+    return f"a value is not {what}"
 
 
 def parse_tet_mesh(read):
@@ -195,33 +209,27 @@ def save_dataset(path, data, n_electrodes):
     _write_table(path, header, cols)
 
 
-def _read_numeric_csv(path, first=0):
-    """Float array of columns ``first`` on of the rows below the header
-    line; an empty file, a short or long row, or a cell that is not a
-    number raises :class:`FormatError` naming the file, line and column."""
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header is None:
-            raise FormatError(f"{path}: empty file")
-        data = []
-        for row in r:
-            if len(row) != len(header):
-                raise FormatError(f"{path}: line {r.line_num} has {len(row)} "
-                                  f"cells, the header {len(header)}")
-            values = []
-            for col, v in enumerate(row[first:], start=first + 1):
-                try:
-                    values.append(float(v))
-                except ValueError:
-                    raise FormatError(f"{path}: line {r.line_num}, column "
-                                      f"{col}: {v!r} is not a number") from None
-            data.append(values)
-    return np.array(data).reshape(len(data), len(header) - first)
+def _parse_csv(data, name):
+    """The numbers below the header line of the CSV bytes ``data``, parsed
+    by :func:`_parse_table`: the header sets the row width, and lines count
+    from the top of the file."""
+    head, _, body = _uncommented(data).partition(b"\n")
+    if not head.strip():
+        raise FormatError(f"{name}: empty file")
+    width = head.count(b",") + 1
+    if not body.strip():
+        return np.empty((0, width))
+    return _parse_table(b"\n" + body.replace(b",", b" "), float, (width,),
+                        name)
+
+
+def parse_dataset(data, name="dataset"):
+    """The values of the :func:`save_dataset` file that holds ``data``."""
+    return _parse_csv(data, name)[:, 1:].ravel(order="F")
 
 
 def load_dataset(path):
-    return _read_numeric_csv(path, first=1).ravel(order="F")
+    return parse_dataset(Path(path).read_bytes(), path)
 
 
 def save_reconstruction(path, positions, values, mode):
@@ -234,11 +242,16 @@ def save_reconstruction(path, positions, values, mode):
         [positions, values.reshape(len(positions), len(header) - 4)]))
 
 
-def load_reconstruction(path):
-    """(positions, values) of a :func:`save_reconstruction` file; the 1 or
-    3 values per position come back flat, in the order they were given."""
-    arr = _read_numeric_csv(path)
+def parse_reconstruction(data, name="reconstruction"):
+    """(positions, values) of the :func:`save_reconstruction` file that
+    holds ``data``; the 1 or 3 values per position come back flat, in the
+    order they were given."""
+    arr = _parse_csv(data, name)
     return arr[:, 1:4], arr[:, 4:].ravel()
+
+
+def load_reconstruction(path):
+    return parse_reconstruction(Path(path).read_bytes(), path)
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +276,7 @@ def sha256_array(arr):
 
 
 def sha256_file(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def write_manifest(path, kind, config_digest, seeds, parameters, outputs=None,

@@ -266,14 +266,6 @@ class SourceSpace:
     element_ids: np.ndarray
     mode: str
 
-    @property
-    def n_sources(self):
-        return len(self.positions)
-
-    @property
-    def n_components(self):
-        return 1 if self.mode == "constrained" else 3
-
 
 def _conductivity_table(seg):
     """Per-compartment sigma rows; scalars widen to tensor rows only when

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from headfem import geometry
 from headfem.geometry import (
     Compartment,
     Segmentation,
@@ -29,6 +30,16 @@ def reference_locate(seg, points):
         labels[open_[hit]] = k
         open_ = open_[~hit]
     return labels
+
+
+def reference_nearest_triangle(surface, point):
+    """The triangle of ``surface`` nearest to one point and its distance:
+    the per-point reference for ``SurfaceMesh.nearest_triangles``."""
+    d2 = geometry._point_triangle_sqdist(np.asarray(point, dtype=float)[None],
+                                         surface._v0, surface._e1,
+                                         surface._e2)[0]
+    j = int(np.argmin(d2))
+    return j, float(np.sqrt(d2[j]))
 
 
 # Regular tetrahedron: the smallest closed surface.

@@ -2,8 +2,12 @@
 wrote, ``simulate`` reads the lead field (and for EIT the mesh), but only
 after verifying the manifest, and otherwise builds what it needs."""
 
+import builtins
+import hashlib
+import io
 import json
 import logging
+import os
 import shutil
 
 import numpy as np
@@ -11,6 +15,7 @@ import pytest
 
 from headfem import cli
 from headfem import io as hio
+from headfem.config import ProjectConfig
 from test_harness import write_sphere_project
 
 
@@ -218,9 +223,17 @@ def test_reused_simulate_matches_an_empty_directory(tmp_path, calls, modality):
     fresh = outputs(cold / "out")
     assert set(fresh) == {"data.csv", "data_manifest.json"} | (
         {"data_background.csv"} if modality == "eit" else set())
+    cold_manifest = json.loads(fresh.pop("data_manifest.json"))
+    surfaces = cold_manifest.pop("inputs")
     for directory in (chain / "out", chain / "data1"):
         got = outputs(directory)
         assert {k: got[k] for k in fresh} == fresh
+        # The manifests differ only in the artifact files that the reused
+        # run records beside the surface files.
+        manifest = json.loads(got["data_manifest.json"])
+        used = manifest.pop("inputs")
+        assert manifest == cold_manifest
+        assert surfaces.items() < used.items()
 
 
 def test_output_dir_first_then_project_dir(tmp_path, calls, logged):
@@ -349,3 +362,128 @@ def test_simulate_warns_when_its_leadfield_is_not_saved(tmp_path, logged):
     run(path, "leadfield")
     run(path, "simulate")
     assert warnings(logged) == []
+
+
+@pytest.fixture
+def reads(monkeypatch, tmp_path):
+    """Counts of the opens for reading (``Path.read_bytes`` included) of
+    each file under ``tmp_path``, by path relative to it."""
+    counts = {}
+    inner = io.open
+
+    def counting(file, mode="r", *args, **kwargs):
+        path = os.path.realpath(file) if isinstance(file, (str, os.PathLike)) \
+            else None
+        if path and not set(mode) & set("wax+") and path.startswith(
+                os.path.realpath(tmp_path)):
+            name = os.path.relpath(path, os.path.realpath(tmp_path))
+            counts[name] = counts.get(name, 0) + 1
+        return inner(file, mode, *args, **kwargs)
+    monkeypatch.setattr(io, "open", counting)
+    monkeypatch.setattr(builtins, "open", counting)
+    (tmp_path / "probe").write_bytes(b"")
+    (tmp_path / "probe").read_bytes()
+    assert counts.pop("probe") == 1
+    return counts
+
+
+SURFACES = {"project.ini", "head_nodes.dat", "head_tris.dat"}
+MESH = {"out/mesh_manifest.json", *(f"out/mesh_{part}.dat" for part in
+                                    ("nodes", "tetra", "labels", "sigma"))}
+LEADFIELD = {"out/leadfield_manifest.json", "out/leadfield.bin",
+             "out/leadfield.bin.json"}
+
+
+# The last column counts segmentations built: one for a mesh or EEG
+# sources, none where every artifact needed is reused.
+@pytest.mark.parametrize("modality, before, command, extra, inputs, built", [
+    ("eeg", [], "mesh", [], SURFACES, 1),
+    ("eeg", [], "leadfield", [], SURFACES, 1),
+    ("eeg", ["mesh"], "leadfield", [], SURFACES | MESH, 1),
+    ("eit", [], "leadfield", [], SURFACES, 1),
+    ("eit", ["mesh"], "leadfield", [], SURFACES | MESH, 0),
+    ("eeg", [], "simulate", [], SURFACES, 1),
+    ("eeg", ["leadfield"], "simulate", [], SURFACES | LEADFIELD, 0),
+    ("eit", ["mesh", "leadfield"], "simulate", [],
+     SURFACES | MESH | LEADFIELD, 0),
+    ("eeg", ["leadfield", "simulate"], "invert",
+     ["--data", "out/data.csv"], SURFACES | LEADFIELD | {"out/data.csv"}, 0),
+    ("eit", ["leadfield", "simulate"], "invert",
+     ["--data", "out/data.csv"], SURFACES | LEADFIELD | {"out/data.csv"}, 0),
+    ("eit", ["leadfield", "simulate", "invert"], "metrics",
+     ["--reconstruction", "out/reconstruction.csv"],
+     {"project.ini", "out/reconstruction.csv"}, 0),
+], ids=["mesh", "leadfield-eeg", "leadfield-eeg-on-mesh", "leadfield-eit",
+        "leadfield-eit-on-mesh", "simulate-eeg", "simulate-eeg-on-leadfield",
+        "simulate-eit-on-artifacts", "invert-eeg", "invert-eit", "metrics"])
+def test_each_input_file_is_read_once(tmp_path, reads, monkeypatch, modality,
+                                      before, command, extra, inputs, built):
+    # The bytes a command hashes are the bytes it parses: one read per
+    # input file (a file the command writes is read once, to hash it).
+    path = write_sphere_project(tmp_path, modality=modality, extra=(
+        "[truth]\nposition = 0.0 0.0 0.04\nroi_radius = 0.09\n"))
+    monkeypatch.chdir(tmp_path)
+    for step in before:
+        run(path, step, *(["--data", "out/data.csv"] if step == "invert"
+                          else []))
+    segmentations = []
+    build = ProjectConfig.build_segmentation
+
+    def counted(*args, **kwargs):
+        segmentations.append(args)
+        return build(*args, **kwargs)
+    monkeypatch.setattr(ProjectConfig, "build_segmentation", counted)
+    reads.clear()
+    run(path, command, *extra)
+    assert inputs <= reads.keys()
+    assert {name: n for name, n in reads.items() if n != 1} == {}
+    assert len(segmentations) == built
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_invert_records_the_data_it_parsed(tmp_path, monkeypatch):
+    path = write_sphere_project(tmp_path)
+    run(path, "leadfield")
+    run(path, "simulate")
+    out = tmp_path / "out"
+    data = out / "data.csv"
+    parsed = sha256(data)
+    parse = hio.parse_dataset
+
+    def parse_then_replace(*args, **kwargs):
+        # A file replaced after the read does not reach the manifest.
+        y = parse(*args, **kwargs)
+        data.write_text(data.read_text().replace("e", "E"))
+        return y
+    monkeypatch.setattr(hio, "parse_dataset", parse_then_replace)
+    run(path, "invert", "--data", str(data))
+    assert sha256(data) != parsed
+    recorded = json.loads((out / "leadfield_manifest.json").read_text())
+    inputs = json.loads(
+        (out / "reconstruction_manifest.json").read_text())["inputs"]
+    assert inputs == {**recorded["inputs"], "data": parsed,
+                      **recorded["outputs"]}
+
+
+@pytest.mark.parametrize("modality", ["eeg", "eit"])
+def test_simulate_records_the_artifacts_it_used(tmp_path, modality):
+    path = write_sphere_project(tmp_path, modality=modality)
+    surfaces = {name: sha256(tmp_path / name)
+                for name in ("head_nodes.dat", "head_tris.dat")}
+    out = tmp_path / "out"
+
+    def recorded(manifest):
+        return json.loads((out / manifest).read_text())
+
+    run(path, "simulate")       # builds both in memory: no artifact used
+    assert recorded("data_manifest.json")["inputs"] == surfaces
+    run(path, "mesh")
+    run(path, "leadfield")
+    run(path, "simulate")
+    used = {**surfaces, **recorded("leadfield_manifest.json")["outputs"]}
+    if modality == "eit":
+        used.update(recorded("mesh_manifest.json")["outputs"])
+    assert recorded("data_manifest.json")["inputs"] == used

@@ -17,7 +17,6 @@ from headfem.geometry import (
     load_surface_mesh,
     load_surface_mesh_asc,
     nearest_center,
-    point_in_compartment,
     save_surface_mesh,
 )
 
@@ -26,6 +25,20 @@ from conftest import TET_NODES, TET_TRIS, reference_locate
 
 def _write(path, lines):
     path.write_text("\n".join(lines) + "\n")
+
+
+def euler_characteristic(surface):
+    """V - E + F (2 for a genus-0 closed surface)."""
+    t = surface.triangles
+    edges = np.sort(np.stack([t, np.roll(t, -1, axis=1)], axis=2), axis=2)
+    return (len(surface.nodes) - len(np.unique(edges.reshape(-1, 2), axis=0))
+            + len(t))
+
+
+def label(seg, point):
+    """The compartment that ``Segmentation.locate`` gives one point (-1:
+    outside every one)."""
+    return int(seg.locate(np.asarray(point, dtype=float)[None, :])[0])
 
 
 class TestLoadSurfaceMesh:
@@ -39,7 +52,7 @@ class TestLoadSurfaceMesh:
 
     def test_cube_euler_characteristic(self, cube_surface):
         # V - E + F = 8 - 18 + 12 = 2 for a genus-0 surface.
-        assert cube_surface.euler_characteristic() == 2
+        assert euler_characteristic(cube_surface) == 2
         assert len(cube_surface.nodes) == 8
         assert len(cube_surface.triangles) == 12
 
@@ -158,8 +171,10 @@ class TestSurfaceText:
     @pytest.mark.parametrize("token", ["x", "1,5", "0x1"])
     def test_non_numeric_token_names_the_file(self, tmp_path, layout, token):
         nodes = NODE_LINES[:1] + [f"0 0 {token}"] + NODE_LINES[2:]
-        name = "n.dat" if layout == "pair" else "m.asc"
-        with pytest.raises(FormatError, match=f"{name}: a value is not a number"):
+        # Lines count from the top: the .asc file has two lines above.
+        name, line = ("n.dat", 2) if layout == "pair" else ("m.asc", 4)
+        with pytest.raises(FormatError, match=f"{name}: line {line}, "
+                           f"column 3: '{token}' is not a number"):
             load_lines(tmp_path, layout, nodes, TRI_LINES)
 
     def test_ragged_rows_name_the_line(self, tmp_path, layout):
@@ -204,24 +219,24 @@ def test_save_load_round_trip_property(radii, scale, center, seed):
 class TestContainment:
     def test_tet_centroid_inside(self, tet_surface):
         seg = Segmentation([Compartment(tet_surface, 1.0)])
-        assert point_in_compartment(seg, TET_NODES.mean(axis=0)) == 0
+        assert label(seg, TET_NODES.mean(axis=0)) == 0
 
     def test_far_point_outside(self, tet_surface):
         seg = Segmentation([Compartment(tet_surface, 1.0)])
         r = np.linalg.norm(TET_NODES, axis=1).max()
-        assert point_in_compartment(seg, np.array([10 * r, 0.0, 0.0])) is None
+        assert label(seg, np.array([10 * r, 0.0, 0.0])) == -1
 
     def test_nested_spheres_innermost_wins(self, nested_sphere_segmentation):
         seg = nested_sphere_segmentation
-        assert point_in_compartment(seg, np.zeros(3)) == 0
-        assert point_in_compartment(seg, np.array([0.0, 0.0, 0.8])) == 1
-        assert point_in_compartment(seg, np.array([0.0, 0.0, 1.5])) is None
+        assert label(seg, np.zeros(3)) == 0
+        assert label(seg, np.array([0.0, 0.0, 0.8])) == 1
+        assert label(seg, np.array([0.0, 0.0, 1.5])) == -1
 
     def test_on_surface_counts_as_inside(self, cube_surface):
         seg = Segmentation([Compartment(cube_surface, 1.0)])
         # Face interior point, edge midpoint, and corner of the unit cube.
         for p in ([0.5, 0.5, 1.0], [0.5, 0.0, 0.0], [1.0, 1.0, 1.0]):
-            assert point_in_compartment(seg, np.array(p)) == 0
+            assert label(seg, np.array(p)) == 0
 
     def test_parity_independent_of_ray_direction(self, tet_surface):
         rng = np.random.default_rng(42)
@@ -260,8 +275,7 @@ class TestContainment:
         np.testing.assert_array_equal(
             batch, reference_locate(nested_sphere_segmentation, pts))
         for p, expect in zip(pts, batch):
-            got = point_in_compartment(nested_sphere_segmentation, p)
-            assert (got if got is not None else -1) == expect
+            assert label(nested_sphere_segmentation, p) == expect
 
 
 class TestCompartment:
@@ -289,7 +303,7 @@ class TestCompartment:
 class TestGenerators:
     def test_icosphere_closed_and_outward(self):
         s = icosphere(radius=2.0, subdivisions=2)
-        assert s.euler_characteristic() == 2
+        assert euler_characteristic(s) == 2
         # Outward normals: dot(normal, radial) > 0 everywhere on a sphere.
         centers = s.nodes[s.triangles].mean(axis=1)
         assert np.all(np.einsum("ij,ij->i", s.normals, centers) > 0)
@@ -303,7 +317,7 @@ class TestGenerators:
         assert np.all(np.einsum("ij,ij->i", cube_surface.normals, out) > 0)
 
     def test_nearest_triangle(self, cube_surface):
-        j, d = cube_surface.nearest_triangle(np.array([0.5, 0.5, 2.0]))
+        [j], [d] = cube_surface.nearest_triangles([0.5, 0.5, 2.0])
         assert d == pytest.approx(1.0)
         assert np.allclose(cube_surface.normals[j], [0, 0, 1])
 

@@ -98,6 +98,24 @@ class TestMeshFiles:
         with pytest.raises(FormatError, match=f"mesh {part}: .*{reason}"):
             hio.load_tet_mesh(str(tmp_path / "m"))
 
+    @pytest.mark.parametrize("part, head, where", [
+        ("nodes", b"0 0 x\n", "line 1, column 3: 'x' is not a number"),
+        ("tetra", b"1 2 3 4.5\n",
+         "line 1, column 4: '4.5' is not an integer"),
+        # Comment and blank lines count.
+        ("labels", b"# x\n\nx # y\n",
+         "line 3, column 1: 'x' is not an integer"),
+        ("sigma", b"0.33\n1e\n", "line 2, column 1: '1e' is not a number"),
+    ])
+    def test_bad_cell_names_line_and_column(self, mesh, tmp_path, part, head,
+                                            where):
+        # ``head`` replaces the first line.
+        hio.save_tet_mesh(mesh, str(tmp_path / "m"))
+        path = tmp_path / f"m_{part}.dat"
+        path.write_bytes(head + path.read_bytes().split(b"\n", 1)[1])
+        with pytest.raises(FormatError, match=f"^mesh {part}: {where}$"):
+            hio.load_tet_mesh(str(tmp_path / "m"))
+
     @settings(max_examples=25, deadline=None)
     @given(h=st.floats(0.03, 0.06), keep=st.integers(1, 400),
            tensor=st.booleans(), smoothed=st.booleans(),
@@ -188,7 +206,8 @@ class TestDatasets:
                                       hio.load_reconstruction])
     @pytest.mark.parametrize("text,reason", [
         ("", "empty file"),
-        ("a,b,c\n0,1.0,2.0\n1,3.0\n", "line 3 has 2 cells"),
+        ("a,b,c\n0,1.0,2.0\n1,3.0\n",
+         "2 values of line 3 do not fill a row of 3"),
         ("a,b,c\n0,1.0,2.0\n1,3.0,abc\n", "line 3, column 3: 'abc'"),
     ])
     def test_malformed_csv_raises_format_error(self, tmp_path, load, text,
@@ -382,3 +401,39 @@ class TestWritersMatchReference:
                 got = fh.read().decode()
         assert got == "".join(",".join(map(cell, row)) + "\r\n"
                               for row in [["a", "b,c"], *rows])
+
+
+def as_read(values):
+    """``values`` as float64, every nan the one that the text "nan" names."""
+    values = np.asarray(values, dtype=float)
+    return np.where(np.isnan(values), np.nan, values)
+
+
+class TestReadersRoundTrip:
+    """The CSV readers give back bit for bit what the writers printed."""
+
+    @array_settings
+    @given(data=st.data(), n_electrodes=st.integers(1, 12),
+           n_cols=st.integers(1, 6))
+    def test_dataset(self, data, n_electrodes, n_cols):
+        y = data.draw(float_arrays(n_electrodes * n_cols))
+        with tempfile.TemporaryDirectory() as tmp:
+            hio.save_dataset(f"{tmp}/d.csv", y, n_electrodes)
+            back = hio.load_dataset(f"{tmp}/d.csv")
+        assert back.shape == y.shape
+        assert back.tobytes() == as_read(y).tobytes()
+
+    @array_settings
+    @given(data=st.data(), n=rows_,
+           mode=st.sampled_from(["constrained", "unconstrained"]))
+    def test_reconstruction(self, data, n, mode):
+        positions = data.draw(float_arrays((n, 3)))
+        values = data.draw(float_arrays((1 if mode == "constrained" else 3)
+                                        * n))
+        with tempfile.TemporaryDirectory() as tmp:
+            hio.save_reconstruction(f"{tmp}/r.csv", positions, values, mode)
+            pos_back, values_back = hio.load_reconstruction(f"{tmp}/r.csv")
+        assert pos_back.shape == positions.shape
+        assert values_back.shape == values.shape
+        assert pos_back.tobytes() == as_read(positions).tobytes()
+        assert values_back.tobytes() == as_read(values).tobytes()
