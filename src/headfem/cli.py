@@ -112,11 +112,6 @@ class _Inputs:
         return self.cfg.build_segmentation(self._bytes.__getitem__)
 
 
-def _output_hashes(out, stage):
-    return {key: hio.sha256_file(os.path.join(out, name))
-            for key, name in _ARTIFACTS[stage][1].items()}
-
-
 def _stale_reason(directory, stage, inputs, digest=None, files=None):
     """Why the ``stage`` artifact in ``directory`` does not verify against
     the surface hashes of ``inputs`` (None if it does), and the bytes of its
@@ -200,8 +195,7 @@ def _build_electrodes(cfg, mesh):
                                      cfg.electrodes["impedances"])
 
 
-def _build_leadfield(cfg, mesh, inputs):
-    electrodes = _build_electrodes(cfg, mesh)
+def _build_leadfield(cfg, mesh, electrodes, inputs):
     pcg = _pcg_config(cfg)
     if cfg.modality == "eeg":
         src = place_sources(mesh, inputs.segmentation,
@@ -216,15 +210,18 @@ def _build_leadfield(cfg, mesh, inputs):
                          patterns, pcg)
 
 
-def _leadfield(cfg, out, inputs, mesh=None):
+def _leadfield(cfg, out, inputs, mesh=None, electrodes=None):
     """The project lead field, read from a verified artifact or built in
-    memory on ``mesh`` (by default the project mesh)."""
+    memory on ``mesh`` and its ``electrodes`` (by default the project mesh
+    and the electrodes built on it)."""
     found = _find_artifact(cfg, out, "leadfield", inputs, unsaved=(
         "leadfield: the lead field built now is not saved "
         "(`headfem leadfield` writes one)"))
     if found is None:
-        return _build_leadfield(
-            cfg, mesh if mesh is not None else _mesh(cfg, out, inputs), inputs)
+        if mesh is None:
+            mesh = _mesh(cfg, out, inputs)
+            electrodes = _build_electrodes(cfg, mesh)
+        return _build_leadfield(cfg, mesh, electrodes, inputs)
     lf, _ = hio.parse_leadfield(found["leadfield"], found["leadfield_sidecar"])
     # The C order of a built lead field, so products with it round alike.
     return replace(lf, matrix=np.ascontiguousarray(lf.matrix))
@@ -241,7 +238,7 @@ def cmd_mesh(cfg, args):
     inputs = _Inputs(cfg)
     mesh = _build_mesh(cfg, inputs)
     prefix = os.path.join(out, "mesh")
-    hio.save_tet_mesh(mesh, prefix)
+    hashes = hio.save_tet_mesh(mesh, prefix)
     hio.write_manifest(
         os.path.join(out, "mesh_manifest.json"), "mesh", cfg.digest,
         seeds={}, parameters={
@@ -251,7 +248,8 @@ def cmd_mesh(cfg, args):
             "n_nodes": mesh.n_nodes,
             "n_elements": mesh.n_elements,
             "compartments": [c.name for c in cfg.compartments],
-        }, outputs=_output_hashes(out, "mesh"), inputs=inputs.hashes)
+        }, outputs={f"mesh_{part}": sha for part, sha in hashes.items()},
+        inputs=inputs.hashes)
     print(f"mesh: {mesh.n_nodes} nodes, {mesh.n_elements} elements -> {prefix}_*.dat")
     return 0
 
@@ -259,19 +257,21 @@ def cmd_mesh(cfg, args):
 def cmd_leadfield(cfg, args):
     out = _outdir(cfg, args)
     inputs = _Inputs(cfg)
-    lf = _build_leadfield(cfg, _mesh(cfg, out, inputs), inputs)
+    mesh = _mesh(cfg, out, inputs)
+    lf = _build_leadfield(cfg, mesh, _build_electrodes(cfg, mesh), inputs)
     if cfg.modality == "eeg":
         extra = {"sources": cfg.sources["count"], "mode": cfg.sources["mode"]}
     else:
         extra = {"dofs": cfg.eit["dofs"], "patterns": lf.n_patterns}
     path = os.path.join(out, "leadfield.bin")
-    hio.save_leadfield(lf, path)
+    payload, sidecar = hio.save_leadfield(lf, path)
     hio.write_manifest(
         os.path.join(out, "leadfield_manifest.json"), "leadfield", cfg.digest,
         seeds=_leadfield_seeds(cfg), parameters={
             "modality": cfg.modality, "rows": lf.matrix.shape[0],
             "cols": lf.matrix.shape[1], **extra,
-        }, outputs=_output_hashes(out, "leadfield"), inputs=inputs.hashes)
+        }, outputs={"leadfield": payload, "leadfield_sidecar": sidecar},
+        inputs=inputs.hashes)
     print(f"leadfield: {lf.matrix.shape[0]} x {lf.matrix.shape[1]} "
           f"({cfg.modality}) -> {path}")
     return 0
@@ -299,8 +299,8 @@ def cmd_simulate(cfg, args):
         if anomaly is None:
             raise ConfigError(f"{cfg.path}: [simulation] anomaly missing")
         mesh = _mesh(cfg, out, inputs)
-        lf = _leadfield(cfg, out, inputs, mesh)
         electrodes = _build_electrodes(cfg, mesh)
+        lf = _leadfield(cfg, out, inputs, mesh, electrodes)
         patterns = adjacent_pair_patterns(electrodes.count,
                                           cfg.eit["amplitude"])
         y_pert = anomaly_signal(mesh, electrodes, anomaly[:3], *anomaly[3:],
@@ -308,18 +308,18 @@ def cmd_simulate(cfg, args):
         y = y_pert + noise.sample(y_pert)
         n_cols = patterns.shape[1]
         bg = os.path.join(out, "data_background.csv")
-        hio.save_dataset(bg, lf.background_data, electrodes.count)
-        outputs["data_background"] = hio.sha256_file(bg)
+        outputs["data_background"] = hio.save_dataset(
+            bg, lf.background_data, electrodes.count)
         truth["anomaly"] = [float(v) for v in anomaly]
 
     path = os.path.join(out, "data.csv")
-    hio.save_dataset(path, y, lf.n_electrodes)
+    outputs["data"] = hio.save_dataset(path, y, lf.n_electrodes)
     hio.write_manifest(
         os.path.join(out, "data_manifest.json"), "simulate", cfg.digest,
         seeds={**_leadfield_seeds(cfg), "noise": seed}, parameters={
             "modality": cfg.modality, "noise_mode": noise.mode,
             "noise_level": noise.level, "columns": n_cols, "truth": truth,
-        }, outputs={"data": hio.sha256_file(path), **outputs},
+        }, outputs=outputs,
         inputs=inputs.used)
     print(f"data: {len(y)} values -> {path}")
     return 0
@@ -390,11 +390,12 @@ def cmd_invert(cfg, args):
         metrics = _score(cfg, positions, x, lf.orientations)
 
     rec_path = os.path.join(out, "reconstruction.csv")
-    hio.save_reconstruction(rec_path, positions, x, "constrained"
-                            if constrained else "unconstrained")
-    outputs = {"reconstruction": hio.sha256_file(rec_path)}
+    outputs = {"reconstruction": hio.save_reconstruction(
+        rec_path, positions, x,
+        "constrained" if constrained else "unconstrained")}
     if metrics:
-        outputs["metrics"] = _write_metrics(out, metrics)
+        outputs["metrics"] = hio.write_json(
+            os.path.join(out, "metrics.json"), metrics)
 
     hio.write_manifest(
         os.path.join(out, "reconstruction_manifest.json"), "invert",
@@ -427,13 +428,6 @@ def _score(cfg, positions, x, orientations=None):
     return {"position_error_mm": pos_err, "angle_error_deg": angle}
 
 
-def _write_metrics(out, metrics):
-    """Write ``metrics.json`` and return its sha256."""
-    path = os.path.join(out, "metrics.json")
-    hio.write_json(path, metrics)
-    return hio.sha256_file(path)
-
-
 # [experiment] key -> field of the experiment's parameter dataclass.
 _EXPERIMENT_FIELDS = {"realizations": "realizations", "n_seeds": "n_seeds",
                       "resolution": "resolution", "electrodes": "n_electrodes",
@@ -454,19 +448,22 @@ def cmd_experiment(cfg, args):
 
     out = _outdir(cfg, args)
     master = args.seed if args.seed is not None else cfg.experiment["master_seed"]
+    outputs = {}
+
+    def save(name, write, *data):
+        outputs[name] = write(os.path.join(out, name), *data)
+
     if args.name == "eeg-hypermodel":
         params = _experiment_params(cfg, ex.EegHypermodelParams(
             master_seed=master))
         rows, summary, _ = ex.eeg_hypermodel_experiment(params)
         header = ["case", "hypermodel", "theta0", "source", "realization",
                   "position_error_mm", "angle_error_deg"]
-        hio.write_csv(os.path.join(out, "hypermodel_realizations.csv"), header,
-                      [[r[k] for k in header] for r in rows])
+        save("hypermodel_realizations.csv", hio.write_csv, header,
+             [[r[k] for k in header] for r in rows])
         sh = list(summary[0].keys())
-        hio.write_csv(os.path.join(out, "hypermodel_summary.csv"), sh,
-                      [[s[k] for k in sh] for s in summary])
-        outputs = {n: hio.sha256_file(os.path.join(out, n)) for n in
-                   ("hypermodel_realizations.csv", "hypermodel_summary.csv")}
+        save("hypermodel_summary.csv", hio.write_csv, sh,
+             [[s[k] for k in sh] for s in summary])
         parameters = {"name": args.name, "realizations": params.realizations,
                       "cases": [list(c) for c in params.cases]}
     elif args.name == "eit-hemorrhage":
@@ -475,23 +472,17 @@ def cmd_experiment(cfg, args):
         rows, first, ctx = ex.eit_hemorrhage_experiment(params)
         header = ["seed", "com_x", "com_y", "com_z", "com_error_mm",
                   "within_radius"]
-        hio.write_csv(os.path.join(out, "hemorrhage_seeds.csv"), header,
-                      [[r[k] for k in header] for r in rows])
+        save("hemorrhage_seeds.csv", hio.write_csv, header,
+             [[r[k] for k in header] for r in rows])
         hits = sum(r["within_radius"] for r in rows)
-        hio.write_csv(os.path.join(out, "hemorrhage_summary.csv"),
-                      ["n_seeds", "hits", "median_error_mm"],
-                      [[params.n_seeds, hits,
-                        float(np.median([r["com_error_mm"] for r in rows]))]])
+        save("hemorrhage_summary.csv", hio.write_csv,
+             ["n_seeds", "hits", "median_error_mm"],
+             [[params.n_seeds, hits,
+               float(np.median([r["com_error_mm"] for r in rows]))]])
         centers = ctx["dofs"].centers
-        hio.save_reconstruction(os.path.join(out, "reconstruction_averaged.csv"),
-                                centers, first["averaged"], "constrained")
-        hio.save_reconstruction(
-            os.path.join(out, "reconstruction_unaveraged.csv"),
-            centers, first["unaveraged"], "constrained")
-        outputs = {n: hio.sha256_file(os.path.join(out, n)) for n in
-                   ("hemorrhage_seeds.csv", "hemorrhage_summary.csv",
-                    "reconstruction_averaged.csv",
-                    "reconstruction_unaveraged.csv")}
+        for kind in ("averaged", "unaveraged"):
+            save(f"reconstruction_{kind}.csv", hio.save_reconstruction,
+                 centers, first[kind], "constrained")
         parameters = {"name": args.name, "n_seeds": params.n_seeds,
                       "subsets": params.n_subsets,
                       "decompositions": params.n_decompositions}
@@ -513,9 +504,10 @@ def cmd_metrics(cfg, args):
         raise ConfigError("metrics requires a [truth] section with a position")
     data = Path(args.reconstruction).read_bytes()
     metrics = _score(cfg, *hio.parse_reconstruction(data, args.reconstruction))
+    sha = hio.write_json(os.path.join(out, "metrics.json"), metrics)
     hio.write_manifest(
         os.path.join(out, "metrics_manifest.json"), "metrics", cfg.digest,
-        seeds={}, parameters={}, outputs={"metrics": _write_metrics(out, metrics)},
+        seeds={}, parameters={}, outputs={"metrics": sha},
         inputs={"reconstruction": _sha256(data)})
     print(f"metrics: position_error_mm={metrics['position_error_mm']:.3f}")
     return 0

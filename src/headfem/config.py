@@ -16,6 +16,7 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,26 +32,33 @@ from .io import canonical_json, sha256_text
 _REQUIRED_SECTIONS = ("mesh", "electrodes", "modality", "output")
 
 
-def _find_line(path, section, key=None):
-    """Line number of the ``[section]`` header, or of ``key`` inside it."""
+class _Ini(NamedTuple):
+    """The path of an INI file and its text, read once."""
+
+    path: str
+    text: str
+
+
+def _where(ini, section, key=None):
+    """``path:line`` of the ``[section]`` header, or of ``key`` inside it
+    (``path:None`` if there is none)."""
     current = None
-    with open(path) as fh:
-        for no, line in enumerate(fh, start=1):
-            text = line.strip()
-            header = re.match(r"\[(.+)\]", text)   # configparser's header rule
-            if header:
-                current = header.group(1)
-                if key is None and current == section:
-                    return no
-            elif (key is not None and current == section and
-                  re.split(r"[=:]", text, maxsplit=1)[0].strip().lower() == key):
-                return no
-    return None
+    for no, line in enumerate(ini.text.split("\n"), start=1):
+        text = line.strip()
+        header = re.match(r"\[(.+)\]", text)   # configparser's header rule
+        if header:
+            current = header.group(1)
+            if key is None and current == section:
+                return f"{ini.path}:{no}"
+        elif (key is not None and current == section and
+              re.split(r"[=:]", text, maxsplit=1)[0].strip().lower() == key):
+            return f"{ini.path}:{no}"
+    return f"{ini.path}:None"
 
 
-def _error(path, section, key, reason):
+def _error(ini, section, key, reason):
     return ConfigError(
-        f"{path}:{_find_line(path, section, key)}: [{section}] {key}: {reason}")
+        f"{_where(ini, section, key)}: [{section}] {key}: {reason}")
 
 
 @dataclass
@@ -231,17 +239,17 @@ _SCHEMA = {
 }
 
 
-def _parse_section(path, section, schema, sec):
+def _parse_section(ini, section, schema, sec):
     """Check, parse and default the keys of one section."""
     for key in sec:
         if key not in schema:
-            raise _error(path, section, key, "unknown key")
+            raise _error(ini, section, key, "unknown key")
     values = {}
     for key, (parse, default) in schema.items():
         try:
             values[key] = parse(sec[key]) if key in sec else copy.copy(default)
         except (ValueError, OverflowError) as exc:
-            raise _error(path, section, key, exc) from None
+            raise _error(ini, section, key, exc) from None
     return values
 
 
@@ -249,9 +257,10 @@ def load_config(path):
     """Parse and validate an INI project file."""
     # No header can name "", so [DEFAULT] is an ordinary (unknown) section.
     parser = configparser.ConfigParser(interpolation=None, default_section="")
+    with open(path) as fh:
+        ini = _Ini(path, fh.read())
     try:
-        with open(path) as fh:
-            parser.read_file(fh, source=str(path))
+        parser.read_string(ini.text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}")
 
@@ -259,26 +268,26 @@ def load_config(path):
     for section in parser.sections():
         base = section.split(":", 1)[0].strip().lower()
         if base not in _SCHEMA:
-            raise ConfigError(f"{path}:{_find_line(path, section)}: "
+            raise ConfigError(f"{_where(ini, section)}: "
                               f"unknown section [{section}]")
         raw[section] = dict(parser.items(section))
-        opts[section] = _parse_section(path, section, _SCHEMA[base],
+        opts[section] = _parse_section(ini, section, _SCHEMA[base],
                                        raw[section])
         if base == "compartment":
-            compartments.append(_compartment_spec(path, section, opts[section]))
+            compartments.append(_compartment_spec(ini, section, opts[section]))
 
     for required in _REQUIRED_SECTIONS:
         if required not in raw:
             raise ConfigError(f"{path}: missing required section [{required}]")
     for name, schema in _SCHEMA.items():     # absent sections: all defaults
         if name not in opts:
-            opts[name] = _parse_section(path, name, schema, {})
+            opts[name] = _parse_section(ini, name, schema, {})
 
     return ProjectConfig(
         path=str(path), base_dir=os.path.dirname(os.path.abspath(path)),
         raw=raw, unit_scale=opts["project"]["unit_scale"],
         compartments=compartments, mesh=opts["mesh"],
-        electrodes=_electrode_options(path, opts["electrodes"]),
+        electrodes=_electrode_options(ini, opts["electrodes"]),
         sources=opts["sources"], eit=opts["eit"],
         modality=opts["modality"]["type"], solver=opts["solver"],
         inversion=opts["inversion"], simulation=opts["simulation"],
@@ -286,20 +295,20 @@ def load_config(path):
         experiment=opts["experiment"], output_dir=opts["output"]["dir"])
 
 
-def _compartment_spec(path, section, values):
+def _compartment_spec(ini, section, values):
     if values["surfaces"] is None:
-        raise ConfigError(f"{path}:{_find_line(path, section)}: "
+        raise ConfigError(f"{_where(ini, section)}: "
                           f"[{section}] needs a surfaces key")
     name = section.split(":", 1)[1].strip() if ":" in section else section
     return CompartmentSpec(name=name, **values)
 
 
-def _electrode_options(path, values):
+def _electrode_options(ini, values):
     """Positions and triangles exclude each other, and the ``impedance``
     value fills every position line that gives none."""
     lines, triangles = values["positions"], values["triangles"]
     if lines and triangles:
-        raise _error(path, "electrodes", "triangles",
+        raise _error(ini, "electrodes", "triangles",
                      "give either positions or triangles, not both")
     z = values["impedance"]
     return {

@@ -34,7 +34,7 @@ import scipy.sparse as sp
 
 from .errors import AssemblyError, ElectrodeError, LocationError
 from .geometry import nearest_center
-from .meshgen import sorted_unique
+from .meshgen import centroids, sorted_unique
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +160,7 @@ class ElectrodeSet:
         within ``radius`` of its center; conflicts go to the nearest center."""
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
         bfaces, _ = mesh.boundary_triangles()
-        cent = mesh.nodes[bfaces].mean(axis=1)
+        cent = centroids(mesh.nodes, bfaces)
         nearest, dist = nearest_center(cent, centers)
         ids = [np.flatnonzero((dist <= radius) & (nearest == k))
                for k in range(len(centers))]

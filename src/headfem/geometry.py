@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import FormatError, TopologyError
 from .io import _parse_table, _uncommented, _write_rows
+from .meshgen import sorted_unique
 
 logger = logging.getLogger(__name__)
 
@@ -323,7 +324,7 @@ class SurfaceMesh:
         key, ys = yz[cand].view(complex)[:, 0], yz[cand, 0]
         slab = np.cumsum(np.r_[0, np.searchsorted(ys, whi[:, 0], side="right")
                                - np.searchsorted(ys, wlo[:, 0])])
-        ys = np.unique(ys)
+        ys = sorted_unique(ys)
         row0 = np.searchsorted(ys, wlo[:, 0])
         rows = np.searchsorted(ys, whi[:, 0], side="right") - row0
         unsure_line = np.zeros(len(yz), dtype=bool)
@@ -398,6 +399,19 @@ class SurfaceMesh:
     def __repr__(self):
         return (f"SurfaceMesh('{self.name}', {len(self.nodes)} nodes, "
                 f"{len(self.triangles)} triangles)")
+
+
+def _yz_lines(pts):
+    """The distinct (y, z) pairs of the points in lexicographic order (the
+    lines of the +x rays) and the line of each point."""
+    order = np.lexsort((pts[:, 2], pts[:, 1]))
+    y, z = pts[order, 1], pts[order, 2]
+    new = np.ones(len(pts), dtype=bool)
+    np.not_equal(y[1:], y[:-1], out=new[1:])
+    new[1:] |= z[1:] != z[:-1]
+    line = np.empty(len(pts), dtype=np.int64)
+    line[order] = np.cumsum(new) - 1
+    return np.column_stack([y[new], z[new]]), line
 
 
 def _runs(start, count):
@@ -559,12 +573,7 @@ class Segmentation:
         over surfaces) and the points passed to ``SurfaceMesh.contains``.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        # (y, z) read as one complex number: exact, and sorted
-        # lexicographically.
-        yz, line = np.unique(
-            np.ascontiguousarray(pts[:, 1:]).view(complex)[:, 0],
-            return_inverse=True)
-        yz = yz.view(float).reshape(-1, 2)
+        yz, line = _yz_lines(pts)
         labels = np.full(len(pts), -1, dtype=np.int64)
         n_rays = n_fallback = n_pairs = 0
         for k, comp in enumerate(self.compartments):

@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from .errors import (
     DecompositionError,
@@ -120,13 +120,17 @@ def ias_step(L, y, state, hyper):
     Ls = L * d_half[None, :]
     measurement = L.shape[0] <= L.shape[1]
     K = Ls @ Ls.T if measurement else Ls.T @ Ls
-    K[np.diag_indices_from(K)] += state.nu**2
-    try:
-        c, low = sla.cho_factor(K)
-        w = sla.cho_solve((c, low), y if measurement else Ls.T @ y)
-    except sla.LinAlgError as exc:
+    K.flat[::len(K) + 1] += state.nu**2
+    rhs = y if measurement else Ls.T @ y
+    # The checks and the upper Cholesky factor of cho_factor / cho_solve.
+    if not (np.isfinite(K).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    c, info = lapack.dpotrf(K, lower=0, clean=0, overwrite_a=1)
+    if info > 0:
         space = "measurement" if measurement else "parameter"
-        raise NumericalError(f"{space}-space solve failed: {exc}")
+        raise NumericalError(f"{space}-space solve failed: {info}-th leading "
+                             "minor of the array is not positive definite")
+    w, _ = lapack.dpotrs(c, rhs, lower=0)
     x = d_half * (Ls.T @ w if measurement else w)
     theta = hyper.update_theta(x)
     return replace(state, x=x, theta=theta, k=state.k + 1)

@@ -9,6 +9,8 @@ Conventions shared by every artifact:
 * Tabular outputs are RFC-4180 CSV; floats use ``repr`` (shortest
   round-trip form), so reruns are byte-identical.
 * JSON manifests are written with sorted keys and no timestamps.
+* Every writer returns the sha256 of the bytes it wrote (per file, where it
+  writes several), so no output is read back to be hashed.
 * Numeric text, CSV included, is read by :func:`_parse_table` (one row per
   line, ``#`` comments) from bytes (``parse_*``; ``load_*`` reads the file)
   and written by :func:`_write_rows`: one ``%`` row template per block of
@@ -35,19 +37,41 @@ def _write_rows(fh, template, table):
         fh.write(template * len(block) % tuple(block.ravel().tolist()))
 
 
+class _HashedFile:
+    """A file opened for binary writing whose ``write`` takes text (written
+    UTF-8 encoded) or bytes; ``sha256`` hashes all it wrote."""
+
+    def __init__(self, path):
+        self._fh, self.sha256 = open(path, "wb"), hashlib.sha256()
+
+    def write(self, data):
+        data = data.encode() if isinstance(data, str) else data
+        self.sha256.update(data)
+        self._fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
 # ---------------------------------------------------------------------------
 # tetrahedral meshes
 
 def save_tet_mesh(mesh, prefix):
     """Write ``<prefix>_nodes.dat``, ``_tetra.dat``, ``_labels.dat`` and
-    ``_sigma.dat`` (indices and labels one-based)."""
+    ``_sigma.dat`` (indices and labels one-based); the sha256 by part."""
+    hashes = {}
     for part, table, cell in (("nodes", mesh.nodes, "%.17g"),
                               ("tetra", mesh.tetra + 1, "%d"),
                               ("labels", mesh.labels + 1, "%d"),
                               ("sigma", mesh.sigma, "%.17g")):
         cols = table.shape[1] if table.ndim == 2 else 1
-        with open(f"{prefix}_{part}.dat", "w") as fh:
+        with _HashedFile(f"{prefix}_{part}.dat") as fh:
             _write_rows(fh, " ".join([cell] * cols) + "\n", table)
+        hashes[part] = fh.sha256.hexdigest()
+    return hashes
 
 
 def load_tet_mesh(prefix):
@@ -126,9 +150,10 @@ def parse_tet_mesh(read):
 # lead fields
 
 def save_leadfield(lf, path):
-    """Binary column-major little-endian matrix plus a ``.json`` sidecar."""
+    """Binary column-major little-endian matrix plus a ``.json`` sidecar;
+    the sha256 of each, matrix first."""
     mat = np.asarray(lf.matrix, dtype="<f8")
-    with open(path, "wb") as fh:
+    with _HashedFile(path) as fh:
         fh.write(mat.ravel(order="F").tobytes())
     side = {
         "rows": int(mat.shape[0]),
@@ -145,7 +170,7 @@ def save_leadfield(lf, path):
             sha256_array(lf.background_sigma)
             if lf.background_sigma is not None else None),
     }
-    write_json(str(path) + ".json", side)
+    return fh.sha256.hexdigest(), write_json(str(path) + ".json", side)
 
 
 def load_leadfield(path):
@@ -185,28 +210,30 @@ def _field_array(field):
 # CSV datasets and reconstructions
 
 def write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+    with _HashedFile(path) as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
             w.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
                         else v for v in row])
+    return fh.sha256.hexdigest()
 
 
 def _write_table(path, header, table):
     """:func:`write_csv` bytes for ``header`` and the rows of ``table``, each
     behind its zero-based row index (in the table's dtype, printed by "%d")."""
     table = np.column_stack([np.arange(len(table)), table])
-    with open(path, "w", newline="") as fh:
+    with _HashedFile(path) as fh:
         csv.writer(fh).writerow(header)
         _write_rows(fh, "%d" + ",%r" * (table.shape[1] - 1) + "\r\n", table)
+    return fh.sha256.hexdigest()
 
 
 def save_dataset(path, data, n_electrodes):
     """Electrode-by-pattern dataset (EEG data are one pattern column)."""
     cols = np.asarray(data, dtype=float).reshape(n_electrodes, -1, order="F")
     header = ["electrode"] + [f"pattern{j}" for j in range(cols.shape[1])]
-    _write_table(path, header, cols)
+    return _write_table(path, header, cols)
 
 
 def _parse_csv(data, name):
@@ -238,7 +265,7 @@ def save_reconstruction(path, positions, values, mode):
         header = ["dof_id", "x", "y", "z", "amplitude"]
     else:
         header = ["dof_id", "x", "y", "z", "qx", "qy", "qz"]
-    _write_table(path, header, np.column_stack(
+    return _write_table(path, header, np.column_stack(
         [positions, values.reshape(len(positions), len(header) - 4)]))
 
 
@@ -263,8 +290,9 @@ def canonical_json(obj):
 
 
 def write_json(path, obj):
-    with open(path, "w") as fh:
+    with _HashedFile(path) as fh:
         fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    return fh.sha256.hexdigest()
 
 
 def sha256_text(text):
@@ -284,7 +312,7 @@ def write_manifest(path, kind, config_digest, seeds, parameters, outputs=None,
     """Replayable run manifest: configuration digest, seeds and parameters
     (never timestamps, so reruns hash identically).  ``inputs`` maps the
     input files the configuration names to their sha256; it is written
-    only when given."""
+    only when given.  Returns the manifest's sha256."""
     from . import __version__
 
     manifest = {
@@ -297,5 +325,4 @@ def write_manifest(path, kind, config_digest, seeds, parameters, outputs=None,
     }
     if inputs is not None:
         manifest["inputs"] = inputs
-    write_json(path, manifest)
-    return manifest
+    return write_json(path, manifest)

@@ -52,8 +52,21 @@ _CORNER_OFFSETS = np.array([[(j >> a) & 1 for a in range(3)] for j in range(8)],
 def tet_volumes(nodes, tetra):
     """Signed volumes under the stored node ordering: the triple product
     e1 . (e2 x e3) / 6 of the edges e_k = x_k - x_0."""
-    e = nodes[tetra[:, 1:]] - nodes[tetra[:, :1]]
-    return np.einsum("ij,ij->i", e[:, 0], np.cross(e[:, 1], e[:, 2])) / 6.0
+    x0 = nodes[tetra[:, 0]]
+    e1, e2, e3 = (nodes[tetra[:, k]] - x0 for k in (1, 2, 3))
+    return np.einsum("ij,ij->i", e1, np.cross(e2, e3)) / 6.0
+
+
+def centroids(nodes, cells):
+    """``nodes[cells].mean(axis=1)`` bit for bit, without the (m, w, 3)
+    gather: the same sum from 0.0 (which makes an all -0.0 sum +0.0), one
+    corner column at a time, then one division."""
+    out = np.zeros((len(cells), nodes.shape[1]))
+    corner = np.empty_like(out)
+    for k in range(cells.shape[1]):
+        out += np.take(nodes, cells[:, k], axis=0, out=corner)
+    out /= cells.shape[1]
+    return out
 
 
 def sorted_unique(a):
@@ -128,7 +141,7 @@ class TetMesh:
         return self.sigma.ndim == 2
 
     def centroids(self):
-        return self.nodes[self.tetra].mean(axis=1)
+        return centroids(self.nodes, self.tetra)
 
     def element_faces(self):
         """All (4m, 3) faces, outward-oriented for positive elements.
@@ -321,9 +334,9 @@ def generate_mesh(seg, h):
     corners = base[:, None] + off[None, :]          # (ncubes, 8)
     tetra = corners[:, _KUHN_TETS].reshape(-1, 4)   # (ncubes*6, 4)
 
-    centroids = grid_nodes[tetra].mean(axis=1)
-    point_label = seg.locate(np.concatenate([centroids, grid_nodes]))
-    cent_label = point_label[:len(centroids)]
+    point_label = seg.locate(np.concatenate([centroids(grid_nodes, tetra),
+                                             grid_nodes]))
+    cent_label = point_label[:len(tetra)]
     keep = cent_label >= 0
     if not keep.any():
         raise EmptyMeshError(
@@ -331,11 +344,13 @@ def generate_mesh(seg, h):
     tetra = tetra[keep]
     labels = cent_label[keep]
 
-    # Node labels drive the multi-compartment priority rule.
-    used, tetra = np.unique(tetra, return_inverse=True)
-    tetra = tetra.reshape(-1, 4)
+    # The grid nodes that kept elements use, renumbered in grid order; their
+    # labels drive the multi-compartment priority rule.
+    used = np.zeros(len(grid_nodes), dtype=bool)
+    used[tetra] = True
+    tetra = (np.cumsum(used) - 1)[tetra]
     nodes = grid_nodes[used]
-    node_label = point_label[len(centroids):][used]
+    node_label = point_label[-len(grid_nodes):][used]
     labels = _apply_priorities(seg, tetra, labels, node_label)
 
     table = _conductivity_table(seg)
@@ -352,16 +367,18 @@ def _apply_priorities(seg, tetra, labels, node_label):
     """
     nl = node_label[tetra]                      # (m, 4)
     first = nl.max(axis=1)
-    multi = np.any((nl != first[:, None]) & (nl >= 0), axis=1) & (first >= 0)
+    multi = np.flatnonzero(
+        np.any((nl != first[:, None]) & (nl >= 0), axis=1) & (first >= 0))
     pri = np.array([c.priority for c in seg.compartments], dtype=float)
-    cands = np.column_stack([nl, labels])       # (m, 5): node labels, centroid
+    # (k, 5) for the k straddling elements: node labels, centroid label.
+    cands = np.column_stack([nl[multi], labels[multi]])
     slot_pri = np.where(cands >= 0, pri[cands], np.inf)
     best = slot_pri.min(axis=1)
     # Lowest compartment index among the candidates at the best priority.
     winner = np.where(slot_pri == best[:, None], cands, len(pri)).min(axis=1)
-    change = multi & (pri[labels] != best)
+    change = pri[cands[:, 4]] != best
     out = labels.copy()
-    out[change] = winner[change]
+    out[multi[change]] = winner[change]
     return out
 
 

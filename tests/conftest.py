@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from headfem import geometry
+from headfem import geometry, meshgen
 from headfem.geometry import (
     Compartment,
     Segmentation,
@@ -30,6 +30,81 @@ def reference_locate(seg, points):
         labels[open_[hit]] = k
         open_ = open_[~hit]
     return labels
+
+
+def reference_line_locate(seg, points):
+    """``Segmentation.locate`` with its points grouped into (y, z) lines by
+    ``np.unique`` of (y, z) read as one complex number.  Returns the labels
+    and the (rays, pairs, fallback points) counts of the DEBUG record; the
+    reference for the lexsorted grouping."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    yz, line = np.unique(
+        np.ascontiguousarray(pts[:, 1:]).view(complex)[:, 0],
+        return_inverse=True)
+    yz = yz.view(float).reshape(-1, 2)
+    labels = np.full(len(pts), -1, dtype=np.int64)
+    n_rays = n_fallback = n_pairs = 0
+    for k, comp in enumerate(seg.compartments):
+        hit = np.zeros(len(pts), dtype=bool)
+        for surf in comp.surfaces:
+            inside, unsure, rays, pairs = surf._line_parity(yz, line,
+                                                            pts[:, 0])
+            ask = np.flatnonzero(unsure & ~hit & (labels < 0))
+            if ask.size:
+                inside[ask] = surf.contains(pts[ask])
+            hit |= inside
+            n_rays += rays
+            n_fallback += ask.size
+            n_pairs += pairs
+        labels[hit & (labels < 0)] = k
+    return labels, (n_rays, n_pairs, n_fallback)
+
+
+def reference_tet_volumes(nodes, tetra):
+    """Signed volumes from the (m, 3, 3) edge gather: the reference for
+    ``meshgen.tet_volumes``."""
+    e = nodes[tetra[:, 1:]] - nodes[tetra[:, :1]]
+    return np.einsum("ij,ij->i", e[:, 0], np.cross(e[:, 1], e[:, 2])) / 6.0
+
+
+def reference_generate_mesh(seg, h):
+    """``meshgen.generate_mesh`` with the (m, 4, 3) centroid gather, the
+    complex-keyed line grouping of ``reference_line_locate``, node
+    compaction by ``np.unique`` and the priority candidates of every
+    element: the bit-for-bit reference of the mesh generator on valid
+    input."""
+    lo, hi = seg.bounding_box()
+    ncell = np.maximum(1, np.ceil((hi - lo) / h - 1e-12).astype(int))
+    nx, ny, nz = ncell
+    xs, ys, zs = (lo[k] + h * np.arange(ncell[k] + 1) for k in range(3))
+    gz, gy, gx = np.meshgrid(zs, ys, xs, indexing="ij")
+    grid_nodes = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
+    cz, cy, cx = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx),
+                             indexing="ij")
+    base = (cx + (nx + 1) * (cy + (ny + 1) * cz)).ravel()
+    off = meshgen._CORNER_OFFSETS @ [1, nx + 1, (nx + 1) * (ny + 1)]
+    tetra = (base[:, None] + off)[:, meshgen._KUHN_TETS].reshape(-1, 4)
+
+    centroids = grid_nodes[tetra].mean(axis=1)
+    point_label, _ = reference_line_locate(
+        seg, np.concatenate([centroids, grid_nodes]))
+    cent_label = point_label[:len(centroids)]
+    keep = cent_label >= 0
+    used, tetra = np.unique(tetra[keep], return_inverse=True)
+    tetra = tetra.reshape(-1, 4)
+    labels = cent_label[keep]
+    nl = point_label[len(centroids):][used][tetra]
+    first = nl.max(axis=1)
+    multi = np.any((nl != first[:, None]) & (nl >= 0), axis=1) & (first >= 0)
+    pri = np.array([c.priority for c in seg.compartments], dtype=float)
+    cands = np.column_stack([nl, labels])
+    slot_pri = np.where(cands >= 0, pri[cands], np.inf)
+    best = slot_pri.min(axis=1)
+    winner = np.where(slot_pri == best[:, None], cands, len(pri)).min(axis=1)
+    change = multi & (pri[labels] != best)
+    labels = np.where(change, winner, labels)
+    return meshgen.TetMesh(grid_nodes[used], tetra, labels,
+                           meshgen._conductivity_table(seg)[labels])
 
 
 def reference_nearest_triangle(surface, point):

@@ -9,6 +9,7 @@ import json
 import logging
 import os
 import shutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from headfem import cli
 from headfem import io as hio
 from headfem.config import ProjectConfig
+from headfem.fem import ElectrodeSet
 from test_harness import write_sphere_project
 
 
@@ -40,6 +42,21 @@ def calls(monkeypatch):
 
 def run(path, command, *extra):
     assert cli.main([command, "--config", str(path), *extra]) == 0
+
+
+def test_cold_eit_simulate_builds_the_electrodes_once(tmp_path, monkeypatch):
+    # With no artifact, one electrode set serves the lead field, the
+    # anomaly data and the background dataset.
+    path = write_sphere_project(tmp_path, modality="eit")
+    built = []
+    inner = ElectrodeSet.from_centers.__func__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return inner(cls, *args, **kwargs)
+    monkeypatch.setattr(ElectrodeSet, "from_centers", classmethod(counting))
+    run(path, "simulate")
+    assert len(built) == 1
 
 
 def outputs(directory):
@@ -365,26 +382,32 @@ def test_simulate_warns_when_its_leadfield_is_not_saved(tmp_path, logged):
 
 
 @pytest.fixture
-def reads(monkeypatch, tmp_path):
-    """Counts of the opens for reading (``Path.read_bytes`` included) of
-    each file under ``tmp_path``, by path relative to it."""
-    counts = {}
+def opens(monkeypatch, tmp_path):
+    """The opens (``Path.read_bytes`` and ``write_bytes`` included) of the
+    files under ``tmp_path``, by path relative to it: ``reads`` counts the
+    opens for reading, ``writes`` holds the files opened for writing and
+    ``read_back`` the files read after they were written."""
+    seen = SimpleNamespace(reads={}, writes=set(), read_back=set())
     inner = io.open
 
     def counting(file, mode="r", *args, **kwargs):
         path = os.path.realpath(file) if isinstance(file, (str, os.PathLike)) \
             else None
-        if path and not set(mode) & set("wax+") and path.startswith(
-                os.path.realpath(tmp_path)):
+        if path and path.startswith(os.path.realpath(tmp_path)):
             name = os.path.relpath(path, os.path.realpath(tmp_path))
-            counts[name] = counts.get(name, 0) + 1
+            if set(mode) & set("wax+"):
+                seen.writes.add(name)
+            else:
+                seen.reads[name] = seen.reads.get(name, 0) + 1
+                if name in seen.writes:
+                    seen.read_back.add(name)
         return inner(file, mode, *args, **kwargs)
     monkeypatch.setattr(io, "open", counting)
     monkeypatch.setattr(builtins, "open", counting)
     (tmp_path / "probe").write_bytes(b"")
     (tmp_path / "probe").read_bytes()
-    assert counts.pop("probe") == 1
-    return counts
+    assert seen.reads == {"probe": 1} and seen.read_back == {"probe"}
+    return seen
 
 
 SURFACES = {"project.ini", "head_nodes.dat", "head_tris.dat"}
@@ -416,10 +439,11 @@ LEADFIELD = {"out/leadfield_manifest.json", "out/leadfield.bin",
 ], ids=["mesh", "leadfield-eeg", "leadfield-eeg-on-mesh", "leadfield-eit",
         "leadfield-eit-on-mesh", "simulate-eeg", "simulate-eeg-on-leadfield",
         "simulate-eit-on-artifacts", "invert-eeg", "invert-eit", "metrics"])
-def test_each_input_file_is_read_once(tmp_path, reads, monkeypatch, modality,
+def test_each_input_file_is_read_once(tmp_path, opens, monkeypatch, modality,
                                       before, command, extra, inputs, built):
     # The bytes a command hashes are the bytes it parses: one read per
-    # input file (a file the command writes is read once, to hash it).
+    # input file.  A file the command writes is hashed as it is written,
+    # never read back.
     path = write_sphere_project(tmp_path, modality=modality, extra=(
         "[truth]\nposition = 0.0 0.0 0.04\nroi_radius = 0.09\n"))
     monkeypatch.chdir(tmp_path)
@@ -433,10 +457,12 @@ def test_each_input_file_is_read_once(tmp_path, reads, monkeypatch, modality,
         segmentations.append(args)
         return build(*args, **kwargs)
     monkeypatch.setattr(ProjectConfig, "build_segmentation", counted)
-    reads.clear()
+    for seen in (opens.reads, opens.writes, opens.read_back):
+        seen.clear()
     run(path, command, *extra)
-    assert inputs <= reads.keys()
-    assert {name: n for name, n in reads.items() if n != 1} == {}
+    assert inputs <= opens.reads.keys()
+    assert {name: n for name, n in opens.reads.items() if n != 1} == {}
+    assert opens.writes and opens.read_back == set()
     assert len(segmentations) == built
 
 

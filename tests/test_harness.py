@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import json
 import os
@@ -126,6 +127,23 @@ class TestConfig:
         line = int(msg.split(":")[1])
         assert (path.read_text().splitlines()[line - 1].strip()
                 .startswith("fancy_knob"))
+
+    def test_config_error_reads_the_ini_once(self, tmp_path, monkeypatch):
+        path = write_cube_project(tmp_path)
+        path.write_text(path.read_text().replace("[mesh]\n",
+                                                 "[mesh]\nfancy = 1\n"))
+        line = path.read_text().splitlines().index("fancy = 1") + 1
+        opened = []
+        inner = builtins.open
+
+        def counting(file, *args, **kwargs):
+            opened.append(str(file))
+            return inner(file, *args, **kwargs)
+        monkeypatch.setattr(builtins, "open", counting)
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"{path}:{line}: [mesh] fancy: unknown key"
+        assert opened.count(str(path)) == 1
 
     def test_unknown_section_rejected(self, tmp_path):
         path = write_cube_project(tmp_path, extra="[plotting]\nstyle = dark\n")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from headfem import inverse
 from headfem.errors import (
     DecompositionError,
+    NumericalError,
     ParameterError,
     RoiError,
     UndefinedMetricError,
@@ -156,6 +157,34 @@ class TestIasStep:
         state = initial_state(3, h, nu=1.0)
         with pytest.raises(ParameterError):
             ias_step(np.ones((2, 2)), np.ones(2), state, h)
+
+    # (2, 3) factors the measurement system, (3, 2) the parameter system.
+    @pytest.mark.parametrize("shape, space", [((2, 3), "measurement"),
+                                              ((3, 2), "parameter")])
+    def test_singular_system_raises_numerical_error(self, shape, space):
+        # All-ones rows with nu^2 = 1e-20 round to a singular K, which
+        # cho_factor rejects too.
+        L = np.ones(shape)
+        K = L @ L.T if space == "measurement" else L.T @ L
+        with pytest.raises(sla.LinAlgError):
+            sla.cho_factor(K + 1e-20 * np.eye(len(K)))
+        state = IasState(x=np.zeros(shape[1]), theta=np.ones(shape[1]),
+                         nu=1e-10)
+        with pytest.raises(NumericalError, match=f"{space}-space solve failed: "
+                           "2-th leading minor"):
+            ias_step(L, np.ones(shape[0]), state, HyperModel("G"))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["L", "y"])
+    def test_non_finite_input_raises_value_error(self, shape, bad, where):
+        # The error cho_factor and cho_solve raise for such input.  Positive
+        # entries keep inf from meeting a zero (a warning, not the error).
+        L, y = np.full(shape, 0.5), np.ones(shape[0])
+        (L if where == "L" else y).flat[1] = bad
+        state = initial_state(shape[1], HyperModel("G"), nu=0.5)
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            ias_step(L, y, state, HyperModel("G"))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["G", "IG"]))

@@ -23,7 +23,7 @@ from headfem.geometry import (
 )
 from headfem.meshgen import generate_mesh
 
-from conftest import reference_locate
+from conftest import reference_line_locate, reference_locate
 
 _KUHN_OFFSETS = np.array(list(itertools.permutations((0.75, 0.5, 0.25))))
 
@@ -141,6 +141,27 @@ def test_generate_mesh_logs_rays_and_fallback(caplog):
         generate_mesh(seg, 0.25)
     assert "x-rays cast" in caplog.text and "per-point fallback" in caplog.text
     assert "line-triangle pairs tested" in caplog.text
+
+
+# Coordinates with exact repeats, both zeros and NaN, so that points share
+# lines, lines differ only in the sign of a zero, and NaN rows occur.
+_shared = st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, 1.0 / 3, -0.7, 1.2,
+                           np.nan])
+
+
+@settings(max_examples=80, deadline=None)
+@given(pts=st.lists(st.tuples(st.floats(-1.3, 1.3) | _shared, _shared,
+                              _shared), max_size=60))
+def test_lexsorted_lines_give_the_complex_unique_labels(pts):
+    seg = Segmentation([
+        Compartment(icosphere(0.5, 1, name="in"), 0.3),
+        Compartment(box_surface((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)), 1.0)])
+    pts = np.array(pts, dtype=float).reshape(-1, 3)
+    labels, *counts = locate_counted(seg, pts)
+    ref_labels, ref_counts = reference_line_locate(seg, pts)
+    assert labels.dtype == ref_labels.dtype
+    np.testing.assert_array_equal(labels, ref_labels)
+    assert tuple(counts) == ref_counts
 
 
 def test_empty_point_set():

@@ -8,6 +8,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from headfem.errors import ConfigError, EmptyMeshError, ParameterError
+from headfem.experiments import (
+    EegHypermodelParams,
+    EitHemorrhageParams,
+    layered_sphere_segmentation,
+)
 from headfem.geometry import Compartment, Segmentation, box_surface, icosphere
 from headfem.meshgen import (
     SourceSpace,
@@ -15,6 +20,7 @@ from headfem.meshgen import (
     _apply_priorities,
     _interface_graph,
     _nearest_normals,
+    centroids,
     generate_mesh,
     place_sources,
     smooth_mesh,
@@ -22,7 +28,12 @@ from headfem.meshgen import (
     tet_volumes,
 )
 
-from conftest import reference_locate, reference_nearest_triangle
+from conftest import (
+    reference_generate_mesh,
+    reference_locate,
+    reference_nearest_triangle,
+    reference_tet_volumes,
+)
 
 
 class TestGenerateMesh:
@@ -371,3 +382,78 @@ def test_sorted_unique_matches_np_unique(a):
     u = sorted_unique(a)
     assert u.dtype == a.dtype
     np.testing.assert_array_equal(u, np.unique(a))
+
+
+# ---------------------------------------------------------------------------
+# Bit for bit against the reference generator
+
+
+def desk_segmentation(model):
+    """The EIT and EEG desk segmentations, and the EIT shells with distinct
+    priorities, and their resolutions."""
+    p = EegHypermodelParams() if model == "eeg" else EitHemorrhageParams()
+    priorities = (3, 1, 2, 0) if model == "eit-priorities" else p.priorities
+    return layered_sphere_segmentation(p.radii, p.conductivities, priorities,
+                                       (0,), p.subdivisions), p.resolution
+
+
+def assert_same_mesh(mesh, ref):
+    for name in ("nodes", "tetra", "labels", "sigma", "volumes"):
+        a, b = getattr(mesh, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    np.testing.assert_array_equal(reference_tet_volumes(mesh.nodes,
+                                                        mesh.tetra),
+                                  mesh.volumes)
+    np.testing.assert_array_equal(mesh.centroids(),
+                                  mesh.nodes[mesh.tetra].mean(axis=1))
+
+
+@pytest.mark.parametrize("model", ["eit", "eit-priorities", "eeg"])
+def test_generate_mesh_matches_reference_on_desk_models(model):
+    seg, h = desk_segmentation(model)
+    assert_same_mesh(generate_mesh(seg, h), reference_generate_mesh(seg, h))
+
+
+def test_priorities_relabel_straddlers_on_distinct_priority_shells():
+    # The distinct-priority model exercises the rule: some elements leave
+    # their centroid's compartment.
+    seg, h = desk_segmentation("eit-priorities")
+    mesh = generate_mesh(seg, h)
+    assert np.count_nonzero(mesh.labels != seg.locate(mesh.centroids())) > 100
+
+
+def test_smoothed_mesh_matches_reference():
+    seg, h = desk_segmentation("eit")
+    mesh = smooth_mesh(generate_mesh(seg, h), 2, 0.3)
+    with mock.patch("headfem.meshgen.tet_volumes", reference_tet_volumes):
+        ref = smooth_mesh(reference_generate_mesh(seg, h), 2, 0.3)
+    assert not np.array_equal(mesh.nodes, generate_mesh(seg, h).nodes)
+    assert_same_mesh(mesh, ref)
+
+
+finite = st.floats(-1e6, 1e6, allow_subnormal=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nodes=hnp.arrays(float, st.tuples(st.integers(1, 40), st.just(3)),
+                        elements=finite),
+       width=st.sampled_from([3, 4]), data=st.data())
+def test_centroids_match_mean_of_the_gather(nodes, width, data):
+    cells = data.draw(hnp.arrays(np.int64, st.tuples(st.integers(0, 60),
+                                                     st.just(width)),
+                                 elements=st.integers(0, len(nodes) - 1)))
+    got = centroids(nodes, cells)
+    assert got.dtype == float and got.shape == (len(cells), 3)
+    assert got.tobytes() == nodes[cells].mean(axis=1).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(nodes=hnp.arrays(float, st.tuples(st.integers(4, 40), st.just(3)),
+                        elements=st.floats(-1e3, 1e3)),
+       data=st.data())
+def test_tet_volumes_match_the_edge_gather_formula(nodes, data):
+    tetra = data.draw(hnp.arrays(np.int64, st.tuples(st.integers(0, 60),
+                                                     st.just(4)),
+                                 elements=st.integers(0, len(nodes) - 1)))
+    assert (tet_volumes(nodes, tetra).tobytes()
+            == reference_tet_volumes(nodes, tetra).tobytes())
