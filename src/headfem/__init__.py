@@ -30,7 +30,6 @@ from .fem import (
     assemble_B_C_R,
     assemble_G,
     assemble_cem_system,
-    ground_node,
 )
 from .solver import PcgConfig, ldp, pcg_solve, transfer_matrix
 from .leadfield import (

@@ -364,19 +364,24 @@ def cmd_invert(cfg, args):
                       else np.sqrt(np.mean(y_hat**2)))
 
     positions = lf.positions
-    constrained = lf.orientations is not None or lf.modality == "eit"
+    comp = lf.matrix.shape[1] // len(positions)     # columns per DOF
     if inv["method"] == "roi":
         if inv["roi_center"] is None:
             raise ConfigError("[inversion] roi_center required in roi mode")
-        comp = 1 if constrained else 3
         in_roi = np.linalg.norm(positions - inv["roi_center"][None, :],
                                 axis=1) <= inv["roi_radius"]
+        if not in_roi.any():
+            raise ConfigError("[inversion] roi_center and roi_radius hold "
+                              f"none of the {len(positions)} DOFs")
         x = ias_map(L_hat, y_hat, hyper, nu=nu, n_iter=inv["iterations"],
                     roi=np.flatnonzero(np.repeat(in_roi, comp)))
     elif inv["method"] == "multires":
-        if lf.modality == "eeg" and lf.orientations is None:
+        if comp != 1:
             raise DataError("multiresolution mode needs one column per DOF "
                             "(constrained EEG or EIT lead fields)")
+        if not 1 <= inv["subsets"] <= len(positions):
+            raise ConfigError(f"[inversion] subsets = {inv['subsets']} is not "
+                              f"between 1 and the {len(positions)} DOFs")
         x = multires_ias(L_hat, y_hat, positions, hyper, nu=nu,
                          n_iter=inv["iterations"], n_subsets=inv["subsets"],
                          n_decompositions=inv["decompositions"], seed=seed)
@@ -391,8 +396,7 @@ def cmd_invert(cfg, args):
 
     rec_path = os.path.join(out, "reconstruction.csv")
     outputs = {"reconstruction": hio.save_reconstruction(
-        rec_path, positions, x,
-        "constrained" if constrained else "unconstrained")}
+        rec_path, positions, x)}
     if metrics:
         outputs["metrics"] = hio.write_json(
             os.path.join(out, "metrics.json"), metrics)
@@ -482,7 +486,7 @@ def cmd_experiment(cfg, args):
         centers = ctx["dofs"].centers
         for kind in ("averaged", "unaveraged"):
             save(f"reconstruction_{kind}.csv", hio.save_reconstruction,
-                 centers, first[kind], "constrained")
+                 centers, first[kind])
         parameters = {"name": args.name, "n_seeds": params.n_seeds,
                       "subsets": params.n_subsets,
                       "decompositions": params.n_decompositions}

@@ -18,6 +18,9 @@ The node-node matrices reuse one sparsity pattern per mesh topology
 (:meth:`TetMesh.csr_pattern`), so ``A`` is one ``np.bincount`` of the
 (m, 4, 4) element blocks into its data array.  The system at another
 conductivity is ``assemble_cem_system(mesh.with_sigma(sigma), electrodes)``.
+An :class:`ElectrodeSet` is one table of the covered boundary triangles in
+electrode order, so the contact term of ``A`` and the block ``B`` are one
+gather over it each, and its grounding node ``ground`` is found once per set.
 
 ``G`` is built for all sources at once: the faces of the source elements
 and their adjoining elements are gathered from the mesh face table
@@ -28,6 +31,7 @@ functions is one batched pseudoinverse of the (S, 3, 4) moment stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -119,7 +123,7 @@ def triangle_areas(nodes, triangles):
 
 
 class ElectrodeSet:
-    """Surface electrodes as disjoint sets of boundary triangles.
+    """Surface electrodes as one table of covered boundary triangles.
 
     Parameters
     ----------
@@ -129,6 +133,10 @@ class ElectrodeSet:
         electrode; the sets must be disjoint.
     impedances : float or sequence
         Contact impedance per electrode (Ohm).
+
+    ``triangle_ids`` (boundary index), ``triangles``, ``electrode`` (owner)
+    and ``triangle_areas`` hold one row per covered triangle, in electrode
+    order; ``areas`` and ``impedances`` one value per electrode.
     """
 
     def __init__(self, mesh, triangle_ids, impedances):
@@ -137,22 +145,25 @@ class ElectrodeSet:
         imp = np.broadcast_to(np.asarray(impedances, dtype=float), (n_el,)).copy()
         if np.any(imp <= 0):
             raise ElectrodeError("contact impedances must be positive")
-        seen = np.concatenate([np.asarray(t, dtype=np.int64) for t in triangle_ids]) \
-            if n_el else np.array([], dtype=np.int64)
+        ids = [np.asarray(t, dtype=np.int64) for t in triangle_ids]
+        seen = np.concatenate(ids) if n_el else np.array([], dtype=np.int64)
         if seen.size != len(sorted_unique(seen)):
             raise ElectrodeError("electrode triangle sets overlap")
         if seen.size and (seen.min() < 0 or seen.max() >= len(bfaces)):
             raise ElectrodeError("electrode triangle index outside the boundary")
 
-        areas_all = triangle_areas(mesh.nodes, bfaces)
-        self.triangle_ids = tuple(np.asarray(t, dtype=np.int64) for t in triangle_ids)
-        self.triangles = tuple(bfaces[t] for t in self.triangle_ids)
-        self.triangle_areas = tuple(areas_all[t] for t in self.triangle_ids)
-        self.areas = np.array([a.sum() for a in self.triangle_areas])
+        counts = np.array([t.size for t in ids], dtype=np.int64)
+        self.triangle_ids = seen
+        self.triangles = bfaces[seen]
+        self.electrode = np.repeat(np.arange(n_el), counts)
+        self.triangle_areas = triangle_areas(mesh.nodes, self.triangles)
+        self.areas = np.array([self.triangle_areas[e - k:e].sum()
+                               for k, e in zip(counts, np.cumsum(counts))])
         if np.any(self.areas <= 0):
             raise ElectrodeError("electrode with zero covered area")
         self.impedances = imp
         self.count = n_el
+        self._mesh = mesh
 
     @classmethod
     def from_centers(cls, mesh, centers, radius, impedances):
@@ -171,27 +182,18 @@ class ElectrodeSet:
                     f"within radius {radius}")
         return cls(mesh, ids, impedances)
 
-    @property
-    def node_set(self):
-        if self.count == 0:
-            return np.array([], dtype=np.int64)
-        return sorted_unique(np.concatenate([t.ravel() for t in self.triangles]))
-
-    def __len__(self):
-        return self.count
+    @cached_property
+    def ground(self):
+        """Lowest-index boundary node no electrode covers (grounds ``A``)."""
+        free = np.setdiff1d(self._mesh.boundary_nodes(),
+                            sorted_unique(self.triangles), assume_unique=True)
+        if free.size == 0:
+            raise AssemblyError("electrodes cover every boundary node; "
+                                "cannot choose a grounding node")
+        return int(free[0])
 
 
 _SURF_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-
-
-def ground_node(mesh, electrodes):
-    """Lowest-index boundary node not covered by any electrode."""
-    free = np.setdiff1d(mesh.boundary_nodes(), electrodes.node_set,
-                        assume_unique=True)
-    if free.size == 0:
-        raise AssemblyError("electrodes cover every boundary node; "
-                            "cannot choose a grounding node")
-    return int(free[0])
 
 
 def _triangle_slots(mesh, triangles):
@@ -221,16 +223,14 @@ def assemble_A(mesh, electrodes, ground=True):
     data = np.bincount(slot.ravel(), weights=stiffness_blocks(mesh).ravel(),
                        minlength=len(indices))
     if electrodes.count:
-        scale = np.concatenate([
-            areas / (z * a_l) for areas, z, a_l in zip(
-                electrodes.triangle_areas, electrodes.impedances,
-                electrodes.areas)])
-        tris = np.concatenate(electrodes.triangles)
-        data += np.bincount(_triangle_slots(mesh, tris).ravel(),
+        e = electrodes.electrode
+        scale = electrodes.triangle_areas / (electrodes.impedances[e]
+                                             * electrodes.areas[e])
+        data += np.bincount(_triangle_slots(mesh, electrodes.triangles).ravel(),
                             weights=(scale[:, None, None] * _SURF_MASS).ravel(),
                             minlength=len(indices))
     if ground and electrodes.count:
-        i = ground_node(mesh, electrodes)
+        i = electrodes.ground
         row = slice(indptr[i], indptr[i + 1])
         data[row] = 0.0
         data[indices == i] = 0.0
@@ -254,19 +254,11 @@ def assemble_B_C_R(mesh, electrodes):
     n, L = mesh.n_nodes, electrodes.count
     if L == 0:
         raise ElectrodeError("no electrodes defined")
-    rows, cols, vals = [], [], []
-    for l, (tris, areas, z, a_l) in enumerate(zip(electrodes.triangles,
-                                                  electrodes.triangle_areas,
-                                                  electrodes.impedances,
-                                                  electrodes.areas)):
-        if areas.sum() <= 0:
-            raise ElectrodeError(f"electrode {l} has zero covered area")
-        contrib = np.repeat(areas / (3.0 * z * a_l), 3)
-        rows.append(tris.ravel())
-        cols.append(np.full(tris.size, l, dtype=np.int64))
-        vals.append(contrib)
-    B = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
+    e = electrodes.electrode
+    scale = electrodes.triangle_areas / (3.0 * electrodes.impedances[e]
+                                         * electrodes.areas[e])
+    B = sp.coo_matrix((np.repeat(scale, 3),
+                       (electrodes.triangles.ravel(), np.repeat(e, 3))),
                       shape=(n, L)).tocsr()
     C = sp.diags(1.0 / electrodes.impedances, format="csr")
     R = np.eye(L) - np.full((L, L), 1.0 / L)
@@ -375,5 +367,5 @@ def assemble_cem_system(mesh, electrodes, sources=None):
     B, C, R = assemble_B_C_R(mesh, electrodes)
     G = assemble_G(mesh, sources) if sources is not None else None
     return CemSystem(mesh=mesh, electrodes=electrodes, A=A, B=B, C=C, R=R,
-                     ground=ground_node(mesh, electrodes), G=G,
+                     ground=electrodes.ground, G=G,
                      source_space=sources)

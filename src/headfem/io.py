@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DataError, FormatError
 from .meshgen import TetMesh
 
 
@@ -259,14 +259,16 @@ def load_dataset(path):
     return parse_dataset(Path(path).read_bytes(), path)
 
 
-def save_reconstruction(path, positions, values, mode):
+def save_reconstruction(path, positions, values, mode=None):
+    """Rows of 1 (``amplitude``) or 3 (``qx, qy, qz``) values per position,
+    as the value count says; ``mode`` is ignored."""
     values = np.asarray(values, dtype=float)
-    if mode == "constrained" or values.size == len(positions):
-        header = ["dof_id", "x", "y", "z", "amplitude"]
-    else:
-        header = ["dof_id", "x", "y", "z", "qx", "qy", "qz"]
-    return _write_table(path, header, np.column_stack(
-        [positions, values.reshape(len(positions), len(header) - 4)]))
+    n = len(positions)
+    comps = {3 * n: ["qx", "qy", "qz"], n: ["amplitude"]}.get(values.size)
+    if comps is None:
+        raise DataError(f"{path}: {values.size} values for {n} positions")
+    table = np.column_stack([positions, values.reshape(n, len(comps))])
+    return _write_table(path, ["dof_id", "x", "y", "z", *comps], table)
 
 
 def parse_reconstruction(data, name="reconstruction"):

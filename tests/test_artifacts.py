@@ -18,6 +18,7 @@ from headfem import cli
 from headfem import io as hio
 from headfem.config import ProjectConfig
 from headfem.fem import ElectrodeSet
+from headfem.meshgen import tet_volumes
 from test_harness import write_sphere_project
 
 
@@ -81,6 +82,36 @@ def test_chain_generates_the_mesh_once(tmp_path, calls, logged):
     assert calls == {"generate_mesh": 1, "leadfield": 1}
     out = tmp_path / "out"
     assert lookups(logged) == [f"mesh: reused {out}", f"leadfield: reused {out}"]
+
+
+def test_smoothed_mesh_keeps_its_topology_and_is_reused(tmp_path, calls,
+                                                        logged):
+    # The outer boundary is the interface of a one-compartment head, so
+    # smoothing moves boundary nodes and nothing else.
+    plain, smoothed = tmp_path / "plain", tmp_path / "smoothed"
+    plain.mkdir()
+    smoothed.mkdir()
+    run(write_sphere_project(plain), "mesh")
+    path = write_sphere_project(smoothed)
+    path.write_text(path.read_text().replace(
+        "resolution = 0.04", "resolution = 0.04\nsmoothing_iterations = 2"))
+    run(path, "mesh")
+    a = hio.load_tet_mesh(plain / "out" / "mesh")
+    b = hio.load_tet_mesh(smoothed / "out" / "mesh")
+    np.testing.assert_array_equal(b.tetra, a.tetra)
+    np.testing.assert_array_equal(b.labels, a.labels)
+    moved = np.flatnonzero((b.nodes != a.nodes).any(axis=1))
+    assert moved.size and np.isin(moved, a.boundary_nodes()).all()
+    assert (tet_volumes(b.nodes, b.tetra) > 0).all()
+
+    out = smoothed / "out"
+    mesh_files = outputs(out)
+    run(path, "leadfield")
+    assert calls == {"generate_mesh": 2, "leadfield": 1}
+    assert lookups(logged) == [f"mesh: reused {out}"]
+    run(path, "mesh")
+    assert {name: data for name, data in outputs(out).items()
+            if name in mesh_files} == mesh_files
 
 
 def test_manifests_record_inputs_and_sidecar(tmp_path):

@@ -22,10 +22,11 @@ from headfem.fem import (
     assemble_G,
     assemble_cem_system,
     element_gradients,
-    ground_node,
     stiffness_blocks,
+    triangle_areas,
     whitney_source_matrix,
 )
+from headfem.experiments import EitHemorrhageParams, layered_sphere_segmentation
 from headfem.geometry import Compartment, Segmentation, box_surface, icosphere
 from headfem.leadfield import eeg_leadfield
 from headfem.meshgen import (
@@ -36,6 +37,7 @@ from headfem.meshgen import (
     smooth_mesh,
     tet_volumes,
 )
+from headfem.simulate import fibonacci_sphere_points
 from headfem.solver import PcgConfig
 
 
@@ -177,21 +179,47 @@ def coo_assemble_A(mesh, electrodes, ground=True):
 
     parts = [triplets(stiffness_blocks(mesh), mesh.tetra)]
     if electrodes.count:
-        scale = np.concatenate([
-            areas / (z * a_l) for areas, z, a_l in zip(
-                electrodes.triangle_areas, electrodes.impedances,
-                electrodes.areas)])
+        e = electrodes.electrode
+        scale = electrodes.triangle_areas / (electrodes.impedances[e]
+                                             * electrodes.areas[e])
         parts.append(triplets(scale[:, None, None] * _SURF_MASS,
-                              np.concatenate(electrodes.triangles)))
+                              electrodes.triangles))
     rows, cols, vals = (np.concatenate(t) for t in zip(*parts))
     if ground and electrodes.count:
-        i = ground_node(mesh, electrodes)
+        i = reference_ground(mesh, electrodes)
         keep = (rows != i) & (cols != i)
         rows = np.append(rows[keep], i)
         cols = np.append(cols[keep], i)
         vals = np.append(vals[keep], 1.0)
     n = mesh.n_nodes
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def reference_assemble_B(mesh, electrodes):
+    """B built electrode by electrode from triplet lists, the reference
+    for the one gather over the coverage table in ``assemble_B_C_R``."""
+    rows, cols, vals = [], [], []
+    for l in range(electrodes.count):
+        mine = electrodes.electrode == l
+        tris, areas = electrodes.triangles[mine], electrodes.triangle_areas[mine]
+        z, a_l = electrodes.impedances[l], areas.sum()
+        rows.append(tris.ravel())
+        cols.append(np.full(tris.size, l, dtype=np.int64))
+        vals.append(np.repeat(areas / (3.0 * z * a_l), 3))
+    return sp.coo_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(mesh.n_nodes, electrodes.count)).tocsr()
+
+
+def reference_ground(mesh, electrodes):
+    """The lowest boundary node outside every electrode, or None."""
+    free = np.setdiff1d(mesh.boundary_nodes(), np.unique(electrodes.triangles))
+    return int(free[0]) if free.size else None
+
+
+def assert_same_csr(a, b):
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def _adjacent_electrodes(data, mesh):
@@ -225,12 +253,12 @@ class TestAssembleA:
             mesh = mesh.with_sigma(sigma)
         el = _adjacent_electrodes(data, mesh)
         if ground and el.count:
-            assume(np.setdiff1d(mesh.boundary_nodes(), el.node_set).size)
+            assume(reference_ground(mesh, el) is not None)
         A = assemble_A(mesh, el, ground=ground)
         ref = coo_assemble_A(mesh, el, ground=ground)
         assert A.has_sorted_indices and ref.has_sorted_indices
         A, ref = A.tocoo(), ref.tocoo()
-        i = ground_node(mesh, el) if ground and el.count else -1
+        i = el.ground if ground and el.count else -1
         off = (A.row != i) & (A.col != i)
         off_ref = (ref.row != i) & (ref.col != i)
         np.testing.assert_array_equal(A.row[off], ref.row[off_ref])
@@ -315,13 +343,13 @@ class TestAssembleA:
         el = ElectrodeSet.from_centers(
             mesh, [[0.0, 0.0, 1.0], [0.0, 0.6, 0.8], [0.0, 0.0, -1.0]],
             radius=0.6, impedances=[10.0, 3.0, 50.0])
-        assert min(len(t) for t in el.triangle_ids) > 1
-        assert np.intersect1d(el.triangles[0], el.triangles[1]).size > 0
+        assert np.bincount(el.electrode).min() > 1
+        assert np.intersect1d(el.triangles[el.electrode == 0],
+                              el.triangles[el.electrode == 1]).size > 0
         ref = volume_A(mesh).toarray()
-        for tris, areas, z, a_l in zip(el.triangles, el.triangle_areas,
-                                       el.impedances, el.areas):
-            for tri, at in zip(tris, areas):
-                ref[np.ix_(tri, tri)] += at / (z * a_l) * _SURF_MASS
+        for tri, at, l in zip(el.triangles, el.triangle_areas, el.electrode):
+            ref[np.ix_(tri, tri)] += (at / (el.impedances[l] * el.areas[l])
+                                      * _SURF_MASS)
         A0 = assemble_A(mesh, el, ground=False)
         # atol covers Kuhn-mesh entries that are zero in exact arithmetic
         # and come out as +-1e-34 residues in either summation order.
@@ -331,7 +359,7 @@ class TestAssembleA:
         # Grounding replaces row and column i by e_i and leaves the rest of
         # the ungrounded matrix, pattern included, as it was.
         A, A0 = assemble_A(mesh, el).tocoo(), A0.tocoo()
-        i = ground_node(mesh, el)
+        i = el.ground
         e_i = np.eye(mesh.n_nodes)[i]
         np.testing.assert_array_equal(A.toarray()[i], e_i)
         np.testing.assert_array_equal(A.toarray()[:, i], e_i)
@@ -404,6 +432,66 @@ class TestAssembleBCR:
             ElectrodeSet(mesh, [np.array([], dtype=int)], 1.0)
 
 
+class TestElectrodeTable:
+    def test_rows_follow_the_input_electrode_by_electrode(self):
+        _, mesh, _ = sphere_meshes()
+        bfaces, _ = mesh.boundary_triangles()
+        # From 8 terms on, numpy's pairwise .sum() and a running sum
+        # (bincount, reduceat) round differently.
+        order = np.random.default_rng(5).permutation(len(bfaces))
+        ids = [order[:13], order[13:14], order[14:38]]
+        el = ElectrodeSet(mesh, ids, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(el.triangle_ids, order[:38])
+        np.testing.assert_array_equal(el.electrode, np.repeat([0, 1, 2],
+                                                              [13, 1, 24]))
+        np.testing.assert_array_equal(el.triangles, bfaces[el.triangle_ids])
+        every = triangle_areas(mesh.nodes, bfaces)
+        assert np.array_equal(el.triangle_areas, every[el.triangle_ids])
+        assert np.array_equal(el.areas, [every[t].sum() for t in ids])
+        assert el.count == 3
+
+    def test_eit_desk_blocks_match_the_per_electrode_loop(self):
+        p = EitHemorrhageParams()
+        mesh = generate_mesh(
+            layered_sphere_segmentation(p.radii, p.conductivities,
+                                        p.priorities, (0,), p.subdivisions),
+            p.resolution)
+        el = ElectrodeSet.from_centers(
+            mesh, fibonacci_sphere_points(p.n_electrodes, p.radii[-1]),
+            radius=p.electrode_radius, impedances=p.impedance)
+        sys = assemble_cem_system(mesh, el)
+        assert_same_csr(sys.B, reference_assemble_B(mesh, el))
+        assert sys.ground == el.ground == reference_ground(mesh, el)
+
+    def test_electrodes_on_every_boundary_node_leave_no_ground(self):
+        # Four one-face electrodes cover all four nodes of one tetrahedron.
+        mesh = single_tet_mesh()
+        el = ElectrodeSet(mesh, [np.array([k]) for k in range(4)], 1.0)
+        for build in (lambda: el.ground, lambda: assemble_A(mesh, el),
+                      lambda: assemble_cem_system(mesh, el)):
+            with pytest.raises(AssemblyError,
+                               match="electrodes cover every boundary node"):
+                build()
+        assert assemble_A(mesh, el, ground=False).shape == (4, 4)
+
+    def test_ground_is_found_once_per_electrode_set(self, monkeypatch):
+        _, mesh, _ = sphere_meshes()
+        el = ElectrodeSet.from_centers(
+            mesh, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], radius=0.4,
+            impedances=1e3)
+        inner, calls = np.setdiff1d, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(np, "setdiff1d", counting)
+        sys = assemble_cem_system(mesh, el)
+        assemble_cem_system(mesh.with_sigma(2.0 * mesh.sigma), el)
+        assemble_A(mesh, el)
+        assert len(calls) == 1
+        assert sys.ground == el.ground
+
+
 class TestCemProperties:
     """Invariants of the CEM blocks on random electrode sets over a plain
     and a smoothed two-shell mesh."""
@@ -422,6 +510,19 @@ class TestCemProperties:
         z = data.draw(st.lists(st.floats(10.0, 1e4), min_size=n_el,
                                max_size=n_el), "impedances")
         return seg, mesh, ElectrodeSet(mesh, ids, z)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_table_matches_the_per_electrode_loop(self, data):
+        _, mesh, el = self.draw_system(data)
+        B, _, _ = assemble_B_C_R(mesh, el)
+        assert_same_csr(B, reference_assemble_B(mesh, el))
+        free = reference_ground(mesh, el)
+        if free is None:
+            with pytest.raises(AssemblyError):
+                el.ground
+        else:
+            assert el.ground == free
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -756,7 +857,7 @@ class TestSystem:
         assert sys.A.shape == (mesh.n_nodes, mesh.n_nodes)
         assert sys.B.shape == (mesh.n_nodes, 2)
         assert sys.G.shape == (mesh.n_nodes, 9)
-        assert sys.ground == ground_node(mesh, el)
+        assert sys.ground == el.ground == reference_ground(mesh, el)
         # Grounded row/column is the identity row.
         gi = sys.ground
         row = sys.A.getrow(gi).toarray().ravel()

@@ -12,6 +12,7 @@ from headfem.cli import main
 from headfem.config import load_config
 from headfem.errors import ConfigError
 from headfem.geometry import box_surface, icosphere, save_surface_mesh
+from headfem.inverse import normalize_problem
 from headfem import io as hio
 
 
@@ -313,14 +314,36 @@ class TestCliInvertAndMetrics:
         # this 4-electrode fixture.
         assert metrics["position_error_mm"] < 40.0
 
-    def test_roi_with_zero_dofs_exit_3(self, tmp_path, capsys):
+    def test_roi_with_zero_dofs_exit_2(self, tmp_path, capsys):
+        # An ROI ball that holds no source is a configuration error.
         roi = ("[inversion]\nmethod = roi\nroi_center = 10 10 10\n"
                "roi_radius = 0.001")
         path = self._pipeline(tmp_path, inversion=roi)
         out = tmp_path / "out"
+        capsys.readouterr()
         code = main(["invert", "--config", str(path),
                      "--data", str(out / "data.csv")])
-        assert code == 3
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "roi_center" in err and "40 DOFs" in err
+        assert not (out / "reconstruction.csv").exists()
+
+    def test_nu_mode_rms_scales_nu_by_the_data_rms(self, tmp_path):
+        inv = ("[inversion]\nmethod = map\nnu = 0.05\nnu_mode = rms\n"
+               "iterations = 2")
+        path = self._pipeline(tmp_path, inversion=inv)
+        out = tmp_path / "out"
+        assert main(["invert", "--config", str(path),
+                     "--data", str(out / "data.csv")]) == 0
+        lf, _ = hio.load_leadfield(str(out / "leadfield.bin"))
+        _, y_hat, _ = normalize_problem(lf.matrix,
+                                        hio.load_dataset(out / "data.csv"))
+        manifest = json.loads(
+            (out / "reconstruction_manifest.json").read_text())
+        assert manifest["parameters"]["nu_mode"] == "rms"
+        assert manifest["parameters"]["nu"] == pytest.approx(
+            0.05 * np.sqrt(np.mean(y_hat**2)), rel=1e-15)
+        assert np.sqrt(np.mean(y_hat**2)) < np.abs(y_hat).max()
 
     def test_dimension_mismatch_data_error(self, tmp_path, capsys):
         path = self._pipeline(tmp_path)
@@ -461,6 +484,21 @@ class TestCliInvertAndMetrics:
                      str(out / "reconstruction.csv")]) == 0
         assert ((tmp_path / "scored" / "metrics.json").read_bytes()
                 == (out / "metrics.json").read_bytes())
+
+    def test_eit_multires_with_more_subsets_than_dofs_exit_2(self, tmp_path,
+                                                             capsys):
+        # The default 100 subsets exceed the 8 DOFs of the fixture.
+        path = write_sphere_project(tmp_path, modality="eit",
+                                    inversion="[inversion]\nmethod = multires")
+        out = tmp_path / "out"
+        for command in ("leadfield", "simulate"):
+            assert main([command, "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["invert", "--config", str(path),
+                     "--data", str(out / "data.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "subsets = 100" in err and "8 DOFs" in err
+        assert not (out / "reconstruction.csv").exists()
 
     def test_eit_invert_multires(self, tmp_path, capsys):
         inv = ("[inversion]\nmethod = multires\nsubsets = 4\n"

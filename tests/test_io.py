@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from headfem import io as hio
-from headfem.errors import FormatError
+from headfem.errors import DataError, FormatError
 from headfem.fem import ElectrodeSet, assemble_cem_system
 from headfem.geometry import Compartment, Segmentation, icosphere
 from headfem.leadfield import eeg_leadfield
@@ -178,25 +178,35 @@ class TestDatasets:
         assert path.read_bytes() == b"a,b\r\n1,2.5\r\n"
 
     def test_reconstruction_layouts(self, tmp_path):
+        # The value count alone sets the header.
         pos = np.array([[0.0, 0, 0], [1.0, 0, 0]])
-        hio.save_reconstruction(tmp_path / "c.csv", pos, np.array([1.0, -2.0]),
-                                "constrained")
+        hio.save_reconstruction(tmp_path / "c.csv", pos, np.array([1.0, -2.0]))
         assert (tmp_path / "c.csv").read_text().splitlines()[0] == \
             "dof_id,x,y,z,amplitude"
-        hio.save_reconstruction(tmp_path / "u.csv", pos, np.arange(6.0),
-                                "unconstrained")
+        hio.save_reconstruction(tmp_path / "u.csv", pos, np.arange(6.0))
         assert (tmp_path / "u.csv").read_text().splitlines()[0] == \
             "dof_id,x,y,z,qx,qy,qz"
+        # A fourth argument changes nothing; "constrained" with 3 values
+        # per position once failed inside numpy's reshape.
+        hio.save_reconstruction(tmp_path / "q.csv", pos, np.arange(6.0),
+                                "constrained")
+        assert (tmp_path / "q.csv").read_bytes() == \
+            (tmp_path / "u.csv").read_bytes()
+        for n_values in (0, 4, 5, 7):
+            with pytest.raises(DataError, match=f"{n_values} values for 2 "):
+                hio.save_reconstruction(tmp_path / "bad.csv", pos,
+                                        np.arange(float(n_values)))
+        assert not (tmp_path / "bad.csv").exists()
 
-    @pytest.mark.parametrize("comp,mode", [(1, "constrained"),
-                                           (3, "unconstrained")])
-    def test_reconstruction_round_trip(self, tmp_path, comp, mode):
+    @pytest.mark.parametrize("comp", [1, 3],
+                             ids=["1-constrained", "3-unconstrained"])
+    def test_reconstruction_round_trip(self, tmp_path, comp):
         rng = np.random.default_rng(comp)
         pos = rng.normal(scale=0.1, size=(7, 3))
         values = rng.normal(scale=1e-9, size=comp * 7)
         values[0] = -0.0
         path = tmp_path / "r.csv"
-        hio.save_reconstruction(path, pos, values, mode)
+        hio.save_reconstruction(path, pos, values)
         pos_back, values_back = hio.load_reconstruction(path)
         assert pos_back.tobytes() == pos.tobytes()
         assert values_back.tobytes() == values.tobytes()
@@ -279,9 +289,9 @@ def reference_save_dataset(path, data, n_electrodes):
     reference_write_csv(path, header, rows)
 
 
-def reference_save_reconstruction(path, positions, values, mode):
+def reference_save_reconstruction(path, positions, values):
     values = np.asarray(values, dtype=float)
-    if mode == "constrained" or values.size == len(positions):
+    if values.size == len(positions):
         header = ["dof_id", "x", "y", "z", "amplitude"]
         rows = [[i, *positions[i], values[i]] for i in range(len(positions))]
     else:
@@ -355,15 +365,13 @@ class TestWritersMatchReference:
                    lambda p: reference_save_dataset(p, y, n_electrodes))
 
     @array_settings
-    @given(data=st.data(), n=rows_,
-           mode=st.sampled_from(["constrained", "unconstrained"]))
-    def test_reconstruction(self, data, n, mode):
+    @given(data=st.data(), n=rows_, comp=st.sampled_from([1, 3]))
+    def test_reconstruction(self, data, n, comp):
         positions = data.draw(float_arrays((n, 3)))
-        comp = 1 if mode == "constrained" else 3
         values = data.draw(float_arrays(comp * n))
         same_bytes(
-            lambda p: hio.save_reconstruction(p, positions, values, mode),
-            lambda p: reference_save_reconstruction(p, positions, values, mode))
+            lambda p: hio.save_reconstruction(p, positions, values),
+            lambda p: reference_save_reconstruction(p, positions, values))
 
     def test_blocks_join_without_seams(self):
         # Two full 65,536-row format blocks and a short third one.
@@ -424,14 +432,12 @@ class TestReadersRoundTrip:
         assert back.tobytes() == as_read(y).tobytes()
 
     @array_settings
-    @given(data=st.data(), n=rows_,
-           mode=st.sampled_from(["constrained", "unconstrained"]))
-    def test_reconstruction(self, data, n, mode):
+    @given(data=st.data(), n=rows_, comp=st.sampled_from([1, 3]))
+    def test_reconstruction(self, data, n, comp):
         positions = data.draw(float_arrays((n, 3)))
-        values = data.draw(float_arrays((1 if mode == "constrained" else 3)
-                                        * n))
+        values = data.draw(float_arrays(comp * n))
         with tempfile.TemporaryDirectory() as tmp:
-            hio.save_reconstruction(f"{tmp}/r.csv", positions, values, mode)
+            hio.save_reconstruction(f"{tmp}/r.csv", positions, values)
             pos_back, values_back = hio.load_reconstruction(f"{tmp}/r.csv")
         assert pos_back.shape == positions.shape
         assert values_back.shape == values.shape

@@ -135,7 +135,8 @@ class TestEegLeadfield:
     def test_electrode_permutation_permutes_rows(self):
         mesh, el, sys, seg = small_sphere_system(n_electrodes=5, n_sources=3)
         perm = np.array([3, 0, 4, 2, 1])
-        el2 = ElectrodeSet(mesh, [el.triangle_ids[k] for k in perm],
+        el2 = ElectrodeSet(mesh, [el.triangle_ids[el.electrode == k]
+                                  for k in perm],
                            el.impedances[perm])
         sys2 = assemble_cem_system(mesh, el2, sys.source_space)
         lf = eeg_leadfield(sys, TIGHT)
