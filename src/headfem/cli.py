@@ -222,9 +222,8 @@ def _leadfield(cfg, out, inputs, mesh=None, electrodes=None):
             mesh = _mesh(cfg, out, inputs)
             electrodes = _build_electrodes(cfg, mesh)
         return _build_leadfield(cfg, mesh, electrodes, inputs)
-    lf, _ = hio.parse_leadfield(found["leadfield"], found["leadfield_sidecar"])
-    # The C order of a built lead field, so products with it round alike.
-    return replace(lf, matrix=np.ascontiguousarray(lf.matrix))
+    return hio.parse_leadfield(found["leadfield"],
+                               found["leadfield_sidecar"])[0]
 
 
 def _leadfield_seeds(cfg):
@@ -340,8 +339,8 @@ def cmd_invert(cfg, args):
     if reason is not None:
         raise DataError(f"lead field {lf_path} does not verify ({reason}); "
                         "`headfem leadfield` writes a current one")
-    lf, side = hio.parse_leadfield(payloads["leadfield"],
-                                   payloads["leadfield_sidecar"], lf_path)
+    lf, _ = hio.parse_leadfield(payloads["leadfield"],
+                                payloads["leadfield_sidecar"], lf_path)
     data = Path(args.data).read_bytes()
     y = hio.parse_dataset(data, args.data)
     if y.size != lf.matrix.shape[0]:

@@ -73,8 +73,9 @@ class EegHypermodelParams:
     cases: tuple = HYPERMODEL_CASES
 
 
-def build_eeg_model(params):
-    """Mesh, electrodes, sources and the EEG lead field for the protocol."""
+def _sphere_model(params):
+    """Segmentation, mesh and scalp electrodes of either protocol's layered
+    sphere."""
     seg = layered_sphere_segmentation(params.radii, params.conductivities,
                                       params.priorities, (0,),
                                       params.subdivisions)
@@ -82,6 +83,12 @@ def build_eeg_model(params):
     el = ElectrodeSet.from_centers(
         mesh, fibonacci_sphere_points(params.n_electrodes, params.radii[-1]),
         radius=params.electrode_radius, impedances=params.impedance)
+    return seg, mesh, el
+
+
+def build_eeg_model(params):
+    """Mesh, electrodes, sources and the EEG lead field for the protocol."""
+    seg, mesh, el = _sphere_model(params)
     src = place_sources(mesh, seg, params.n_sources, mode="unconstrained",
                         seed=params.source_seed)
     sys = assemble_cem_system(mesh, el, src)
@@ -197,13 +204,7 @@ def build_eit_model(params):
                       anomaly_center=params.anomaly_center,
                       anomaly_diameter=params.anomaly_diameter,
                       anomaly_delta=params.anomaly_delta)
-    seg = layered_sphere_segmentation(params.radii, params.conductivities,
-                                      params.priorities, (0,),
-                                      params.subdivisions)
-    mesh = generate_mesh(seg, params.resolution)
-    el = ElectrodeSet.from_centers(
-        mesh, fibonacci_sphere_points(params.n_electrodes, params.radii[-1]),
-        radius=params.electrode_radius, impedances=params.impedance)
+    _, mesh, el = _sphere_model(params)
     dofs = build_dof_map(mesh, list(params.dof_compartments), params.n_dofs,
                          seed=params.dof_seed)
     patterns = adjacent_pair_patterns(params.n_electrodes)

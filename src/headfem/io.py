@@ -166,9 +166,7 @@ def save_leadfield(lf, path):
         "positions": _array_field(lf.positions),
         "orientations": _array_field(lf.orientations),
         "background_data": _array_field(lf.background_data),
-        "background_sigma_sha256": (
-            sha256_array(lf.background_sigma)
-            if lf.background_sigma is not None else None),
+        "background_sigma_sha256": lf.background_sigma_sha256,
     }
     return fh.sha256.hexdigest(), write_json(str(path) + ".json", side)
 
@@ -180,7 +178,8 @@ def load_leadfield(path):
 
 def parse_leadfield(payload, sidecar, name="lead field"):
     """The lead field and sidecar fields in the bytes of a ``.bin`` file and
-    its ``.json`` sidecar; the matrix is a read-only view of ``payload``."""
+    its ``.json`` sidecar: every field a builder sets, and the matrix in
+    the C order a builder returns it in."""
     from .leadfield import LeadField
 
     side = json.loads(sidecar)
@@ -189,11 +188,12 @@ def parse_leadfield(payload, sidecar, name="lead field"):
     mat = np.frombuffer(payload, dtype="<f8").reshape(
         (side["rows"], side["cols"]), order="F")
     return LeadField(
-        matrix=mat,
+        matrix=np.ascontiguousarray(mat),
         positions=_field_array(side["positions"]),
         orientations=_field_array(side["orientations"]),
         modality=side["modality"],
         n_patterns=side.get("n_patterns", 1),
+        background_sigma_sha256=side.get("background_sigma_sha256"),
         background_data=_field_array(side.get("background_data")),
     ), side
 

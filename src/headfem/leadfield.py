@@ -29,6 +29,7 @@ import scipy.sparse as sp
 from .errors import CurrentPatternError, DofError, SingularSystemError
 from .fem import stiffness_blocks
 from .geometry import nearest_center
+from .io import sha256_array
 from .solver import PcgConfig, transfer_matrix
 
 
@@ -39,7 +40,9 @@ class LeadField:
     EEG: volts per unit dipole moment (A m), one column per source
     component.  EIT: volts per unit conductivity change (S/m), rows are
     the electrode voltages stacked over current patterns, and the
-    background data/conductivity snapshot ride along.
+    background data and the sha256 of the background conductivity
+    (:func:`headfem.io.sha256_array`) ride along.  ``matrix`` is C-ordered
+    as built and as read back by :func:`headfem.io.parse_leadfield`.
     """
 
     matrix: np.ndarray
@@ -47,16 +50,12 @@ class LeadField:
     orientations: np.ndarray | None
     modality: str
     n_patterns: int = 1
-    background_sigma: np.ndarray | None = None
+    background_sigma_sha256: str | None = None
     background_data: np.ndarray | None = None
 
     @property
     def n_electrodes(self):
         return self.matrix.shape[0] // self.n_patterns
-
-    @property
-    def n_dofs(self):
-        return self.matrix.shape[1]
 
 
 @dataclass(frozen=True)
@@ -230,8 +229,8 @@ def eit_leadfield(sys, dofs, currents, cfg=PcgConfig()):
     """Linearized EIT lead field around the mesh conductivity.
 
     Column m stacks dy/ds_m over all current patterns; the background data
-    y_bg (same stacking) and conductivity snapshot are stored on the
-    result.  Solves: one per electrode for T; the background fields
+    y_bg (same stacking) and the sha256 of the conductivity are stored on
+    the result.  Solves: one per electrode for T; the background fields
     u_p = A^-1 B M^-1 I_p = T M^-1 I_p need none.
     """
     I = check_current_patterns(currents, sys.n_electrodes)
@@ -248,5 +247,5 @@ def eit_leadfield(sys, dofs, currents, cfg=PcgConfig()):
             -_zero_mean(resp.solve(Q[p].T))
     return LeadField(matrix=cols, positions=dofs.centers, orientations=None,
                      modality="eit", n_patterns=P,
-                     background_sigma=np.array(sys.mesh.sigma, copy=True),
+                     background_sigma_sha256=sha256_array(sys.mesh.sigma),
                      background_data=y_bg.T.ravel())

@@ -206,13 +206,10 @@ def pcg_solve(A, b, cfg=PcgConfig()):
                               [v[lo:hi] for v in bufs], out,
                               cfg.tolerance, max_iter)
 
-        if n_groups == 1:
-            outcomes = [solve(0)]
-        else:
-            with ThreadPoolExecutor(n_groups - 1) as pool:
-                futures = [pool.submit(solve, g)
-                           for g in range(1, n_groups)]
-                outcomes = [solve(0)] + [f.result() for f in futures]
+        # An executor starts threads on submit: one group starts none.
+        with ThreadPoolExecutor(max(1, n_groups - 1)) as pool:
+            futures = [pool.submit(solve, g) for g in range(1, n_groups)]
+            outcomes = [solve(0)] + [f.result() for f in futures]
         it = max(o[0] for o in outcomes)
         failures = [o[1] for o in outcomes if o[1] is not None]
         if failures:

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from headfem import cli
 from headfem.cli import main
 from headfem.config import load_config
 from headfem.errors import ConfigError
@@ -628,3 +629,43 @@ def test_cli_chain_bytes_do_not_depend_on_usable_cores(tmp_path):
     assert {"leadfield.bin", "data.csv", "reconstruction.csv",
             "metrics.json"} <= hashes[0].keys()
     assert hashes[0] == hashes[1]
+
+
+@pytest.mark.parametrize("modality", ["eeg", "eit"])
+def test_invert_on_a_saved_leadfield_inverts_the_built_one(tmp_path,
+                                                           monkeypatch,
+                                                           modality):
+    # MAP on the 32-electrode, 1,500-source EEG project of ``run_chain``
+    # and multiresolution on a 16-electrode, 40-DOF EIT project: the
+    # reconstruction from the saved lead field is the one cmd_invert makes
+    # from the lead field the library builds in memory, bit for bit.
+    if modality == "eeg":
+        path = write_sphere_project(tmp_path, n_sources=1500,
+                                    n_electrodes=32, electrode_radius=0.012,
+                                    resolution=0.02)
+    else:
+        path = write_sphere_project(
+            tmp_path, modality="eit", n_electrodes=16, electrode_radius=0.02,
+            resolution=0.02, inversion=("[inversion]\nmethod = multires\n"
+                                        "subsets = 10\ndecompositions = 3"))
+        path.write_text(path.read_text().replace("dofs = 8", "dofs = 40"))
+    out = tmp_path / "out"
+    for command in ("mesh", "leadfield", "simulate"):
+        assert main([command, "--config", str(path)]) == 0
+    invert = ["invert", "--config", str(path), "--data", str(out / "data.csv")]
+    assert main(invert) == 0
+    _, from_disk = hio.load_reconstruction(out / "reconstruction.csv")
+
+    cfg = load_config(str(path))
+    inputs = cli._Inputs(cfg)
+    mesh = cli._mesh(cfg, str(out), inputs)
+    built = cli._build_leadfield(cfg, mesh, cli._build_electrodes(cfg, mesh),
+                                 inputs)
+    saved, _ = hio.load_leadfield(str(out / "leadfield.bin"))
+    assert np.array_equal(saved.matrix, built.matrix)
+    parse = hio.parse_leadfield
+    monkeypatch.setattr(hio, "parse_leadfield",
+                        lambda *args: (built, parse(*args)[1]))
+    assert main(invert) == 0
+    _, from_built = hio.load_reconstruction(out / "reconstruction.csv")
+    assert np.array_equal(from_disk, from_built)

@@ -14,7 +14,8 @@ from headfem import io as hio
 from headfem.errors import DataError, FormatError
 from headfem.fem import ElectrodeSet, assemble_cem_system
 from headfem.geometry import Compartment, Segmentation, icosphere
-from headfem.leadfield import eeg_leadfield
+from headfem.leadfield import (adjacent_pair_patterns, build_dof_map,
+                               eeg_leadfield, eit_leadfield)
 from headfem.meshgen import TetMesh, generate_mesh, place_sources, smooth_mesh
 from headfem.simulate import fibonacci_sphere_points
 from headfem.solver import PcgConfig
@@ -162,6 +163,42 @@ class TestLeadfieldFiles:
         # Column-major little-endian payload, byte for byte.
         raw = np.fromfile(path, dtype="<f8")
         np.testing.assert_array_equal(raw, lf.matrix.ravel(order="F"))
+
+    @settings(max_examples=20, deadline=None)
+    @given(kind=st.sampled_from(["unconstrained", "constrained", "eit"]),
+           n_electrodes=st.integers(2, 8), n=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_read_back_is_the_built_lead_field(self, mesh, kind,
+                                               n_electrodes, n, seed):
+        el = ElectrodeSet.from_centers(
+            mesh, fibonacci_sphere_points(n_electrodes, 0.1), radius=0.04,
+            impedances=100.0)
+        cfg = PcgConfig(tolerance=1e-10)
+        if kind == "eit":
+            lf = eit_leadfield(assemble_cem_system(mesh, el),
+                               build_dof_map(mesh, [0], n, seed=seed),
+                               adjacent_pair_patterns(n_electrodes), cfg)
+            assert lf.background_sigma_sha256 == hio.sha256_array(mesh.sigma)
+        else:
+            seg = Segmentation([Compartment(icosphere(0.1, 1), 0.33,
+                                            active=True)])
+            src = place_sources(mesh, seg, n, mode=kind, seed=seed)
+            lf = eeg_leadfield(assemble_cem_system(mesh, el, src), cfg)
+            assert lf.background_sigma_sha256 is None
+        with tempfile.TemporaryDirectory() as tmp:
+            written = hio.save_leadfield(lf, f"{tmp}/lf.bin")
+            again, _ = hio.load_leadfield(f"{tmp}/lf.bin")
+            # Saving the read-back lead field writes the same bytes.
+            assert hio.save_leadfield(again, f"{tmp}/again.bin") == written
+        assert again.matrix.flags.c_contiguous
+        np.testing.assert_array_equal(again.matrix, lf.matrix)
+        for name in ("positions", "orientations", "background_data"):
+            built, read = getattr(lf, name), getattr(again, name)
+            assert (read is None) == (built is None), name
+            if built is not None:
+                np.testing.assert_array_equal(read, built)
+        for name in ("modality", "n_patterns", "background_sigma_sha256"):
+            assert getattr(again, name) == getattr(lf, name), name
 
 
 
