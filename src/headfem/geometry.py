@@ -59,6 +59,12 @@ _MAX_COMPARTMENTS = 27
 # diameter.
 _LINE_BAND = 1e-6
 
+# The k-d tree pruning of ``nearest_center``: the measured crossovers (see
+# the README) and the relative tie margin.
+_PRUNE_PAIRS = 1 << 20
+_PRUNE_SIDE = 128
+_TIE_MARGIN = 1e-9
+
 # Default tissue conductivities (S/m).  White matter, grey matter, skull and
 # scalp follow the values commonly quoted for head modeling; published
 # default lists pair only four values with five tissue names, so the CSF
@@ -476,12 +482,54 @@ def _dot3(a, b):
 
 def nearest_center(points, centers):
     """Index of the center nearest to each of (k, 3) ``points`` (the lowest
-    on ties) and its distance, in row chunks of at most 2**15 pairs.
-    Distances are sqrt((dx*dx + dy*dy) + dz*dz), the bits of
-    ``np.linalg.norm(axis=-1)``, so exact ties on a lattice resolve alike.
-    Two (rows, m) buffers are allocated once and reused by every chunk."""
+    on ties) and its distance.  Distances are sqrt((dx*dx + dy*dy) + dz*dz),
+    the bits of ``np.linalg.norm(axis=-1)``, so exact ties on a lattice
+    resolve alike.
+
+    Below ``_PRUNE_PAIRS`` points x centers, or with fewer than
+    ``_PRUNE_SIDE`` points or centers, every pair is evaluated in row
+    chunks (:func:`_nearest_brute`).  Otherwise a k-d tree over the
+    centers (``scipy.spatial.cKDTree``; Friedman, Bentley & Finkel, ACM
+    TOMS 3, 1977) serves as a filter only: a point whose second nearest
+    center is farther than its nearest by a relative ``_TIE_MARGIN`` has
+    that nearest center under any rounding of the distance, and every other
+    row (exact or near ties, duplicate centers, non-finite input) goes
+    through the chunked search.  Every distance is then the formula above,
+    so index and distance are those of the brute-force search, bit for bit.
+    """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    c = np.asarray(centers, dtype=float).reshape(-1, 3).T
+    centers = np.asarray(centers, dtype=float).reshape(-1, 3)
+    if (len(points) * len(centers) < _PRUNE_PAIRS
+            or min(len(points), len(centers)) < _PRUNE_SIDE
+            or not np.isfinite(centers).all()):
+        return _nearest_brute(points, centers)
+    from scipy.spatial import cKDTree
+    rows = np.flatnonzero(np.isfinite(points).all(axis=1))
+    d, j = cKDTree(centers).query(points[rows], k=2)
+    sure = d[:, 1] > d[:, 0] * (1.0 + _TIE_MARGIN)
+    rows, j = rows[sure], j[sure, 0]
+    e = points[rows] - centers[j]
+    r = e[:, 0] * e[:, 0]
+    r += e[:, 1] * e[:, 1]
+    r += e[:, 2] * e[:, 2]
+    np.sqrt(r, out=r)
+    # A distance that overflows the formula decides nothing either.
+    sure = np.isfinite(r)
+    rows = rows[sure]
+    index = np.empty(len(points), dtype=np.int64)
+    dist = np.empty(len(points))
+    index[rows], dist[rows] = j[sure], r[sure]
+    rest = np.ones(len(points), dtype=bool)
+    rest[rows] = False
+    index[rest], dist[rest] = _nearest_brute(points[rest], centers)
+    return index, dist
+
+
+def _nearest_brute(points, centers):
+    """``nearest_center`` over every pair, in row chunks of at most 2**15
+    pairs; two (rows, m) buffers are allocated once and reused by every
+    chunk."""
+    c = centers.T
     rows = max(1, (1 << 15) // c.shape[1])
     index = np.empty(len(points), dtype=np.int64)
     dist = np.empty(len(points))

@@ -19,7 +19,7 @@ artifacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -93,9 +93,23 @@ class IasState:
             raise ParameterError("theta must be entrywise positive")
 
 
+@dataclass(frozen=True)
+class _RunState(IasState):
+    """The state of an ``ias_map`` or ``multires_ias`` run, which also
+    carries the buffer that every ``ias_step`` of the run writes L_s into,
+    so the run allocates it once."""
+
+    Ls: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+
 def initial_state(n_dofs, hyper, nu):
     return IasState(x=np.zeros(n_dofs),
                     theta=np.full(n_dofs, float(hyper.theta0)), nu=float(nu))
+
+
+def _run_state(Ls, hyper, nu):
+    """``initial_state`` of a run on L_s-shaped buffer ``Ls``."""
+    return _RunState(**vars(initial_state(Ls.shape[1], hyper, nu)), Ls=Ls)
 
 
 def ias_step(L, y, state, hyper):
@@ -110,6 +124,7 @@ def ias_step(L, y, state, hyper):
     L_s' (L_s L_s' + nu^2 I)^-1 = (L_s' L_s + nu^2 I)^-1 L_s'.  The
     nonzero eigenvalues of L_s L_s' and L_s' L_s agree and the rest are
     zero, so the smaller system is never worse conditioned than the larger.
+    L_s goes into the buffer of a run's state (``_RunState``) if it has one.
     """
     L = np.asarray(L, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -117,7 +132,10 @@ def ias_step(L, y, state, hyper):
         raise ParameterError(
             f"shape mismatch: L {L.shape}, y {y.size}, x {state.x.size}")
     d_half = np.sqrt(np.abs(state.theta))
-    Ls = L * d_half[None, :]
+    Ls = getattr(state, "Ls", None)
+    if Ls is None:
+        Ls = np.empty_like(L)
+    np.multiply(L, d_half[None, :], out=Ls)
     measurement = L.shape[0] <= L.shape[1]
     K = Ls @ Ls.T if measurement else Ls.T @ Ls
     K.flat[::len(K) + 1] += state.nu**2
@@ -141,7 +159,8 @@ def ias_map(L, y, hyper, nu, n_iter, roi=None):
 
     ``roi`` restricts the estimation to a DOF subset: the lead-field
     columns outside it are dropped and the result is embedded back at the
-    ROI indices with zeros elsewhere.
+    ROI indices with zeros elsewhere.  Every step writes L_s into one
+    buffer.
     """
     if n_iter < 1:
         raise ParameterError("n_iter must be >= 1")
@@ -152,7 +171,7 @@ def ias_map(L, y, hyper, nu, n_iter, roi=None):
         if roi.size == 0:
             raise RoiError("region of interest contains no DOFs")
         Lr = L[:, roi]
-    state = initial_state(Lr.shape[1], hyper, nu)
+    state = _run_state(np.empty_like(Lr), hyper, nu)
     for _ in range(int(n_iter)):
         state = ias_step(Lr, y, state, hyper)
     if roi is None:
@@ -199,7 +218,8 @@ def multires_ias(L, y, positions, hyper, nu, n_iter, n_subsets,
     coarse estimate is copied back to every member DOF.  The
     reconstruction is the mean of the expanded estimates.  One product with
     the stacked one-hot matrices of all partitions sums every coarse column
-    in increasing DOF order, bit for bit as one partition at a time.
+    in increasing DOF order, bit for bit as one partition at a time, and
+    every step writes L_s into one buffer.
     """
     L = np.asarray(L, dtype=float)
     if L.shape[1] != len(positions):
@@ -215,9 +235,10 @@ def multires_ias(L, y, positions, hyper, nu, n_iter, n_subsets,
         (parts + n_subsets * np.arange(len(parts))[:, None]).ravel(),
         np.tile(np.arange(n), len(parts))))) @ L.T
     total = np.zeros(n)
+    Ls = np.empty((L.shape[0], n_subsets))
     for d, a in enumerate(parts):
         Lr = np.ascontiguousarray(coarse[d * n_subsets:(d + 1) * n_subsets].T)
-        state = initial_state(n_subsets, hyper, nu)
+        state = _run_state(Ls, hyper, nu)
         for _ in range(int(n_iter)):
             state = ias_step(Lr, y, state, hyper)
         total += state.x[a]

@@ -122,7 +122,37 @@ def reference_element_gradients(mesh):
     return vols, grads
 
 
+def cross_element_gradients(mesh, elements=None):
+    """Gradients from the (m, 3, 3) edge gather and ``np.cross``: the
+    reference for the bits of the column-wise cross products of
+    ``element_gradients``."""
+    tetra = mesh.tetra if elements is None else mesh.tetra[elements]
+    vols = mesh.volumes if elements is None else mesh.volumes[elements]
+    e = mesh.nodes[tetra[:, 1:]] - mesh.nodes[tetra[:, :1]]
+    grads = np.empty((len(tetra), 4, 3))
+    grads[:, 1] = np.cross(e[:, 1], e[:, 2])
+    grads[:, 2] = np.cross(e[:, 2], e[:, 0])
+    grads[:, 3] = np.cross(e[:, 0], e[:, 1])
+    grads[:, 1:] /= 6.0 * vols[:, None, None]
+    grads[:, 0] = -(grads[:, 1] + grads[:, 2] + grads[:, 3])
+    return vols, grads
+
+
 class TestElementGradients:
+    def test_desk_gradients_are_the_cross_product_bits(self):
+        p = EitHemorrhageParams()
+        mesh = generate_mesh(
+            layered_sphere_segmentation(p.radii, p.conductivities,
+                                        p.priorities, (0,), p.subdivisions),
+            p.resolution)
+        pick = np.random.default_rng(5).permutation(mesh.n_elements)[:5000]
+        for elements in (None, pick, np.sort(pick)):
+            vols, grads = element_gradients(mesh, elements)
+            ref_vols, ref_grads = cross_element_gradients(mesh, elements)
+            assert grads.flags.c_contiguous
+            assert vols.tobytes() == ref_vols.tobytes()
+            assert grads.tobytes() == ref_grads.tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40),
            scale=st.floats(1e-3, 1e3), shift=st.floats(-10.0, 10.0))
@@ -161,6 +191,7 @@ class TestElementGradients:
                              np.linalg.norm(p - p[:, :1], axis=2))
         assert np.all(np.abs(dots - expect) <= 1e-12 * scale_ij + 1e-15)
         assert vols.tobytes() == mesh.volumes.tobytes()
+        assert grads.tobytes() == cross_element_gradients(mesh)[1].tobytes()
         pick = rng.permutation(m)[:rng.integers(1, m + 1)]
         sub_vols, sub_grads = element_gradients(mesh, pick)
         assert sub_vols.tobytes() == vols[pick].tobytes()

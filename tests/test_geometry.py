@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -351,3 +354,145 @@ class TestNearestCenter:
         index, dist = nearest_center([0.0, 0.0, 1.0],
                                      [[0, 0, 2.0], [0, 0, 0.0], [3, 0, 0]])
         assert index.tolist() == [0] and dist.tolist() == [1.0]
+
+    @staticmethod
+    def draw_search(rng, n_points, n_centers, lattice, duplicates, on_center,
+                    bad_rows, bad_center):
+        """Points and centers with the cases the tree must hand back to the
+        chunked search: half-integer lattices (exact ties), duplicate
+        centers, points on a center, NaN and infinite point rows, and a NaN
+        center."""
+        if lattice:
+            points = rng.integers(-6, 7, size=(n_points, 3)) / 2.0
+            centers = rng.integers(-6, 7, size=(n_centers, 3)) / 2.0
+        else:
+            points = rng.normal(size=(n_points, 3))
+            centers = rng.normal(size=(n_centers, 3))
+        centers[rng.integers(n_centers, size=duplicates)] = centers[
+            rng.integers(n_centers, size=duplicates)]
+        points[rng.integers(n_points, size=on_center)] = centers[
+            rng.integers(n_centers, size=on_center)]
+        bad = rng.integers(n_points, size=bad_rows)
+        points[bad] = np.nan
+        points[bad[::2]] = [np.inf, 0.0, 1.0]
+        if bad_center:
+            centers[rng.integers(n_centers), 1] = np.nan
+        return points, centers
+
+    @staticmethod
+    def assert_per_point(points, centers, index, dist):
+        for i, p in enumerate(points):
+            d = np.linalg.norm(centers - p, axis=1)
+            j = int(np.argmin(d))            # the first of tied minima
+            assert index[i] == j
+            assert dist[i].tobytes() == d[j].tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), lattice=st.booleans(),
+           n_centers=st.sampled_from([geometry._PRUNE_SIDE, 1024, 2500]),
+           duplicates=st.integers(0, 30), on_center=st.integers(0, 30),
+           bad_rows=st.integers(0, 6), bad_center=st.booleans())
+    def test_pruned_search_matches_per_point_loop(self, seed, lattice,
+                                                  n_centers, duplicates,
+                                                  on_center, bad_rows,
+                                                  bad_center):
+        # Sizes at and above the pruning constants, so the k-d tree runs
+        # unless a center is NaN.
+        rng = np.random.default_rng(seed)
+        n_points = -(-geometry._PRUNE_PAIRS // n_centers) + int(
+            rng.integers(0, 100))
+        assert min(n_points, n_centers) >= geometry._PRUNE_SIDE
+        points, centers = self.draw_search(rng, n_points, n_centers, lattice,
+                                           duplicates, on_center, bad_rows,
+                                           bad_center)
+        index, dist = nearest_center(points, centers)
+        self.assert_per_point(points, centers, index, dist)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), lattice=st.booleans(),
+           n_points=st.integers(0, 40), n_centers=st.integers(1, 12),
+           duplicates=st.integers(0, 4), on_center=st.integers(0, 4),
+           bad_rows=st.integers(0, 3))
+    def test_pruned_branch_at_any_size(self, seed, lattice, n_points,
+                                       n_centers, duplicates, on_center,
+                                       bad_rows):
+        # With the constants at zero the tree runs on every search, down to
+        # one center (whose second neighbor the tree reports as infinite)
+        # and to no points.
+        rng = np.random.default_rng(seed)
+        points, centers = self.draw_search(
+            rng, max(n_points, 1), n_centers, lattice, duplicates,
+            on_center if n_points else 0, bad_rows if n_points else 0, False)
+        points = points[:n_points]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_PRUNE_PAIRS", 0)
+            mp.setattr(geometry, "_PRUNE_SIDE", 0)
+            index, dist = nearest_center(points, centers)
+        assert index.shape == dist.shape == (n_points,)
+        self.assert_per_point(points, centers, index, dist)
+
+    def test_tree_rounding_changes_no_result(self, monkeypatch):
+        # This scipy's tree returns the package's distance bits, but a build
+        # that sums the squares in another order rounds them differently:
+        # up to 8 ulps of noise on the tree's distances must change no
+        # index and no distance, on exact lattice ties either.
+        import scipy.spatial
+
+        rng = np.random.default_rng(11)
+
+        class RoundingTree(scipy.spatial.cKDTree):
+            def query(self, x, k):
+                d, j = super().query(x, k=k)
+                return d * (1.0 + rng.integers(-8, 9, d.shape) * 2.0**-53), j
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", RoundingTree)
+        points, centers = self.draw_search(
+            rng, -(-geometry._PRUNE_PAIRS // 512), 512, True, 10, 10, 2, False)
+        index, dist = nearest_center(points, centers)
+        self.assert_per_point(points, centers, index, dist)
+
+    def test_one_center_above_the_pair_constant(self):
+        rng = np.random.default_rng(3)
+        points = rng.normal(size=(geometry._PRUNE_PAIRS + 1, 3))
+        index, dist = nearest_center(points, [[0.5, -0.25, 1.0]])
+        assert not index.any()
+        assert dist.tobytes() == np.linalg.norm(
+            points - [0.5, -0.25, 1.0], axis=1).tobytes()
+
+    def test_searches_below_the_constants_leave_scipy_spatial_unimported(self):
+        # `import headfem`, the electrode search of the cli_datasets project
+        # (32 electrodes on the 3-shell h = 12 mm head) and a 600 x 100
+        # multiresolution partition stay below the pruning constants, so
+        # neither the EEG CLI nor set-up pays for importing scipy.spatial;
+        # a desk-size DOF map search does import it.
+        code = """if True:
+            import sys
+            import numpy as np
+            import headfem
+            from headfem import fem, geometry, inverse, meshgen, simulate
+            assert "scipy.spatial" not in sys.modules
+            seg = geometry.Segmentation([
+                geometry.Compartment(geometry.icosphere(r, 2), s,
+                                     active=k == 0)
+                for k, (r, s) in enumerate([(0.078, 0.33), (0.085, 0.0064),
+                                            (0.092, 0.43)])])
+            mesh = meshgen.generate_mesh(seg, 0.012)
+            fem.ElectrodeSet.from_centers(
+                mesh, simulate.fibonacci_sphere_points(32, 0.092), 0.02, 1e3)
+            n_bound = len(mesh.boundary_triangles()[0])
+            assert 32 * n_bound > 50_000, n_bound
+            rng = np.random.default_rng(0)
+            inverse.make_decomposition(rng.normal(size=(600, 3)), 100, rng)
+            assert "scipy.spatial" not in sys.modules
+            geometry.nearest_center(rng.normal(size=(27_117, 3)),
+                                    rng.normal(size=(600, 3)))
+            assert "scipy.spatial" in sys.modules
+            print("ok")
+        """
+        src = os.path.dirname(os.path.dirname(geometry.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        res = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["ok"]

@@ -552,9 +552,9 @@ class TestCliExperiment:
 
 
 def test_cli_import_skips_scipy_modules_no_pipeline_path_uses():
-    # No headfem module uses scipy.spatial (which pulls in scipy.special)
-    # or scipy.io, so importing the package and its entry points loads
-    # neither.
+    # No headfem module imports scipy.spatial (which pulls in
+    # scipy.special) at import time, and none uses scipy.io, so importing
+    # the package and its entry points loads neither.
     src = os.path.dirname(os.path.dirname(os.path.abspath(hio.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))

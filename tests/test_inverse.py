@@ -252,6 +252,33 @@ class TestIasMap:
         x_direct = ias_map(L[:, roi], y, h, nu=0.5, n_iter=2)
         np.testing.assert_allclose(x[roi], x_direct)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("roi", [None, np.array([0, 2, 3, 5, 8, 9, 13])])
+    def test_steps_share_one_buffer_bit_for_bit(self, monkeypatch, order,
+                                                roi):
+        # Every step of a run writes L_s into the same buffer and gives the
+        # bits of the public steps, each of which allocates its own.
+        rng = np.random.default_rng(9)
+        L = np.asarray(rng.normal(size=(6, 14)), order=order)
+        y = rng.normal(size=6)
+        h = HyperModel("IG", theta0=1e-2)
+        Lr = L if roi is None else L[:, roi]
+        state = initial_state(Lr.shape[1], h, 0.2)
+        for _ in range(4):
+            state = ias_step(Lr, y, state, h)
+        buffers = []
+
+        def recording(L, y, state, hyper):
+            buffers.append(state.Ls)
+            return ias_step(L, y, state, hyper)
+        monkeypatch.setattr(inverse, "ias_step", recording)
+        x = ias_map(L, y, h, nu=0.2, n_iter=4, roi=roi)
+        assert len(buffers) == 4 and all(b is buffers[0] for b in buffers)
+        expect = state.x if roi is None else np.zeros(14)
+        if roi is not None:
+            expect[roi] = state.x
+        assert x.tobytes() == expect.tobytes()
+
     def test_empty_roi(self):
         h = HyperModel("G")
         with pytest.raises(RoiError):

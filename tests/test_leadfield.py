@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from headfem import geometry
 from headfem.errors import CurrentPatternError, DofError, SingularSystemError
+from headfem.experiments import EitHemorrhageParams, layered_sphere_segmentation
 from headfem.fem import (
     ElectrodeSet,
     assemble_A,
@@ -231,15 +233,47 @@ class TestEitForward:
         np.testing.assert_allclose(y, y_ref, rtol=1e-8)
 
 
+def reference_owners(points, centers):
+    """The lowest-index nearest center of every point from its full row of
+    ``np.linalg.norm`` distances, 1,024 rows at a time, and the number of
+    rows whose two nearest centers tie exactly.  The reference for the
+    tree-pruned owners of ``build_dof_map``."""
+    owner = np.empty(len(points), dtype=np.int64)
+    ties = 0
+    for lo in range(0, len(points), 1024):
+        d = np.linalg.norm(points[lo:lo + 1024, None, :] - centers[None, :, :],
+                           axis=2)
+        owner[lo:lo + 1024] = d.argmin(axis=1)
+        two = np.partition(d, 1, axis=1)[:, :2]
+        ties += int(np.count_nonzero(two[:, 0] == two[:, 1]))
+    return owner, ties
+
+
 class TestDofMap:
+    def test_desk_sets_match_brute_force_owners(self):
+        # The EIT desk model: 27,117 candidates x 600 centers, far above
+        # the pruning constants, with exactly tied Kuhn centroids.
+        p = EitHemorrhageParams()
+        mesh = generate_mesh(
+            layered_sphere_segmentation(p.radii, p.conductivities,
+                                        p.priorities, (0,), p.subdivisions),
+            p.resolution)
+        dofs = build_dof_map(mesh, list(p.dof_compartments), p.n_dofs,
+                             seed=p.dof_seed)
+        cand = np.flatnonzero(np.isin(mesh.labels, p.dof_compartments))
+        owner, ties = reference_owners(mesh.centroids()[cand], dofs.centers)
+        assert cand.size * p.n_dofs >= geometry._PRUNE_PAIRS
+        assert ties > 0
+        assert len(dofs.element_sets) == p.n_dofs
+        for k, es in enumerate(dofs.element_sets):
+            np.testing.assert_array_equal(es, cand[owner == k])
+
     def test_chunked_owners_match_dense_formula(self):
         # 600 DOFs over ~7,000 elements spans several row chunks.
         seg = Segmentation([Compartment(icosphere(0.1, 2), 0.33, active=True)])
         mesh = generate_mesh(seg, 0.015)
         dofs = build_dof_map(mesh, [0], n_dofs=600, seed=5)
-        cent = mesh.centroids()
-        d = np.linalg.norm(cent[:, None, :] - dofs.centers[None, :, :], axis=2)
-        owner = np.argmin(d, axis=1)
+        owner, _ = reference_owners(mesh.centroids(), dofs.centers)
         assert mesh.n_elements > 2 * (1_000_000 // 600)
         for k, es in enumerate(dofs.element_sets):
             np.testing.assert_array_equal(es, np.flatnonzero(owner == k))
