@@ -177,6 +177,8 @@ class ElectrodeSet:
         """Cover each electrode by the boundary triangles whose centroid lies
         within ``radius`` of its center; conflicts go to the nearest center."""
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
+        if not centers.size:
+            raise ElectrodeError("no electrode centers given")
         bfaces, _ = mesh.boundary_triangles()
         cent = centroids(mesh.nodes, bfaces)
         nearest, dist = nearest_center(cent, centers)

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, TopologyError
+from .errors import FormatError, ParameterError, TopologyError
 from .io import _parse_table, _uncommented, _write_rows
 from .meshgen import sorted_unique
 
@@ -499,6 +499,8 @@ def nearest_center(points, centers):
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     centers = np.asarray(centers, dtype=float).reshape(-1, 3)
+    if not len(centers):
+        raise ParameterError("nearest_center needs at least one center")
     if (len(points) * len(centers) < _PRUNE_PAIRS
             or min(len(points), len(centers)) < _PRUNE_SIDE
             or not np.isfinite(centers).all()):
@@ -537,18 +539,40 @@ def _nearest_brute(points, centers):
     t_buf = np.empty_like(r_buf)
     for lo in range(0, len(points), rows):
         p = points[lo:lo + rows]
-        r, t = r_buf[:len(p)], t_buf[:len(p)]
-        np.subtract(p[:, :1], c[0], out=r)
-        r *= r
-        for k in (1, 2):
-            np.subtract(p[:, k:k + 1], c[k], out=t)
-            t *= t
-            r += t
-        np.sqrt(r, out=r)
+        r = _distances(p, c, r_buf[:len(p)], t_buf[:len(p)])
         j = r.argmin(axis=1)
         index[lo:lo + len(p)] = j
         dist[lo:lo + len(p)] = r[np.arange(len(p)), j]
     return index, dist
+
+
+def distance_table(points):
+    """(n, n) distances between all pairs of (n, 3) ``points`` by
+    ``nearest_center``'s formula, in row chunks of at most 2**15 pairs.
+    The formula is symmetric bit for bit (a - b is -(b - a) exactly), so
+    row i holds the distances of every point to center i as
+    ``nearest_center`` computes them."""
+    points = np.asarray(points, dtype=float)
+    n, c = len(points), points.T
+    rows = max(1, (1 << 15) // max(n, 1))
+    table = np.empty((n, n))
+    t_buf = np.empty((min(rows, n), n))
+    for lo in range(0, n, rows):
+        p = points[lo:lo + rows]
+        _distances(p, c, table[lo:lo + len(p)], t_buf[:len(p)])
+    return table
+
+
+def _distances(p, c, r, t):
+    """sqrt((dx*dx + dy*dy) + dz*dz) between (k, 3) points ``p`` and the
+    (3, m) columns ``c`` into the (k, m) buffer ``r``, with scratch ``t``."""
+    np.subtract(p[:, :1], c[0], out=r)
+    r *= r
+    for k in (1, 2):
+        np.subtract(p[:, k:k + 1], c[k], out=t)
+        t *= t
+        r += t
+    return np.sqrt(r, out=r)
 
 
 class Compartment:

@@ -32,7 +32,7 @@ from .errors import (
     RoiError,
     UndefinedMetricError,
 )
-from .geometry import nearest_center
+from .geometry import distance_table, nearest_center
 
 
 @dataclass(frozen=True)
@@ -186,26 +186,70 @@ def ias_map(L, y, hyper, nu, n_iter, roi=None):
 
 def make_decomposition(positions, n_subsets, rng):
     """Subset index of every DOF in a random nearest-center partition whose
-    centers are drawn uniformly from the DOF positions (without replacement).
+    centers are drawn uniformly from the (n, 3) DOF positions (without
+    replacement).
 
     Anchoring centers at DOF positions keeps each subset non-empty (a
     center always claims its own DOF); ``n_subsets`` equal to the DOF count
     therefore yields the identity decomposition.  Should an empty subset
     still occur, its center is re-drawn up to 50 times.
     """
+    positions = _dof_positions(positions)
+    return _draw_partition(
+        len(positions), n_subsets, rng,
+        lambda idx: nearest_center(positions, positions[idx])[0])
+
+
+def _dof_positions(positions):
     positions = np.asarray(positions, dtype=float)
-    n = len(positions)
+    if positions.ndim != 2 or positions.shape[1] != 3:
+        raise ParameterError(
+            f"DOF positions must be (n, 3), got shape {positions.shape}")
+    return positions
+
+
+def _draw_partition(n, n_subsets, rng, nearest):
+    """``make_decomposition`` of ``n`` DOFs with ``nearest(idx)``, the
+    nearest of the DOFs ``idx`` to every DOF, as its nearest-center
+    search."""
     if not (1 <= n_subsets <= n):
         raise DecompositionError(
             f"need 1 <= n_subsets <= {n}, got {n_subsets}")
-    centers = positions[rng.choice(n, size=n_subsets, replace=False)]
+    idx = rng.choice(n, size=n_subsets, replace=False)
     for _ in range(50):
-        assignment, _ = nearest_center(positions, centers)
+        assignment = nearest(idx)
         empty = np.flatnonzero(np.bincount(assignment, minlength=n_subsets) == 0)
         if empty.size == 0:
             return assignment
-        centers[empty] = positions[rng.choice(n, size=empty.size, replace=False)]
+        idx[empty] = rng.choice(n, size=empty.size, replace=False)
     raise DecompositionError("empty subset persisted after re-sampling")
+
+
+def _partitions(positions, n_subsets, n_decompositions, m, rng):
+    """``n_decompositions`` successive ``make_decomposition`` draws, as rows.
+
+    When the DOF-DOF distance table holds no more pairs than the partitions
+    would scan (n <= n_subsets * n_decompositions) and no more entries than
+    the stacked coarse lead fields of ``m`` rows (n^2 <= n_decompositions *
+    n_subsets * m), it is built once and each search gathers the centers'
+    rows into one buffer and takes the lowest index of each column's
+    minimum: ``nearest_center``'s answer, bit for bit.  The table is freed
+    on return, before the caller allocates the coarse lead fields.
+    """
+    n = len(positions)
+    pairs = n_subsets * n_decompositions
+    if n <= pairs and n * n <= pairs * m:
+        table = distance_table(positions)
+        buf = np.empty((n_subsets, n))
+
+        def nearest(idx):
+            return np.take(table, idx, axis=0, out=buf,
+                           mode="clip").argmin(axis=0)
+    else:
+        def nearest(idx):
+            return nearest_center(positions, positions[idx])[0]
+    return np.array([_draw_partition(n, n_subsets, rng, nearest)
+                     for _ in range(int(n_decompositions))])
 
 
 def multires_ias(L, y, positions, hyper, nu, n_iter, n_subsets,
@@ -216,20 +260,22 @@ def multires_ias(L, y, positions, hyper, nu, n_iter, n_subsets,
     columns of every subset are summed into one coarse column, ``n_iter``
     IAS steps run on the coarse problem from theta = theta0, and the
     coarse estimate is copied back to every member DOF.  The
-    reconstruction is the mean of the expanded estimates.  One product with
+    reconstruction is the mean of the expanded estimates.  The partitions
+    are ``make_decomposition``'s, drawn from one DOF distance table where
+    that is smaller than their scans (``_partitions``).  One product with
     the stacked one-hot matrices of all partitions sums every coarse column
     in increasing DOF order, bit for bit as one partition at a time, and
     every step writes L_s into one buffer.
     """
     L = np.asarray(L, dtype=float)
+    positions = _dof_positions(positions)
     if L.shape[1] != len(positions):
         raise ParameterError("one position per lead-field column required")
     if n_iter < 1 or n_decompositions < 1:
         raise ParameterError("n_iter and n_decompositions must be >= 1")
     n = L.shape[1]
-    rng = np.random.default_rng(seed)
-    parts = np.array([make_decomposition(positions, n_subsets, rng)
-                      for _ in range(int(n_decompositions))])
+    parts = _partitions(positions, n_subsets, n_decompositions, L.shape[0],
+                        np.random.default_rng(seed))
     # Row d * n_subsets + s of the one-hot matrix sums subset s of partition d.
     coarse = sp.csr_matrix((np.ones(parts.size), (
         (parts + n_subsets * np.arange(len(parts))[:, None]).ravel(),

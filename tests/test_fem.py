@@ -494,6 +494,12 @@ class TestElectrodeTable:
         assert_same_csr(sys.B, reference_assemble_B(mesh, el))
         assert sys.ground == el.ground == reference_ground(mesh, el)
 
+    @pytest.mark.parametrize("centers", [[], np.empty((0, 3))])
+    def test_no_centers_is_an_electrode_error(self, centers):
+        mesh = single_tet_mesh()
+        with pytest.raises(ElectrodeError, match="no electrode centers"):
+            ElectrodeSet.from_centers(mesh, centers, 0.02, 1.0)
+
     def test_electrodes_on_every_boundary_node_leave_no_ground(self):
         # Four one-face electrodes cover all four nodes of one tetrahedron.
         mesh = single_tet_mesh()

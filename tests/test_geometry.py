@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from headfem import geometry
-from headfem.errors import FormatError, TopologyError
+from headfem.errors import FormatError, ParameterError, TopologyError
 from headfem.geometry import (
     Compartment,
     Segmentation,
@@ -326,6 +326,12 @@ class TestGenerators:
 
 
 class TestNearestCenter:
+    @pytest.mark.parametrize("n_points", [0, 1, 5])
+    def test_no_centers_is_a_parameter_error(self, n_points):
+        # Zero centers used to divide by zero when sizing the row chunks.
+        with pytest.raises(ParameterError, match="at least one center"):
+            nearest_center(np.zeros((n_points, 3)), np.empty((0, 3)))
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), lattice=st.booleans(),
            n_points=st.integers(1, 12),
@@ -489,10 +495,33 @@ class TestNearestCenter:
             assert "scipy.spatial" in sys.modules
             print("ok")
         """
-        src = os.path.dirname(os.path.dirname(geometry.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        res = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, timeout=300)
-        assert res.returncode == 0, res.stderr
-        assert res.stdout.split() == ["ok"]
+        run_fresh(code)
+
+    def test_desk_multires_leaves_scipy_spatial_unimported(self):
+        # The EIT desk inversion: 600 DOFs, 100 subsets, 20 partitions and
+        # 240 measurements draw every partition from the DOF distance
+        # table, so a CLI multires `invert` never imports scipy.spatial.
+        code = """if True:
+            import sys
+            import numpy as np
+            from headfem import inverse
+            rng = np.random.default_rng(0)
+            inverse.multires_ias(
+                rng.normal(size=(240, 600)), rng.normal(size=240),
+                rng.normal(size=(600, 3)), inverse.HyperModel("IG"), nu=0.3,
+                n_iter=1, n_subsets=100, n_decompositions=20)
+            assert "scipy.spatial" not in sys.modules
+            print("ok")
+        """
+        run_fresh(code)
+
+
+def run_fresh(code):
+    """Run ``code`` in a new interpreter on this headfem; it prints "ok"."""
+    src = os.path.dirname(os.path.dirname(geometry.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["ok"]

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -397,6 +398,53 @@ class TestMultires:
         x_ref = outcome(reference_multires_ias, L, y, positions, h, **args)
         assert np.array_equal(x, x_ref)
 
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           layout=st.sampled_from(["random", "lattice", "coincident",
+                                   "signed zeros"]),
+           n_subsets=st.integers(1, 8), n_decompositions=st.integers(1, 6),
+           pair_side=st.integers(-1, 1), entry_side=st.integers(-1, 0))
+    def test_table_and_scan_draw_the_same_partitions(
+            self, seed, layout, n_subsets, n_decompositions, pair_side,
+            entry_side):
+        # n = S * D + pair_side straddles the rule n <= S * D, and m, one
+        # below or at the least m with n^2 <= D * S * m, straddles the
+        # other (n^2 = D * S * m exactly when n = S * D).  Lattices tie
+        # exactly, coincident DOFs force re-draws (or raise in both), and
+        # signed zeros meet +0.0 - -0.0 in the distances.
+        rng = np.random.default_rng(seed)
+        pairs = n_subsets * n_decompositions
+        n = max(n_subsets, pairs + pair_side)
+        m = max(1, -(-n * n // pairs) + entry_side)
+        if layout == "random":
+            positions = rng.uniform(-1, 1, size=(n, 3))
+        elif layout == "coincident":
+            distinct = rng.uniform(-1, 1, size=(n_subsets + 1, 3))
+            positions = distinct[rng.integers(0, len(distinct), n)]
+        else:
+            grid = np.stack(np.meshgrid(*[np.arange(-2.0, 3.0)] * 3), -1)
+            positions = rng.permutation(grid.reshape(-1, 3))[:n]
+            if layout == "signed zeros":
+                positions *= rng.choice([-1.0, 1.0], size=positions.shape)
+        tables, build = [], inverse.distance_table
+
+        def recording(points):
+            tables.append(len(points))
+            return build(points)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inverse, "distance_table", recording)
+            rng_table = np.random.default_rng(seed)
+            parts = outcome(inverse._partitions, positions, n_subsets,
+                            n_decompositions, m, rng_table)
+        rng_scan = np.random.default_rng(seed)
+        ref = outcome(lambda: np.array([
+            make_decomposition(positions, n_subsets, rng_scan)
+            for _ in range(n_decompositions)]))
+        assert np.array_equal(parts, ref)
+        assert (rng_table.bit_generator.state
+                == rng_scan.bit_generator.state)
+        assert tables == ([n] if n <= pairs and n * n <= pairs * m else [])
+
     def test_matches_measurement_space_at_desk_shapes(self):
         # The EIT desk inversion: 240 measurements, 600 lattice-tied DOFs,
         # 100 subsets, so every coarse step factors the 100 x 100
@@ -435,6 +483,25 @@ class TestMultires:
         with pytest.raises(DecompositionError):
             make_decomposition(positions, 5, rng)
 
+    @pytest.mark.parametrize("shape", [(12, 2), (6, 2), (12, 4), (36,),
+                                       (12, 3, 1)])
+    def test_positions_not_n_by_3_raise_before_any_draw(self, shape):
+        # (12, 2) positions used to fail reshaping inside nearest_center and
+        # (6, 2) ones to raise DecompositionError after 50 re-draws.
+        positions = np.arange(float(np.prod(shape))).reshape(shape)
+        n = len(positions)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ParameterError, match=r"\(n, 3\).*" +
+                           re.escape(str(shape))):
+            make_decomposition(positions, 3, rng)
+        # No draw was made.
+        assert rng.bit_generator.state == (
+            np.random.default_rng(0).bit_generator.state)
+        L, y = np.ones((4, n)), np.ones(4)
+        with pytest.raises(ParameterError, match=re.escape(str(shape))):
+            multires_ias(L, y, positions, HyperModel("IG"), nu=0.3, n_iter=1,
+                         n_subsets=3, n_decompositions=2)
+
     @pytest.mark.parametrize("counts", [dict(n_iter=0, n_decompositions=3),
                                         dict(n_iter=2, n_decompositions=0),
                                         dict(n_iter=-1, n_decompositions=-1)])
@@ -462,6 +529,25 @@ class TestMultires:
         finally:
             tracemalloc.stop()
         assert peak < pairs
+
+    def test_peak_memory_at_desk_shapes(self):
+        # 600 DOFs in 100 subsets, 20 partitions, 240 measurements: the
+        # 2.9 MB DOF distance table is freed before the 3.8 MB stacked
+        # coarse lead fields are allocated, so the call peaks no higher
+        # than with per-partition scans (5.02 MiB recorded when the stacked
+        # product came in, 5.00 MiB before the table).
+        rng = np.random.default_rng(6)
+        L, y = rng.normal(size=(240, 600)), rng.normal(size=240)
+        positions = rng.uniform(-1, 1, size=(600, 3))
+        args = dict(nu=0.3, n_iter=1, n_subsets=100, n_decompositions=20)
+        multires_ias(L, y, positions, HyperModel("IG"), **args)
+        tracemalloc.start()
+        try:
+            multires_ias(L, y, positions, HyperModel("IG"), **args, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.02 * 2**20
 
     def test_calls_ias_step_through_the_module(self, monkeypatch):
         calls = []
