@@ -16,8 +16,11 @@ Scarella, BIT 56, 2016), with no quadrature and no 3 x 3 inverse.
 
 The node-node matrices reuse one sparsity pattern per mesh topology
 (:meth:`TetMesh.csr_pattern`), so the element blocks of ``A`` are added
-straight into its data array.  The system at another
-conductivity is ``assemble_cem_system(mesh.with_sigma(sigma), electrodes)``.
+straight into its data array.  The assembly re-checks nothing the mesh
+holds: a :class:`TetMesh` checked its volumes and its conductivity
+(:func:`headfem.meshgen.check_conductivity`) when it was made.  The system
+at another conductivity is
+``assemble_cem_system(mesh.with_sigma(sigma), electrodes)``.
 An :class:`ElectrodeSet` is one table of the covered boundary triangles in
 electrode order, so the contact term of ``A`` and the block ``B`` are one
 gather over it each, and its grounding node ``ground`` is found once per set.
@@ -37,8 +40,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError, ElectrodeError, LocationError
-from .geometry import nearest_center
-from .meshgen import centroids, sorted_unique
+from .geometry import as_points, nearest_center
+from .meshgen import centroids, sigma_tensors, sorted_unique
 
 
 # ---------------------------------------------------------------------------
@@ -68,55 +71,25 @@ def element_gradients(mesh, elements=None):
     return vols, grads
 
 
-def _sigma_tensors(sigma):
-    """(m, 6) rows (s11, s22, s33, s12, s13, s23) as (m, 3, 3) tensors."""
-    t = np.empty((len(sigma), 3, 3))
-    t[:, 0, 0] = sigma[:, 0]
-    t[:, 1, 1] = sigma[:, 1]
-    t[:, 2, 2] = sigma[:, 2]
-    t[:, 0, 1] = t[:, 1, 0] = sigma[:, 3]
-    t[:, 0, 2] = t[:, 2, 0] = sigma[:, 4]
-    t[:, 1, 2] = t[:, 2, 1] = sigma[:, 5]
-    return t
-
-
-def _check_conductivity(sigma):
-    if sigma.ndim == 1:
-        if np.any(sigma < 0):
-            raise AssemblyError("negative scalar conductivity")
-        return
-    t = _sigma_tensors(sigma)
-    # Sylvester's criterion on every 3x3 tensor.
-    d1 = t[:, 0, 0]
-    d2 = t[:, 0, 0] * t[:, 1, 1] - t[:, 0, 1] ** 2
-    d3 = np.linalg.det(t)
-    if np.any(d1 <= 0) or np.any(d2 <= 0) or np.any(d3 <= 0):
-        raise AssemblyError("conductivity tensor row is not positive definite")
-
-
 def stiffness_blocks(mesh, sigma=None, elements=None):
     """Per-element 4x4 stiffness blocks V * grad_i . sigma grad_j.
 
-    ``sigma=None`` uses the mesh conductivity; a scalar uses that uniform
+    ``sigma=None`` uses the mesh conductivity; a number uses that uniform
     value (``sigma=1.0`` gives the unit-conductivity blocks that appear in
     the conductivity derivative of ``A``).  ``elements`` restricts the
-    computation to a subset.
+    computation to a subset.  Nothing is checked here: the volumes and the
+    conductivity of a :class:`TetMesh` were checked when it was made.
     """
     vols, grads = element_gradients(mesh, elements)
-    if np.any(vols <= 0):
-        raise AssemblyError("non-positive element volume")
     if sigma is None:
         sigma = mesh.sigma if elements is None else mesh.sigma[elements]
-    if not np.isscalar(sigma):
-        sigma = np.asarray(sigma, dtype=float)
-        _check_conductivity(sigma)
-    if np.ndim(sigma) < 2:
-        blocks = grads @ grads.transpose(0, 2, 1)
-        blocks *= (vols * sigma)[:, None, None]
-        return blocks
-    tens = _sigma_tensors(sigma)
-    blocks = np.einsum("eik,ekl,ejl->eij", grads, tens, grads)
-    blocks *= vols[:, None, None]
+        if mesh.is_tensor:
+            blocks = np.einsum("eik,ekl,ejl->eij", grads, sigma_tensors(sigma),
+                               grads)
+            blocks *= vols[:, None, None]
+            return blocks
+    blocks = grads @ grads.transpose(0, 2, 1)
+    blocks *= (vols * sigma)[:, None, None]
     return blocks
 
 
@@ -175,10 +148,11 @@ class ElectrodeSet:
     @classmethod
     def from_centers(cls, mesh, centers, radius, impedances):
         """Cover each electrode by the boundary triangles whose centroid lies
-        within ``radius`` of its center; conflicts go to the nearest center."""
-        centers = np.atleast_2d(np.asarray(centers, dtype=float))
-        if not centers.size:
+        within ``radius`` of its center, one of the (k, 3) or (3,)
+        ``centers``; conflicts go to the nearest center."""
+        if not np.size(centers):
             raise ElectrodeError("no electrode centers given")
+        centers = as_points(centers, "electrode centers", ElectrodeError)
         bfaces, _ = mesh.boundary_triangles()
         cent = centroids(mesh.nodes, bfaces)
         nearest, dist = nearest_center(cent, centers)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import FormatError, ParameterError, TopologyError
 from .io import _parse_table, _uncommented, _write_rows
-from .meshgen import sorted_unique
+from .meshgen import check_conductivity, sorted_unique
 
 logger = logging.getLogger(__name__)
 
@@ -77,6 +77,17 @@ DEFAULT_CONDUCTIVITY = {
     "skull": 0.0064,
     "scalp": 0.43,
 }
+
+
+def as_points(points, what="points", error=ParameterError):
+    """(3,) or (k, 3) ``points`` as a (k, 3) float array, the one shape rule
+    of every point query; any other shape raises ``error`` naming it."""
+    pts = np.asarray(points, dtype=float)
+    if pts.shape == (3,):
+        return pts[None]
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise error(f"{what} must be (n, 3) or (3,), got shape {pts.shape}")
+    return pts
 
 
 class SurfaceMesh:
@@ -190,8 +201,8 @@ class SurfaceMesh:
         -------
         (k,) bool array (or scalar bool for a single point).
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        single = np.asarray(points).ndim == 1
+        pts = as_points(points)
+        single = np.ndim(points) == 1
         inside = np.zeros(len(pts), dtype=bool)
 
         # Quick bbox rejection.
@@ -384,13 +395,13 @@ class SurfaceMesh:
         return (right & 1).astype(bool) & ~unsure, unsure, cand.size, pairs
 
     def nearest_triangles(self, points):
-        """Index of the triangle nearest to each of (k, 3) ``points`` (the
-        lowest on ties) and its distance.
+        """Index of the triangle nearest to each of the (k, 3) or (3,)
+        ``points`` (:func:`as_points`; the lowest on ties) and its distance.
 
         Points go through in row chunks of at most 2**15 (point, triangle)
         pairs, which bounds the temporaries.
         """
-        points = np.asarray(points, dtype=float).reshape(-1, 3)
+        points = as_points(points)
         rows = max(1, (1 << 15) // len(self.triangles))
         j = np.empty(len(points), dtype=np.int64)
         d = np.empty(len(points))
@@ -481,8 +492,9 @@ def _dot3(a, b):
 
 
 def nearest_center(points, centers):
-    """Index of the center nearest to each of (k, 3) ``points`` (the lowest
-    on ties) and its distance.  Distances are sqrt((dx*dx + dy*dy) + dz*dz),
+    """Index of the center nearest to each of the (k, 3) or (3,) ``points``
+    (:func:`as_points`, as are ``centers``; the lowest on ties) and its
+    distance.  Distances are sqrt((dx*dx + dy*dy) + dz*dz),
     the bits of ``np.linalg.norm(axis=-1)``, so exact ties on a lattice
     resolve alike.
 
@@ -497,8 +509,8 @@ def nearest_center(points, centers):
     through the chunked search.  Every distance is then the formula above,
     so index and distance are those of the brute-force search, bit for bit.
     """
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    centers = np.asarray(centers, dtype=float).reshape(-1, 3)
+    points = as_points(points)
+    centers = as_points(centers, "centers")
     if not len(centers):
         raise ParameterError("nearest_center needs at least one center")
     if (len(points) * len(centers) < _PRUNE_PAIRS
@@ -586,6 +598,7 @@ class Compartment:
         surfaces = tuple(surfaces)
         if not surfaces:
             raise FormatError("compartment needs at least one surface")
+        self.name = name if name is not None else surfaces[0].name
         cond = np.asarray(conductivity, dtype=float)
         if cond.ndim == 0:
             cond = float(cond)
@@ -593,11 +606,12 @@ class Compartment:
             raise FormatError(
                 "conductivity must be a scalar or a 6-entry tensor row "
                 "(s11, s22, s33, s12, s13, s23)")
+        check_conductivity(np.atleast_2d(cond) if np.ndim(cond) else cond,
+                           f"compartment '{self.name}'")
         self.surfaces = surfaces
         self.conductivity = cond
         self.priority = int(priority)
         self.active = bool(active)
-        self.name = name if name is not None else surfaces[0].name
 
     @property
     def is_tensor(self):
@@ -636,7 +650,8 @@ class Segmentation:
         return np.min(los, axis=0), np.max(his, axis=0)
 
     def locate(self, points):
-        """Label each point with the innermost enclosing compartment.
+        """Label each of the (k, 3) or (3,) ``points`` (:func:`as_points`)
+        with the innermost enclosing compartment.
 
         Returns an int array with the compartment index, or -1 for points
         outside every compartment.  One DEBUG record on ``headfem.geometry``
@@ -644,7 +659,7 @@ class Segmentation:
         box, summed over surfaces), the line-triangle pairs tested (summed
         over surfaces) and the points passed to ``SurfaceMesh.contains``.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = as_points(points)
         yz, line = _yz_lines(pts)
         labels = np.full(len(pts), -1, dtype=np.int64)
         n_rays = n_fallback = n_pairs = 0

@@ -19,7 +19,7 @@ artifacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +32,7 @@ from .errors import (
     RoiError,
     UndefinedMetricError,
 )
-from .geometry import distance_table, nearest_center
+from .geometry import as_points, distance_table, nearest_center
 
 
 @dataclass(frozen=True)
@@ -89,27 +89,14 @@ class IasState:
     def __post_init__(self):
         if self.nu <= 0:
             raise ParameterError("likelihood standard deviation nu must be > 0")
-        if np.any(np.asarray(self.theta) <= 0):
-            raise ParameterError("theta must be entrywise positive")
-
-
-@dataclass(frozen=True)
-class _RunState(IasState):
-    """The state of an ``ias_map`` or ``multires_ias`` run, which also
-    carries the buffer that every ``ias_step`` of the run writes L_s into,
-    so the run allocates it once."""
-
-    Ls: np.ndarray | None = field(default=None, repr=False, compare=False)
+        theta = np.asarray(self.theta)
+        if not (np.isfinite(theta).all() and np.all(theta >= 0)):
+            raise ParameterError("theta must be entrywise finite and >= 0")
 
 
 def initial_state(n_dofs, hyper, nu):
     return IasState(x=np.zeros(n_dofs),
                     theta=np.full(n_dofs, float(hyper.theta0)), nu=float(nu))
-
-
-def _run_state(Ls, hyper, nu):
-    """``initial_state`` of a run on L_s-shaped buffer ``Ls``."""
-    return _RunState(**vars(initial_state(Ls.shape[1], hyper, nu)), Ls=Ls)
 
 
 def ias_step(L, y, state, hyper):
@@ -124,7 +111,8 @@ def ias_step(L, y, state, hyper):
     L_s' (L_s L_s' + nu^2 I)^-1 = (L_s' L_s + nu^2 I)^-1 L_s'.  The
     nonzero eigenvalues of L_s L_s' and L_s' L_s agree and the rest are
     zero, so the smaller system is never worse conditioned than the larger.
-    L_s goes into the buffer of a run's state (``_RunState``) if it has one.
+    A zero theta_j (the gamma update at beta = 3/2 for x_j = 0) drops DOF
+    j from L_s, and x_j stays 0.
     """
     L = np.asarray(L, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -132,10 +120,7 @@ def ias_step(L, y, state, hyper):
         raise ParameterError(
             f"shape mismatch: L {L.shape}, y {y.size}, x {state.x.size}")
     d_half = np.sqrt(np.abs(state.theta))
-    Ls = getattr(state, "Ls", None)
-    if Ls is None:
-        Ls = np.empty_like(L)
-    np.multiply(L, d_half[None, :], out=Ls)
+    Ls = L * d_half[None, :]
     measurement = L.shape[0] <= L.shape[1]
     K = Ls @ Ls.T if measurement else Ls.T @ Ls
     K.flat[::len(K) + 1] += state.nu**2
@@ -159,8 +144,7 @@ def ias_map(L, y, hyper, nu, n_iter, roi=None):
 
     ``roi`` restricts the estimation to a DOF subset: the lead-field
     columns outside it are dropped and the result is embedded back at the
-    ROI indices with zeros elsewhere.  Every step writes L_s into one
-    buffer.
+    ROI indices with zeros elsewhere.
     """
     if n_iter < 1:
         raise ParameterError("n_iter must be >= 1")
@@ -171,7 +155,7 @@ def ias_map(L, y, hyper, nu, n_iter, roi=None):
         if roi.size == 0:
             raise RoiError("region of interest contains no DOFs")
         Lr = L[:, roi]
-    state = _run_state(np.empty_like(Lr), hyper, nu)
+    state = initial_state(Lr.shape[1], hyper, nu)
     for _ in range(int(n_iter)):
         state = ias_step(Lr, y, state, hyper)
     if roi is None:
@@ -194,18 +178,10 @@ def make_decomposition(positions, n_subsets, rng):
     therefore yields the identity decomposition.  Should an empty subset
     still occur, its center is re-drawn up to 50 times.
     """
-    positions = _dof_positions(positions)
+    positions = as_points(positions, "DOF positions")
     return _draw_partition(
         len(positions), n_subsets, rng,
         lambda idx: nearest_center(positions, positions[idx])[0])
-
-
-def _dof_positions(positions):
-    positions = np.asarray(positions, dtype=float)
-    if positions.ndim != 2 or positions.shape[1] != 3:
-        raise ParameterError(
-            f"DOF positions must be (n, 3), got shape {positions.shape}")
-    return positions
 
 
 def _draw_partition(n, n_subsets, rng, nearest):
@@ -264,11 +240,10 @@ def multires_ias(L, y, positions, hyper, nu, n_iter, n_subsets,
     are ``make_decomposition``'s, drawn from one DOF distance table where
     that is smaller than their scans (``_partitions``).  One product with
     the stacked one-hot matrices of all partitions sums every coarse column
-    in increasing DOF order, bit for bit as one partition at a time, and
-    every step writes L_s into one buffer.
+    in increasing DOF order, bit for bit as one partition at a time.
     """
     L = np.asarray(L, dtype=float)
-    positions = _dof_positions(positions)
+    positions = as_points(positions, "DOF positions")
     if L.shape[1] != len(positions):
         raise ParameterError("one position per lead-field column required")
     if n_iter < 1 or n_decompositions < 1:
@@ -281,10 +256,9 @@ def multires_ias(L, y, positions, hyper, nu, n_iter, n_subsets,
         (parts + n_subsets * np.arange(len(parts))[:, None]).ravel(),
         np.tile(np.arange(n), len(parts))))) @ L.T
     total = np.zeros(n)
-    Ls = np.empty((L.shape[0], n_subsets))
     for d, a in enumerate(parts):
         Lr = np.ascontiguousarray(coarse[d * n_subsets:(d + 1) * n_subsets].T)
-        state = _run_state(Ls, hyper, nu)
+        state = initial_state(n_subsets, hyper, nu)
         for _ in range(int(n_iter)):
             state = ias_step(Lr, y, state, hyper)
         total += state.x[a]

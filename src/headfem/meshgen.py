@@ -14,6 +14,9 @@ permute (3/4, 1/2, 1/4) h) lie on shared x-lines, so
 ``Segmentation.locate`` labels them all with one +x ray per line and
 surface, and sends the few undecided points to its per-point fallback,
 ``SurfaceMesh.contains``.
+
+A :class:`TetMesh` checks its input where it is made, and assembly
+re-checks nothing.  Compartments apply the same :func:`check_conductivity`.
 """
 
 from __future__ import annotations
@@ -88,14 +91,37 @@ def _read_only(arr, dtype):
     return out
 
 
+def sigma_tensors(sigma):
+    """(m, 6) rows (s11, s22, s33, s12, s13, s23) as (m, 3, 3) tensors."""
+    return sigma[:, [[0, 3, 4], [3, 1, 5], [4, 5, 2]]]
+
+
+def check_conductivity(sigma, where):
+    """The conductivity rule: every value finite, scalars >= 0 and (k, 6)
+    tensor rows positive definite by Sylvester's criterion.  Raises
+    :class:`ParameterError` led by ``where``."""
+    if not np.isfinite(sigma).all():
+        raise ParameterError(f"{where}: conductivity is not finite")
+    if np.ndim(sigma) < 2 and np.any(sigma < 0):
+        raise ParameterError(f"{where}: negative scalar conductivity")
+    if np.ndim(sigma) == 2:
+        t = sigma_tensors(sigma)
+        d2 = t[:, 0, 0] * t[:, 1, 1] - t[:, 0, 1] ** 2
+        if any(np.any(d <= 0) for d in (t[:, 0, 0], d2, np.linalg.det(t))):
+            raise ParameterError(
+                f"{where}: conductivity tensor row is not positive definite")
+
+
 def _checked_sigma(sigma, n_elements):
-    """``sigma`` as a read-only float array: length-m scalars or (m, 6)
-    tensor rows."""
+    """``sigma`` as a checked read-only float array: length-m scalars or
+    (m, 6) tensor rows."""
     sigma = _read_only(sigma, float)
+    if sigma.ndim not in (1, 2) or sigma.shape[1:] not in ((), (6,)):
+        raise ParameterError("sigma must be m scalars or tensor rows of "
+                             f"6 columns, got shape {sigma.shape}")
     if len(sigma) != n_elements:
         raise ParameterError("sigma length must equal element count")
-    if sigma.ndim == 2 and sigma.shape[1] != 6:
-        raise ParameterError("tensor sigma must have 6 columns")
+    check_conductivity(sigma, "sigma")
     return sigma
 
 
@@ -103,24 +129,31 @@ class TetMesh:
     """Labeled tetrahedral volume mesh with per-element conductivity.
 
     ``sigma`` is either a length-M scalar array (isotropic) or an (M, 6)
-    array of symmetric tensor rows (s11, s22, s33, s12, s13, s23).
+    array of symmetric tensor rows (s11, s22, s33, s12, s13, s23) that keeps
+    :func:`check_conductivity`.  Nodes must be finite (n, 3) and volumes
+    finite and positive; the arrays are read-only, so the checks hold for life.
     """
 
     def __init__(self, nodes, tetra, labels, sigma):
         nodes = _read_only(nodes, float)
         tetra = _read_only(tetra, np.int64)
         labels = _read_only(labels, np.int64)
+        if nodes.ndim != 2 or nodes.shape[1] != 3:
+            raise ParameterError(f"nodes must be (n, 3), got {nodes.shape}")
         if tetra.ndim != 2 or tetra.shape[1] != 4:
             raise ParameterError(f"tetra must be (m, 4), got {tetra.shape}")
         if tetra.size and (tetra.min() < 0 or tetra.max() >= len(nodes)):
             raise IndexError("tetrahedron references a missing node")
         if len(labels) != len(tetra):
             raise ParameterError("labels length must equal element count")
+        if not np.isfinite(nodes).all():
+            raise ParameterError("non-finite node coordinate")
         self.sigma = _checked_sigma(sigma, len(tetra))
         vols = tet_volumes(nodes, tetra)
-        if np.any(vols <= 0):
-            raise ParameterError(
-                f"{np.count_nonzero(vols <= 0)} element(s) with non-positive volume")
+        bad = ~((vols > 0) & (vols < np.inf))
+        if bad.any():
+            raise ParameterError(f"{np.count_nonzero(bad)} element(s) with "
+                                 "non-positive or infinite volume")
         self.nodes, self.tetra, self.labels = nodes, tetra, labels
         self.volumes = vols
         vols.setflags(write=False)

@@ -35,3 +35,14 @@ def test_tier1_has_a_timeout():
     minutes = [line.split(":", 1)[1].strip() for line in tier1_job()
                if line.startswith("    timeout-minutes:")]
     assert len(minutes) == 1 and 0 < int(minutes[0]) <= 60
+
+
+def test_tier1_runs_the_declared_python_floor():
+    # tomllib is 3.11+, and this test also runs on the 3.10 floor.
+    floor = re.search(r'^requires-python = ">=(\d+\.\d+)"$',
+                      (ROOT / "pyproject.toml").read_text(), re.M).group(1)
+    job = tier1_job()
+    versions = [re.findall(r'"([\d.]+)"', line.split(":", 1)[1])
+                for line in job if line.strip().startswith("python-version:")]
+    assert versions and floor in versions[0]
+    assert "          python-version: ${{ matrix.python-version }}" in job

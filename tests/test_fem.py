@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -402,13 +403,13 @@ class TestAssembleA:
                                    atol=1e-14 * np.abs(ref).max())
 
     def test_non_pd_tensor_rejected(self):
-        mesh = regular_tet_mesh(sigma=[1.0, 1.0, -1.0, 0.0, 0.0, 0.0])
-        with pytest.raises(AssemblyError):
-            volume_A(mesh)
+        # The mesh refuses the conductivity before any assembly.
+        with pytest.raises(ParameterError, match="not positive definite"):
+            regular_tet_mesh(sigma=[1.0, 1.0, -1.0, 0.0, 0.0, 0.0])
 
     def test_negative_scalar_rejected(self):
-        with pytest.raises(AssemblyError):
-            volume_A(single_tet_mesh(sigma=-1.0))
+        with pytest.raises(ParameterError, match="negative"):
+            single_tet_mesh(sigma=-1.0)
 
 
 class TestAssembleBCR:
@@ -499,6 +500,13 @@ class TestElectrodeTable:
         mesh = single_tet_mesh()
         with pytest.raises(ElectrodeError, match="no electrode centers"):
             ElectrodeSet.from_centers(mesh, centers, 0.02, 1.0)
+
+    @pytest.mark.parametrize("shape", [(1, 6), (2, 2), (6,)])
+    def test_centers_not_k_by_3_are_an_electrode_error(self, shape):
+        # (1, 6) centers used to make one electrode of two read as (2, 3).
+        mesh = single_tet_mesh()
+        with pytest.raises(ElectrodeError, match=re.escape(str(shape))):
+            ElectrodeSet.from_centers(mesh, np.zeros(shape), 10.0, 1.0)
 
     def test_electrodes_on_every_boundary_node_leave_no_ground(self):
         # Four one-face electrodes cover all four nodes of one tetrahedron.
@@ -865,11 +873,42 @@ class TestFaceTable:
                 mesh.nodes, mesh.tetra, mesh.labels, sigma)):
             with pytest.raises(ParameterError, match="length"):
                 make(np.ones(3))
-            with pytest.raises(ParameterError, match="6 columns"):
-                make(np.ones((2, 3)))
+            for shape in ((2, 3), (2, 6, 1)):
+                with pytest.raises(ParameterError, match="6 columns"):
+                    make(np.ones(shape))
         tens = mesh.with_sigma(np.tile([1.0, 2.0, 3.0, 0.0, 0.0, 0.0], (2, 1)))
         assert tens.is_tensor and not tens.sigma.flags.writeable
         assert not mesh.is_tensor
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_sigma_must_be_finite_and_nonnegative(self, bad):
+        # NaN and inf used to reach the solver; a negative value the
+        # assembly, chunk by chunk.
+        mesh = two_tet_mesh()
+        for make in (mesh.with_sigma, lambda sigma: TetMesh(
+                mesh.nodes, mesh.tetra, mesh.labels, sigma)):
+            with pytest.raises(ParameterError, match="conductivity"):
+                make(np.array([1.0, bad]))
+            with pytest.raises(ParameterError, match="conductivity"):
+                make(np.tile([1.0, 1.0, bad, 0.0, 0.0, 0.0], (2, 1)))
+        assert mesh.with_sigma(np.zeros(2)).sigma.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("make", ["nan", "-inf", "overflow", "n_by_2"])
+    def test_nodes_and_volumes_must_be_valid(self, make):
+        # vols <= 0 is False for NaN, so a NaN node used to pass, and
+        # (n, 2) nodes ended in an untyped einsum error.
+        mesh = two_tet_mesh()
+        nodes = mesh.nodes.copy()
+        if make == "overflow":
+            nodes *= 1e120                       # volumes ~1e360 = inf
+        elif make == "n_by_2":
+            nodes = nodes[:, :2]
+        else:
+            nodes[4, 2] = float(make)            # keeps the orientation
+        for build in (mesh.with_nodes, lambda x: TetMesh(
+                x, mesh.tetra, mesh.labels, mesh.sigma)):
+            with pytest.raises(ParameterError, match="node|volume"):
+                build(nodes)
 
     def test_caller_arrays_stay_writable(self):
         # A mesh copies the arrays that its caller can still write and

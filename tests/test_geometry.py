@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -302,6 +303,17 @@ class TestCompartment:
         with pytest.raises(FormatError):
             Compartment(s, np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("cond", [np.nan, np.inf, -0.33,
+                                      [1.0, 1.0, np.nan, 0.0, 0.0, 0.0],
+                                      [1.0, 1.0, -1.0, 0.0, 0.0, 0.0],
+                                      [1.0, 1.0, 1.0, 2.0, 0.0, 0.0]])
+    def test_conductivity_rule_names_the_compartment(self, cond):
+        # NaN or negative values used to be meshed and fail in the solver.
+        s = icosphere(1.0, 0)
+        with pytest.raises(ParameterError, match="compartment 'brain'"):
+            Compartment(s, cond, name="brain")
+        assert Compartment(s, 0.0).conductivity == 0.0
+
 
 class TestGenerators:
     def test_icosphere_closed_and_outward(self):
@@ -323,6 +335,40 @@ class TestGenerators:
         [j], [d] = cube_surface.nearest_triangles([0.5, 0.5, 2.0])
         assert d == pytest.approx(1.0)
         assert np.allclose(cube_surface.normals[j], [0, 0, 1])
+
+
+class TestPointSets:
+    """Every point query takes (3,) or (k, 3) and names any other shape."""
+
+    @pytest.mark.parametrize("shape", [(2, 6), (1, 6), (4, 2), (6,),
+                                       (2, 3, 1)])
+    def test_nearest_queries_reject_other_shapes(self, cube_surface, shape):
+        # (2, 6) points used to be read as (4, 3) and get four answers.
+        bad = np.zeros(shape)
+        for query in (lambda: nearest_center(bad, [[0.0, 0.0, 0.0]]),
+                      lambda: nearest_center([[0.0, 0.0, 0.0]], bad),
+                      lambda: cube_surface.nearest_triangles(bad)):
+            with pytest.raises(ParameterError, match=re.escape(str(shape))):
+                query()
+
+    @pytest.mark.parametrize("shape", [(5, 2), (2,), (3, 4)])
+    def test_containment_rejects_other_shapes(self, cube_surface,
+                                              nested_sphere_segmentation,
+                                              shape):
+        # (k, 2) points used to end in an IndexError or a ValueError.
+        bad = np.zeros(shape)
+        for query in (cube_surface.contains,
+                      nested_sphere_segmentation.locate):
+            with pytest.raises(ParameterError, match=re.escape(str(shape))):
+                query(bad)
+
+    def test_one_point_is_a_row(self, cube_surface,
+                                nested_sphere_segmentation):
+        p = [0.5, 0.5, 0.5]
+        assert cube_surface.contains(p) is True
+        assert nested_sphere_segmentation.locate(p).shape == (1,)
+        assert cube_surface.nearest_triangles(p)[0].shape == (1,)
+        assert nearest_center(p, p)[0].tolist() == [0]
 
 
 class TestNearestCenter:

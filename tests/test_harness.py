@@ -227,6 +227,19 @@ class TestCliMesh:
         assert mesh.n_elements == 48
         assert np.all(mesh.volumes > 0)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.33",
+                                       "1 1 -1 0 0 0"])
+    def test_bad_conductivity_exit_2_before_any_file(self, tmp_path, capsys,
+                                                     value):
+        # NaN and -0.33 used to mesh with exit 0, then fail the lead field
+        # with exit 3.
+        path = write_cube_project(tmp_path)
+        path.write_text(path.read_text().replace(
+            "conductivity = 1.0", f"conductivity = {value}"))
+        assert main(["mesh", "--config", str(path)]) == 2
+        assert "compartment 'cube'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("out/mesh*"))
+
     def test_missing_surface_file_exit_2(self, tmp_path, capsys):
         path = write_cube_project(tmp_path)
         os.remove(tmp_path / "cube_nodes.dat")
