@@ -188,10 +188,8 @@ def _build_electrodes(cfg, mesh):
     if cfg.electrodes["triangles"]:
         return ElectrodeSet(mesh, cfg.electrodes["triangles"],
                             cfg.electrodes["impedances"])
-    pos = cfg.electrodes["positions"]
-    if len(pos) == 0:
-        raise ConfigError(f"{cfg.path}: no electrodes defined")
-    return ElectrodeSet.from_centers(mesh, pos, cfg.electrodes["radius"],
+    return ElectrodeSet.from_centers(mesh, cfg.electrodes["positions"],
+                                     cfg.electrodes["radius"],
                                      cfg.electrodes["impedances"])
 
 
@@ -324,6 +322,12 @@ def cmd_simulate(cfg, args):
     return 0
 
 
+def _check_finite(path, *arrays):
+    """Refuse values read from ``path`` that are NaN or infinite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise DataError(f"{path}: non-finite value (nan or inf)")
+
+
 def cmd_invert(cfg, args):
     out = _outdir(cfg, args)
     if not args.data:
@@ -343,6 +347,7 @@ def cmd_invert(cfg, args):
                                 payloads["leadfield_sidecar"], lf_path)
     data = Path(args.data).read_bytes()
     y = hio.parse_dataset(data, args.data)
+    _check_finite(args.data, y)
     if y.size != lf.matrix.shape[0]:
         raise DataError(f"data length {y.size} != lead field rows "
                         f"{lf.matrix.shape[0]}")
@@ -375,9 +380,6 @@ def cmd_invert(cfg, args):
         x = ias_map(L_hat, y_hat, hyper, nu=nu, n_iter=inv["iterations"],
                     roi=np.flatnonzero(np.repeat(in_roi, comp)))
     elif inv["method"] == "multires":
-        if comp != 1:
-            raise DataError("multiresolution mode needs one column per DOF "
-                            "(constrained EEG or EIT lead fields)")
         if not 1 <= inv["subsets"] <= len(positions):
             raise ConfigError(f"[inversion] subsets = {inv['subsets']} is not "
                               f"between 1 and the {len(positions)} DOFs")
@@ -446,6 +448,12 @@ def _experiment_params(cfg, params):
         if attr in names and cfg.experiment[key] is not None})
 
 
+def _table(rows):
+    """Header (the first row's keys) and value rows of a list of row dicts."""
+    header = list(rows[0])
+    return header, [[r[k] for k in header] for r in rows]
+
+
 def cmd_experiment(cfg, args):
     from . import experiments as ex
 
@@ -460,23 +468,15 @@ def cmd_experiment(cfg, args):
         params = _experiment_params(cfg, ex.EegHypermodelParams(
             master_seed=master))
         rows, summary, _ = ex.eeg_hypermodel_experiment(params)
-        header = ["case", "hypermodel", "theta0", "source", "realization",
-                  "position_error_mm", "angle_error_deg"]
-        save("hypermodel_realizations.csv", hio.write_csv, header,
-             [[r[k] for k in header] for r in rows])
-        sh = list(summary[0].keys())
-        save("hypermodel_summary.csv", hio.write_csv, sh,
-             [[s[k] for k in sh] for s in summary])
+        save("hypermodel_realizations.csv", hio.write_csv, *_table(rows))
+        save("hypermodel_summary.csv", hio.write_csv, *_table(summary))
         parameters = {"name": args.name, "realizations": params.realizations,
                       "cases": [list(c) for c in params.cases]}
     elif args.name == "eit-hemorrhage":
         params = _experiment_params(cfg, ex.EitHemorrhageParams(
             master_seed=master))
         rows, first, ctx = ex.eit_hemorrhage_experiment(params)
-        header = ["seed", "com_x", "com_y", "com_z", "com_error_mm",
-                  "within_radius"]
-        save("hemorrhage_seeds.csv", hio.write_csv, header,
-             [[r[k] for k in header] for r in rows])
+        save("hemorrhage_seeds.csv", hio.write_csv, *_table(rows))
         hits = sum(r["within_radius"] for r in rows)
         save("hemorrhage_summary.csv", hio.write_csv,
              ["n_seeds", "hits", "median_error_mm"],
@@ -506,7 +506,9 @@ def cmd_metrics(cfg, args):
     if cfg.truth is None or cfg.truth["position"] is None:
         raise ConfigError("metrics requires a [truth] section with a position")
     data = Path(args.reconstruction).read_bytes()
-    metrics = _score(cfg, *hio.parse_reconstruction(data, args.reconstruction))
+    positions, values = hio.parse_reconstruction(data, args.reconstruction)
+    _check_finite(args.reconstruction, positions, values)
+    metrics = _score(cfg, positions, values)
     sha = hio.write_json(os.path.join(out, "metrics.json"), metrics)
     hio.write_manifest(
         os.path.join(out, "metrics_manifest.json"), "metrics", cfg.digest,

@@ -123,7 +123,7 @@ class ElectrodeSet:
         bfaces, _ = mesh.boundary_triangles()
         n_el = len(triangle_ids)
         imp = np.broadcast_to(np.asarray(impedances, dtype=float), (n_el,)).copy()
-        if np.any(imp <= 0):
+        if not np.all((imp > 0) & (imp < np.inf)):
             raise ElectrodeError("contact impedances must be positive")
         ids = [np.asarray(t, dtype=np.int64) for t in triangle_ids]
         seen = np.concatenate(ids) if n_el else np.array([], dtype=np.int64)

@@ -104,13 +104,12 @@ class SurfaceMesh:
 
     Raises
     ------
-    IndexError
-        If a triangle references a node outside ``[0, n)``.
     TopologyError
         If the surface is not closed (some edge is not shared by exactly
         two triangles) or not consistently orientable.
     FormatError
-        If a triangle is degenerate (zero area) or arrays are malformed.
+        If a triangle references a node outside ``[0, n)``, is degenerate
+        (zero area), or the arrays are malformed.
     """
 
     def __init__(self, nodes, triangles, name="surface"):
@@ -124,7 +123,7 @@ class SurfaceMesh:
             raise FormatError("non-finite node coordinate")
         if triangles.size and (triangles.min() < 0 or triangles.max() >= len(nodes)):
             bad = triangles[(triangles < 0) | (triangles >= len(nodes))][0]
-            raise IndexError(
+            raise FormatError(
                 f"triangle references node {bad} outside 0..{len(nodes) - 1}")
 
         self.nodes = nodes
@@ -760,24 +759,20 @@ def icosphere(radius=1.0, subdivisions=2, center=(0.0, 0.0, 0.0), name="sphere")
     ], dtype=np.int64)
     verts /= np.linalg.norm(verts, axis=1, keepdims=True)
     for _ in range(int(subdivisions)):
-        cache = {}
-        vlist = list(verts)
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in cache:
-                m = vlist[i] + vlist[j]
-                m /= np.linalg.norm(m)
-                cache[key] = len(vlist)
-                vlist.append(m)
-            return cache[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-        verts = np.array(vlist)
-        faces = np.array(new_faces, dtype=np.int64)
+        # Midpoints of the edges ab, bc, ca of each face in turn, numbered
+        # by first use and pushed out to the unit sphere.
+        n = len(verts)
+        ends = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        _, first, edge = np.unique(ends[:, 0] * n + ends[:, 1],
+                                   return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        lo, hi = ends[first[order]].T
+        m = verts[lo] + verts[hi]
+        verts = np.concatenate([verts, m / np.sqrt(np.vecdot(m, m))[:, None]])
+        # Corners a, b, c, ab, bc, ca; children (a, ab, ca), (b, bc, ab),
+        # (c, ca, bc) and (ab, bc, ca).
+        corners = np.hstack([faces, n + np.argsort(order)[edge].reshape(-1, 3)])
+        faces = corners[:, [0, 3, 5, 1, 4, 3, 2, 5, 4, 3, 4, 5]].reshape(-1, 3)
     nodes = verts * float(radius) + np.asarray(center, dtype=float)
     return SurfaceMesh(nodes, faces, name=name)
 

@@ -53,11 +53,11 @@ class HyperModel:
         object.__setattr__(self, "family", fam)
         if fam not in ("G", "IG"):
             raise ParameterError(f"hypermodel family must be G or IG, got {fam}")
-        if self.theta0 <= 0:
+        if not 0 < self.theta0 < np.inf:
             raise ParameterError("theta0 must be positive")
-        if fam == "G" and self.beta < 1.5:
+        if fam == "G" and not 1.5 <= self.beta < np.inf:
             raise ParameterError("gamma hypermodel requires beta >= 3/2")
-        if fam == "IG" and self.beta <= 0:
+        if fam == "IG" and not 0 < self.beta < np.inf:
             raise ParameterError("inverse-gamma hypermodel requires beta > 0")
 
     @property
@@ -87,7 +87,7 @@ class IasState:
     k: int = 0
 
     def __post_init__(self):
-        if self.nu <= 0:
+        if not 0 < self.nu < np.inf:
             raise ParameterError("likelihood standard deviation nu must be > 0")
         theta = np.asarray(self.theta)
         if not (np.isfinite(theta).all() and np.all(theta >= 0)):
@@ -218,14 +218,13 @@ def _partitions(positions, n_subsets, n_decompositions, m, rng):
         table = distance_table(positions)
         buf = np.empty((n_subsets, n))
 
-        def nearest(idx):
-            return np.take(table, idx, axis=0, out=buf,
-                           mode="clip").argmin(axis=0)
+        def draw():
+            return _draw_partition(n, n_subsets, rng, lambda idx: np.take(
+                table, idx, axis=0, out=buf, mode="clip").argmin(axis=0))
     else:
-        def nearest(idx):
-            return nearest_center(positions, positions[idx])[0]
-    return np.array([_draw_partition(n, n_subsets, rng, nearest)
-                     for _ in range(int(n_decompositions))])
+        def draw():
+            return make_decomposition(positions, n_subsets, rng)
+    return np.array([draw() for _ in range(int(n_decompositions))])
 
 
 def multires_ias(L, y, positions, hyper, nu, n_iter, n_subsets,
@@ -245,7 +244,8 @@ def multires_ias(L, y, positions, hyper, nu, n_iter, n_subsets,
     L = np.asarray(L, dtype=float)
     positions = as_points(positions, "DOF positions")
     if L.shape[1] != len(positions):
-        raise ParameterError("one position per lead-field column required")
+        raise ParameterError("one position per lead-field column required "
+                             "(constrained EEG or EIT lead fields)")
     if n_iter < 1 or n_decompositions < 1:
         raise ParameterError("n_iter and n_decompositions must be >= 1")
     n = L.shape[1]

@@ -177,9 +177,9 @@ def adjacent_pair_patterns(n_electrodes, amplitude=1.0):
     """Default injection protocol: pattern k puts +amplitude on electrode k
     and -amplitude on electrode k+1 (L-1 patterns)."""
     I = np.zeros((n_electrodes, n_electrodes - 1))
-    for k in range(n_electrodes - 1):
-        I[k, k] = amplitude
-        I[k + 1, k] = -amplitude
+    k = np.arange(n_electrodes - 1)
+    I[k, k] = amplitude
+    I[k + 1, k] = -amplitude
     return I
 
 

@@ -143,7 +143,7 @@ class TetMesh:
         if tetra.ndim != 2 or tetra.shape[1] != 4:
             raise ParameterError(f"tetra must be (m, 4), got {tetra.shape}")
         if tetra.size and (tetra.min() < 0 or tetra.max() >= len(nodes)):
-            raise IndexError("tetrahedron references a missing node")
+            raise ParameterError("tetrahedron references a missing node")
         if len(labels) != len(tetra):
             raise ParameterError("labels length must equal element count")
         if not np.isfinite(nodes).all():

@@ -34,7 +34,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.mode not in ("relative-max", "snr-db"):
             raise ParameterError(f"unknown noise mode '{self.mode}'")
-        if self.level <= 0:
+        if not 0 < self.level < np.inf:
             raise ParameterError("noise level must be positive")
 
     def std_for(self, signal):
@@ -74,7 +74,7 @@ class Phantom:
                            tuple(float(c) for c in self.conductivities))
         object.__setattr__(self, "anomaly_center",
                            np.asarray(self.anomaly_center, dtype=float))
-        if self.anomaly_diameter <= 0:
+        if not 0 < self.anomaly_diameter < np.inf:
             raise ParameterError("anomaly diameter must be positive")
         c = np.linalg.norm(self.anomaly_center)
         r = 0.5 * self.anomaly_diameter

@@ -38,7 +38,7 @@ class PcgConfig:
     max_iterations: int | None = None
 
     def __post_init__(self):
-        if self.tolerance <= 0:
+        if not 0 < self.tolerance < np.inf:
             raise ParameterError("tolerance must be positive")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ParameterError("max_iterations must be >= 1")

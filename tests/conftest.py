@@ -107,6 +107,44 @@ def reference_generate_mesh(seg, h):
                            meshgen._conductivity_table(seg)[labels])
 
 
+def reference_icosphere(radius=1.0, subdivisions=2, center=(0.0, 0.0, 0.0)):
+    """Nodes and triangles of the per-face midpoint-dict subdivision: the
+    reference for ``geometry.icosphere``."""
+    phi = (1.0 + np.sqrt(5.0)) / 2.0
+    verts = np.array([
+        [-1, phi, 0], [1, phi, 0], [-1, -phi, 0], [1, -phi, 0],
+        [0, -1, phi], [0, 1, phi], [0, -1, -phi], [0, 1, -phi],
+        [phi, 0, -1], [phi, 0, 1], [-phi, 0, -1], [-phi, 0, 1],
+    ], dtype=float)
+    faces = np.array([
+        [0, 11, 5], [0, 5, 1], [0, 1, 7], [0, 7, 10], [0, 10, 11],
+        [1, 5, 9], [5, 11, 4], [11, 10, 2], [10, 7, 6], [7, 1, 8],
+        [3, 9, 4], [3, 4, 2], [3, 2, 6], [3, 6, 8], [3, 8, 9],
+        [4, 9, 5], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1],
+    ], dtype=np.int64)
+    verts /= np.linalg.norm(verts, axis=1, keepdims=True)
+    for _ in range(int(subdivisions)):
+        cache = {}
+        vlist = list(verts)
+
+        def midpoint(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in cache:
+                m = vlist[i] + vlist[j]
+                m /= np.linalg.norm(m)
+                cache[key] = len(vlist)
+                vlist.append(m)
+            return cache[key]
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
+        verts = np.array(vlist)
+        faces = np.array(new_faces, dtype=np.int64)
+    return verts * float(radius) + np.asarray(center, dtype=float), faces
+
+
 def reference_nearest_triangle(surface, point):
     """The triangle of ``surface`` nearest to one point and its distance:
     the per-point reference for ``SurfaceMesh.nearest_triangles``."""

@@ -1,4 +1,5 @@
-"""The CI workflow runs the tier-1 suite as ROADMAP.md documents it.
+"""The CI workflow runs the tier-1 suite as ROADMAP.md documents it, and
+the traced benchmark once.
 
 The workflow is read as text: PyYAML is not a test dependency.
 """
@@ -10,21 +11,33 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
-def tier1_job():
-    """The lines of the workflow's ``tier1`` job."""
+def job(name):
+    """The lines of the workflow's job ``name``."""
     lines = WORKFLOW.read_text().splitlines()
-    start = lines.index("  tier1:")
+    start = lines.index(f"  {name}:")
     end = next((k for k in range(start + 1, len(lines))
                 if re.match(r"  \S", lines[k])), len(lines))
     return lines[start + 1:end]
 
 
+def tier1_job():
+    return job("tier1")
+
+
+def runs(lines):
+    return [line.split("run:", 1)[1].strip() for line in lines
+            if line.strip().startswith("run:")]
+
+
+def timeout_minutes(lines):
+    return [int(line.split(":", 1)[1]) for line in lines
+            if line.startswith("    timeout-minutes:")]
+
+
 def test_tier1_runs_the_roadmap_verify_command():
     verify = re.search(r"^\*\*Tier-1 verify:\*\* `(.+)`$",
                        (ROOT / "ROADMAP.md").read_text(), re.M).group(1)
-    runs = [line.split("run:", 1)[1].strip() for line in tier1_job()
-            if line.strip().startswith("run:")]
-    assert runs[-1] == verify
+    assert runs(tier1_job())[-1] == verify
 
 
 def test_tier1_uses_one_blas_thread():
@@ -32,17 +45,27 @@ def test_tier1_uses_one_blas_thread():
 
 
 def test_tier1_has_a_timeout():
-    minutes = [line.split(":", 1)[1].strip() for line in tier1_job()
-               if line.startswith("    timeout-minutes:")]
-    assert len(minutes) == 1 and 0 < int(minutes[0]) <= 60
+    minutes = timeout_minutes(tier1_job())
+    assert len(minutes) == 1 and 0 < minutes[0] <= 60
+
+
+def test_bench_smoke_runs_the_traced_benchmark():
+    # The tracer's argument hooks (such as save_tet_mesh's) run only under
+    # --trace 1; a separate job keeps tier-1's last run line the verify
+    # command.
+    smoke = job("bench-smoke")
+    assert runs(smoke) == ['python -m pip install -e ".[test]"',
+                           "python3 bench/run.py --seconds 0 --trace 1"]
+    assert '      OPENBLAS_NUM_THREADS: "1"' in smoke
+    assert timeout_minutes(smoke) == [10]
 
 
 def test_tier1_runs_the_declared_python_floor():
     # tomllib is 3.11+, and this test also runs on the 3.10 floor.
     floor = re.search(r'^requires-python = ">=(\d+\.\d+)"$',
                       (ROOT / "pyproject.toml").read_text(), re.M).group(1)
-    job = tier1_job()
+    tier1 = tier1_job()
     versions = [re.findall(r'"([\d.]+)"', line.split(":", 1)[1])
-                for line in job if line.strip().startswith("python-version:")]
+                for line in tier1 if line.strip().startswith("python-version:")]
     assert versions and floor in versions[0]
-    assert "          python-version: ${{ matrix.python-version }}" in job
+    assert "          python-version: ${{ matrix.python-version }}" in tier1

@@ -458,6 +458,12 @@ class TestAssembleBCR:
         with pytest.raises(ElectrodeError):
             ElectrodeSet(mesh, [np.array([0, 1]), np.array([1, 2])], 1.0)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_impedance_must_be_finite_and_positive(self, bad):
+        mesh = single_tet_mesh()
+        with pytest.raises(ElectrodeError, match="impedances must be positive"):
+            ElectrodeSet(mesh, [np.array([0]), np.array([1])], [1.0, bad])
+
     def test_empty_electrode_rejected(self):
         mesh = single_tet_mesh()
         with pytest.raises(ElectrodeError):
@@ -909,6 +915,14 @@ class TestFaceTable:
                 x, mesh.tetra, mesh.labels, mesh.sigma)):
             with pytest.raises(ParameterError, match="node|volume"):
                 build(nodes)
+
+    @pytest.mark.parametrize("index", [-1, 5])
+    def test_node_index_out_of_range_is_a_parameter_error(self, index):
+        mesh = two_tet_mesh()
+        tetra = mesh.tetra.copy()
+        tetra[0, 0] = index
+        with pytest.raises(ParameterError, match="missing node"):
+            TetMesh(mesh.nodes, tetra, mesh.labels, mesh.sigma)
 
     def test_caller_arrays_stay_writable(self):
         # A mesh copies the arrays that its caller can still write and

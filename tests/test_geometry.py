@@ -24,7 +24,12 @@ from headfem.geometry import (
     save_surface_mesh,
 )
 
-from conftest import TET_NODES, TET_TRIS, reference_locate
+from conftest import (
+    TET_NODES,
+    TET_TRIS,
+    reference_icosphere,
+    reference_locate,
+)
 
 
 def _write(path, lines):
@@ -65,7 +70,7 @@ class TestLoadSurfaceMesh:
         tris = TET_TRIS.copy()
         tris[0, 0] = 8  # node 9 in one-based terms, file has 4 nodes
         _write(tmp_path / "t.dat", [" ".join(str(i + 1) for i in r) for r in tris])
-        with pytest.raises(IndexError):
+        with pytest.raises(FormatError, match="outside 0..3"):
             load_surface_mesh(tmp_path / "n.dat", tmp_path / "t.dat")
 
     def test_open_surface_rejected(self):
@@ -325,6 +330,20 @@ class TestGenerators:
         # Enclosed volume approaches 4/3 pi r^3 from below.
         vol = s.enclosed_volume
         assert 0.9 * 4 / 3 * np.pi * 8 < vol < 4 / 3 * np.pi * 8
+
+    @pytest.mark.parametrize("subdivisions", range(7))
+    def test_icosphere_matches_the_midpoint_dict_bit_for_bit(self,
+                                                             subdivisions):
+        for radius, center in [(1.0, (0.0, 0.0, 0.0)),
+                               (0.0923, (0.01, -0.02, 0.003)),
+                               (2.5, (-1.0, 0.0, 1e-3))]:
+            nodes, faces = reference_icosphere(radius, subdivisions, center)
+            s = icosphere(radius, subdivisions, center)
+            assert s.nodes.dtype == nodes.dtype
+            assert s.triangles.dtype == faces.dtype
+            np.testing.assert_array_equal(s.nodes.view(np.uint64),
+                                          nodes.view(np.uint64))
+            np.testing.assert_array_equal(s.triangles, faces)
 
     def test_box_outward(self, cube_surface):
         centers = cube_surface.nodes[cube_surface.triangles].mean(axis=1)

@@ -247,6 +247,16 @@ class TestCliMesh:
         err = capsys.readouterr().err
         assert "cube_nodes.dat" in err
 
+    def test_triangle_index_out_of_range_exit_2(self, tmp_path, capsys):
+        # Used to exit 1 with a bare IndexError.
+        path = write_cube_project(tmp_path)
+        tris = tmp_path / "cube_tris.dat"
+        lines = tris.read_text().splitlines()
+        tris.write_text("\n".join(["1 2 99"] + lines[1:]) + "\n")
+        assert main(["mesh", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "node 98 outside 0..7" in err and "Traceback" not in err
+
     def test_rerun_identical_manifest(self, tmp_path):
         path = write_cube_project(tmp_path)
         main(["mesh", "--config", str(path)])
@@ -462,6 +472,74 @@ class TestCliInvertAndMetrics:
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "Traceback" not in err
         assert "bad.csv" in err and "'abc'" in err
+
+    def test_non_finite_inversion_scalars_exit_2(self, tmp_path, capsys):
+        # nu = nan used to exit 1 with a traceback from the Cholesky factor.
+        path = self._pipeline(tmp_path)
+        out = tmp_path / "out"
+        for key, message in [("nu", "nu must be > 0"),
+                             ("theta0", "theta0 must be positive"),
+                             ("beta", "beta > 0")]:
+            for bad in ("nan", "inf"):
+                write_sphere_project(tmp_path, n_sources=40, inversion=(
+                    f"[inversion]\nmethod = map\n{key} = {bad}"))
+                capsys.readouterr()
+                assert main(["invert", "--config", str(path),
+                             "--data", str(out / "data.csv")]) == 2
+                err = capsys.readouterr().err
+                assert message in err and "Traceback" not in err
+        assert not (out / "reconstruction.csv").exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_data_cell_exit_2(self, tmp_path, capsys, bad):
+        # One nan cell used to exit 1 with a traceback from the Cholesky
+        # factor.
+        path = self._pipeline(tmp_path)
+        out = tmp_path / "out"
+        lines = (out / "data.csv").read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[1] = bad
+        lines[2] = ",".join(cells)
+        (out / "bad.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["invert", "--config", str(path),
+                     "--data", str(out / "bad.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "bad.csv" in err and "non-finite" in err
+        assert not (out / "reconstruction.csv").exists()
+
+    @pytest.mark.parametrize("old,new", [(",2.0\n", ",nan\n"),
+                                         (",2.0\n", ",inf\n"),
+                                         ("0.04,", "nan,")])
+    def test_non_finite_reconstruction_exit_2(self, tmp_path, capsys, old,
+                                              new):
+        # nan amplitudes used to exit 0 and write NaN, which is not JSON.
+        path = write_sphere_project(
+            tmp_path, extra="[truth]\nposition = 0.0 0.0 0.05\nroi_radius = 0.05\n")
+        rec = tmp_path / "bad.csv"
+        hio.save_reconstruction(rec, np.array([[0.0, 0.0, 0.05], [0.0, 0.04, 0.0]]),
+                                np.array([1.0, 2.0]), "constrained")
+        text = rec.read_text()
+        assert old in text
+        rec.write_text(text.replace(old, new))
+        capsys.readouterr()
+        assert main(["metrics", "--config", str(path),
+                     "--reconstruction", str(rec)]) == 2
+        err = capsys.readouterr().err
+        assert "bad.csv" in err and "non-finite" in err
+        assert not (tmp_path / "out" / "metrics.json").exists()
+
+    def test_multires_on_three_columns_per_dof_exit_2(self, tmp_path, capsys):
+        # The unconstrained EEG fixture carries 3 columns per source.
+        path = self._pipeline(tmp_path, inversion=(
+            "[inversion]\nmethod = multires\nsubsets = 4"))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["invert", "--config", str(path),
+                     "--data", str(out / "data.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "constrained EEG or EIT" in err and "Traceback" not in err
+        assert not (out / "reconstruction.csv").exists()
 
     def test_non_numeric_reconstruction_cell_exit_2(self, tmp_path, capsys):
         path = write_sphere_project(

@@ -78,6 +78,14 @@ class TestHyperModel:
         with pytest.raises(ParameterError):
             HyperModel("G", beta=1.0)  # eta < 0
         HyperModel("IG", beta=0.5)
+        # theta0 <= 0 and beta < 1.5 are False for NaN, so NaN used to pass.
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ParameterError, match="theta0 must be positive"):
+                HyperModel("G", theta0=bad)
+            with pytest.raises(ParameterError, match="beta >= 3/2"):
+                HyperModel("G", beta=bad)
+            with pytest.raises(ParameterError, match="beta > 0"):
+                HyperModel("IG", beta=bad)
 
 
 class TestIasStep:
@@ -163,6 +171,9 @@ class TestIasStep:
         h = HyperModel("G")
         with pytest.raises(ParameterError):
             IasState(x=np.zeros(1), theta=np.ones(1), nu=0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ParameterError, match="nu must be > 0"):
+                IasState(x=np.zeros(1), theta=np.ones(1), nu=bad)
 
     def test_shape_mismatch(self):
         h = HyperModel("G")

@@ -69,6 +69,9 @@ class TestNoiseSpec:
             NoiseSpec(mode="uniform")
         with pytest.raises(ParameterError):
             NoiseSpec(level=0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ParameterError, match="noise level"):
+                NoiseSpec(level=bad)
 
 
 class TestSimulateEeg:
@@ -124,6 +127,15 @@ class TestPhantom:
             Phantom(radii=(0.08, 0.1), conductivities=(0.33, 0.43),
                     anomaly_center=(0.0, 0.0, 0.07),
                     anomaly_diameter=0.03, anomaly_delta=0.73)
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_diameter_must_be_finite_and_positive(self, bad):
+        # NaN used to reach the shell test and fail there as a ball
+        # outside every shell.
+        with pytest.raises(ParameterError, match="diameter must be positive"):
+            Phantom(radii=(0.08, 0.1), conductivities=(0.33, 0.43),
+                    anomaly_center=(0.0, 0.0, 0.03),
+                    anomaly_diameter=bad, anomaly_delta=0.73)
 
     def test_host_shell_identified(self):
         p = Phantom(radii=(0.08, 0.1), conductivities=(0.33, 0.43),

@@ -202,6 +202,9 @@ class TestPcg:
             PcgConfig(tolerance=0.0)
         with pytest.raises(ParameterError):
             PcgConfig(max_iterations=0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ParameterError, match="tolerance"):
+                PcgConfig(tolerance=bad)
 
 
 class TestTransferMatrix:
