@@ -17,10 +17,12 @@ Both protocols derive every random stream from one master seed.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParameterError
 from .fem import ElectrodeSet, assemble_cem_system
 from .inverse import (HyperModel, center_of_mass, ias_map, multires_ias,
                       normalize_problem, roi_metrics)
@@ -43,6 +45,16 @@ def derive_seed(master, *indices):
     """Deterministic child seed from a master seed and stream indices."""
     ss = np.random.SeedSequence([int(master), *[int(i) for i in indices]])
     return int(ss.generate_state(1)[0])
+
+
+def _require_counts(params, *names):
+    """ParameterError unless each field ``names`` of ``params`` is an
+    integer >= 1."""
+    for name in names:
+        value = getattr(params, name)
+        if not isinstance(value, numbers.Integral) or value < 1:
+            raise ParameterError(
+                f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass
@@ -71,6 +83,10 @@ class EegHypermodelParams:
     master_seed: int = 0
     solver_tolerance: float = 1e-8
     cases: tuple = HYPERMODEL_CASES
+
+    def __post_init__(self):
+        _require_counts(self, "n_electrodes", "n_sources", "realizations",
+                        "n_iter")
 
 
 def _sphere_model(params):
@@ -195,6 +211,10 @@ class EitHemorrhageParams:
     n_seeds: int = 10
     master_seed: int = 0
     solver_tolerance: float = 1e-8
+
+    def __post_init__(self):
+        _require_counts(self, "n_electrodes", "n_dofs", "n_iter", "n_subsets",
+                        "n_decompositions", "n_seeds")
 
 
 def build_eit_model(params):

@@ -4,9 +4,10 @@ The lumped diagonal preconditioner (LDP) takes each diagonal entry as the
 row sum of the absolute matrix entries; applying it is a componentwise
 division, which keeps the solver memory-light.  The transfer matrix
 T = A^-1 B comes from block solves, one group of columns per usable core,
-each group in its own thread: a group's columns advance together with one
-sparse product per iteration in buffers allocated once per call, and every
-column is bit-equal to its own solve.
+each group in its own thread: a group's columns advance together in four
+row buffers allocated once per call, with one product through scipy's
+public CSR ``A @ X`` per iteration, and every column is bit-equal to its
+own solve.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-# The kernel behind scipy's CSR ``A @ X``, called here to write into a
-# caller-owned buffer; it is private, so a test pins it to ``A @ X``.
-from scipy.sparse._sparsetools import csr_matvecs
 
 from .errors import ConvergenceError, ParameterError, SingularPreconditionerError
 
@@ -71,34 +69,19 @@ def _usable_cores():
         return os.cpu_count() or 1
 
 
-def _rows_product(A, V, vt, avt, out):
-    """``out`` = A v for every row v of the (h, n) array V, as rows (``out``
-    may be V).  The product runs on C-ordered (n, h) copies in the flat
-    scratch ``vt`` and ``avt`` (h n entries or more), through scipy's
-    ``csr_matvecs``, whose columns are bit-equal to ``A @ v``."""
-    h, n = V.shape
-    vt, avt = vt[:h * n], avt[:h * n]
-    np.copyto(vt.reshape(n, h), V.T)
-    avt.fill(0.0)
-    csr_matvecs(A.shape[0], A.shape[1], h, A.indptr, A.indices, A.data,
-                vt, avt)
-    np.copyto(out, avt.reshape(n, h).T)
-
-
 def _pcg_group(A, d, cols, live, bufs, out, tolerance, max_iter):
     """Block LDP-PCG for the columns ``live`` of ``cols`` in the caller's
-    buffers ``bufs`` = (R, X, P, W, PT, APT): (m, n) row arrays, R holding
-    the right-hand sides, and two flat arrays of m n entries.  Every
-    iteration updates them in place.  Writes each converged column into
-    ``out`` = (T, iterations, residuals).  Returns ``(block iterations,
-    failure)``, where failure is None or, for the first column still
-    iterating after ``max_iter``, ``(column, iteration of its best
-    residual, best residual)``.
+    (m, n) row buffers ``bufs`` = (R, X, P, W), R holding the right-hand
+    sides.  Every iteration updates them in place, with one product
+    ``A @ P.T``.  Writes each converged column into ``out`` = (T,
+    iterations, residuals) and moves the remaining rows to the front.
+    Returns ``(block iterations, failure)``, where failure is None or, for
+    the first column still iterating after ``max_iter``, ``(column,
+    iteration of its best residual, best residual)``.
     """
-    R, X, P, W, PT, APT = bufs
-    PT, APT = PT.ravel(), APT.ravel()
+    R, X, P, W = bufs
     T, iterations, residuals = out
-    m, n = R.shape
+    m = len(R)
     nb = np.sqrt(np.vecdot(R, R))
     X.fill(0.0)
     np.divide(R, d, out=W)
@@ -107,11 +90,9 @@ def _pcg_group(A, d, cols, live, bufs, out, tolerance, max_iter):
     best_res, best_it = np.ones(m), np.zeros(m, dtype=int)
     for it in range(1, max_iter + 1):
         r, x, p, w = R[:m], X[:m], P[:m], W[:m]
-        _rows_product(A, p, PT, APT, out=w)
+        np.copyto(w, (A @ p.T).T)
         alpha = (rz / np.vecdot(p, w))[:, None]
-        step = APT[:m * n].reshape(m, n)    # free once A p is in w
-        np.multiply(alpha, p, out=step)
-        x += step
+        x += alpha * p
         w *= alpha
         r -= w
         res = np.sqrt(np.vecdot(r, r)) / nb
@@ -120,30 +101,21 @@ def _pcg_group(A, d, cols, live, bufs, out, tolerance, max_iter):
         best_it[better] = it
         hit = np.flatnonzero(res <= tolerance)
         if hit.size:
-            # Recurrence residuals drift; confirm with the true residual.
-            h = hit.size
-            r_true = w[:h]                  # free until z is formed
-            np.take(x, hit, axis=0, out=r_true, mode="clip")
-            _rows_product(A, r_true, PT, APT, out=r_true)
-            b_hit = PT[:h * n].reshape(n, h)
-            np.take(cols, live[hit], axis=1, out=b_hit, mode="clip")
-            np.subtract(b_hit.T, r_true, out=r_true)
+            # Recurrence residuals drift; confirm with the true residual,
+            # on C-ordered rows: vecdot's bits depend on the layout.
+            r_true = np.ascontiguousarray(
+                (cols[:, live[hit]] - A @ x[hit].T).T)
             res_true = np.sqrt(np.vecdot(r_true, r_true)) / nb[hit]
             ok = res_true <= tolerance
-            for j, i in enumerate(hit):     # row by row: no (h, n) copies
-                if ok[j]:
-                    T[:, live[i]] = x[i]
-                    iterations[live[i]] = it
-                    residuals[live[i]] = res_true[j]
-                else:
-                    r[i] = r_true[j]
+            r[hit[~ok]] = r_true[~ok]
             if ok.any():
-                keep = np.ones(m, dtype=bool)
-                keep[hit[ok]] = False
-                kept = np.flatnonzero(keep)
-                for j, i in enumerate(kept):    # in order: row j <= row i
-                    if i != j:
-                        r[j], x[j], p[j] = r[i], x[i], p[i]
+                done = live[hit[ok]]
+                T[:, done] = x[hit[ok]].T
+                iterations[done] = it
+                residuals[done] = res_true[ok]
+                kept = np.delete(np.arange(m), hit[ok])
+                for v in (r, x, p):
+                    v[:kept.size] = v[kept]
                 live, nb, rz, best_res, best_it = (
                     v[kept] for v in (live, nb, rz, best_res, best_it))
                 m = kept.size
@@ -197,7 +169,7 @@ def pcg_solve(A, b, cfg=PcgConfig()):
         bounds = np.cumsum([0] + [g.size for g in groups])
         R = rows[np.concatenate(groups)]    # group by group
         del rows
-        bufs = (R, *(np.empty_like(R) for _ in range(5)))
+        bufs = (R, *(np.empty_like(R) for _ in range(3)))
         out = (T, iterations, residuals)
 
         def solve(g):
@@ -229,7 +201,7 @@ def pcg_solve(A, b, cfg=PcgConfig()):
 def _replay(A, d, cols, column, n_iter, tolerance):
     """The iterate of ``column`` after ``n_iter`` iterations (the zero start
     for none), solved alone again: bit-equal to its iterate in any group."""
-    bufs = np.zeros((6, 1, len(cols)))
+    bufs = np.zeros((4, 1, len(cols)))
     if n_iter:
         bufs[0, 0] = cols[:, column]
         _pcg_group(A, d, cols, np.array([column]), bufs, (None,) * 3,

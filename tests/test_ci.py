@@ -1,5 +1,5 @@
-"""The CI workflow runs the tier-1 suite as ROADMAP.md documents it, and
-the traced benchmark once.
+"""The CI workflow runs the tier-1 suite as ROADMAP.md documents it, also
+on the declared dependency floors, and the traced benchmark once.
 
 The workflow is read as text: PyYAML is not a test dependency.
 """
@@ -69,3 +69,18 @@ def test_tier1_runs_the_declared_python_floor():
                 for line in tier1 if line.strip().startswith("python-version:")]
     assert versions and floor in versions[0]
     assert "          python-version: ${{ matrix.python-version }}" in tier1
+
+
+def test_floor_runs_tier1_on_the_declared_dependency_floors():
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    python, numpy, scipy = (
+        re.search(pattern, pyproject, re.M).group(1) for pattern in (
+            r'^requires-python = ">=(\d+\.\d+)"$',
+            r'^    "numpy>=(\d+\.\d+)",$', r'^    "scipy>=(\d+\.\d+)",$'))
+    floor = job("floor")
+    assert f'          python-version: "{python}"' in floor
+    assert runs(floor) == [
+        f'python -m pip install "numpy=={numpy}.*" "scipy=={scipy}.*" '
+        '-e ".[test]"', runs(tier1_job())[-1]]
+    assert '      OPENBLAS_NUM_THREADS: "1"' in floor
+    assert timeout_minutes(floor) == [20]

@@ -1,17 +1,21 @@
+import ast
 import builtins
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from headfem import cli
+from headfem import cli, experiments
 from headfem.cli import main
 from headfem.config import load_config
-from headfem.errors import ConfigError
+from headfem.errors import ConfigError, ParameterError
+from headfem.experiments import EegHypermodelParams, EitHemorrhageParams
 from headfem.geometry import box_surface, icosphere, save_surface_mesh
 from headfem.inverse import normalize_problem
 from headfem import io as hio
@@ -641,6 +645,46 @@ class TestCliExperiment:
         seeds = (out / "hemorrhage_seeds.csv").read_text().splitlines()
         assert len(seeds) == 1 + 2
 
+    @pytest.mark.parametrize("name, key", [
+        ("eeg-hypermodel", "realizations"), ("eeg-hypermodel", "sources"),
+        ("eeg-hypermodel", "iterations"), ("eit-hemorrhage", "n_seeds"),
+        ("eit-hemorrhage", "dofs"), ("eit-hemorrhage", "electrodes")])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_count_below_one_exit_2_before_any_mesh(self, tmp_path, capsys,
+                                                    monkeypatch, name, key,
+                                                    value):
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("a mesh was built")
+
+        monkeypatch.setattr(experiments, "generate_mesh", no_mesh)
+        path = write_cube_project(tmp_path, extra=(
+            f"[experiment]\n{key} = {value}\n"))
+        capsys.readouterr()
+        assert main(["experiment", name, "--config", str(path)]) == 2
+        field = cli._EXPERIMENT_FIELDS[key]
+        assert capsys.readouterr().err == (
+            f"error: {field} must be an integer >= 1, got {value}\n")
+        out = tmp_path / "out"
+        assert not out.exists() or not any(out.iterdir())
+
+
+class TestExperimentParams:
+    @pytest.mark.parametrize("params, field", [
+        *((EegHypermodelParams, f) for f in (
+            "realizations", "n_electrodes", "n_sources", "n_iter")),
+        *((EitHemorrhageParams, f) for f in (
+            "n_seeds", "n_electrodes", "n_dofs", "n_iter", "n_subsets",
+            "n_decompositions"))])
+    @pytest.mark.parametrize("value", [0, -1, 2.5])
+    def test_counts_are_integers_of_at_least_one(self, params, field, value):
+        with pytest.raises(ParameterError) as err:
+            params(**{field: value})
+        assert str(err.value) == (
+            f"{field} must be an integer >= 1, got {value!r}")
+        with pytest.raises(ParameterError):
+            replace(params(), **{field: value})
+        assert getattr(replace(params(), **{field: 1}), field) == 1
+
 
 def test_cli_import_skips_scipy_modules_no_pipeline_path_uses():
     # No headfem module imports scipy.spatial (which pulls in
@@ -657,6 +701,26 @@ def test_cli_import_skips_scipy_modules_no_pipeline_path_uses():
     loaded = set(proc.stdout.split())
     assert {"headfem.cli", "headfem.experiments"} <= loaded
     assert not loaded & {"scipy.spatial", "scipy.special", "scipy.io"}
+
+
+def test_no_private_module_imports():
+    # A module path with a component starting with "_" (scipy.sparse.
+    # _sparsetools, numpy._core) is private to its package and may move in
+    # any release; headfem's own modules and __future__ are exempt.
+    src = Path(hio.__file__).resolve().parent
+    private = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            private += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in ("headfem", "__future__")
+                        and any(c.startswith("_") for c in name.split("."))]
+    assert private == []
 
 
 _CHAIN = """

@@ -433,10 +433,11 @@ class TestColumnGroups:
 
     def test_groups_allocate_no_more_than_one_block(self, eit_desk_system,
                                                     monkeypatch):
-        # Every group iterates in buffers the caller allocated, so two
-        # groups hold no (m, n) array of their own: one half block would be
-        # 700 kB.  The worker thread's own state and (m,) arrays are a few
-        # kB, hence the 64 KiB allowance.
+        # Every group iterates in buffers the caller allocated; its only
+        # (m, n) arrays are the temporaries of its own products, so two
+        # half groups hold no more than one whole one: one more half block
+        # would be 700 kB.  The worker thread's own state and (m,) arrays
+        # are a few kB, hence the 64 KiB allowance.
         A, B, cfg = eit_desk_system
         peaks = []
         for cores in (1, 2):
@@ -448,20 +449,6 @@ class TestColumnGroups:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 64 * 1024
-        # B as a dense array, T and six (16, 11,077) buffers, 15.4 MB
-        # before the buffers.
+        # B as a dense array, T, four (16, 11,077) row buffers and the
+        # two (11,077, 16) arrays of each ``A @ X``.
         assert peaks[0] < 12e6
-
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
-           k=st.integers(1, 6))
-    @settings(max_examples=30, deadline=None)
-    def test_csr_matvecs_is_the_kernel_of_matmul(self, seed, n, k):
-        # The solver calls scipy's private ``csr_matvecs`` to write A X
-        # into its own buffer; it must stay bit-equal to ``A @ X``.
-        A = sp.random(n, n, density=0.3, random_state=seed % 2**31,
-                      format="csr")
-        X = np.random.default_rng(seed).normal(size=(n, k))
-        out = np.empty((k, n))
-        solver._rows_product(A, np.ascontiguousarray(X.T), np.empty(n * k),
-                             np.empty(n * k), out)
-        np.testing.assert_array_equal(out.T, A @ X)
